@@ -14,6 +14,7 @@ from .errors import (
     EqflowError,
     InconsistentConstraints,
     NonFiniteGradient,
+    NonFiniteObjective,
     RankZero,
     SingularFactor,
     SingularKkt,
@@ -79,6 +80,7 @@ __all__ = [
     "MAX_ITERATIONS",
     "NONCONVEX_PROBLEMS",
     "NonFiniteGradient",
+    "NonFiniteObjective",
     "ProblemInstance",
     "ProjectedHessian",
     "ProjectorBasis",

@@ -21,6 +21,10 @@ class NonFiniteGradient(EqflowError, FloatingPointError):
     """A gradient evaluation returned NaN or infinity."""
 
 
+class NonFiniteObjective(EqflowError, FloatingPointError):
+    """An objective evaluation returned NaN or infinity where a finite value is required."""
+
+
 class SingularFactor(EqflowError):
     """The regularized curvature matrix is numerically singular and cannot be factored."""
 

@@ -13,9 +13,10 @@ deliberately not symmetrized, so the factorization sees the raw differences.
 
 The shifted system solved each iteration is ``(shift/dt) I + H`` with a fixed
 base shift; since ``H`` is nearly singular in the normal directions, the shift
-both regularizes and encodes the continuation step size.  A general (not
-symmetric-positive-definite) QR factorization is used because the unsymmetrized
-``H`` may fail to be exactly symmetric.
+both regularizes and encodes the continuation step size.  It is factored by LU
+with partial pivoting rather than Cholesky: the unsymmetrized ``H`` may fail to
+be exactly symmetric, and an indefinite ``H`` leaves the system indefinite
+whenever ``shift/dt`` is below the magnitude of its most negative eigenvalue.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 from .errors import NonFiniteGradient, SingularFactor
 from .projection import ProjectorBasis, project_gradient
@@ -55,18 +56,16 @@ class ProjectedHessian:
     eval_index: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegularizedFactor:
-    """QR factors of ``(shift/dt) I + H``.
+    """LU factors of ``(shift/dt) I + H`` as LAPACK ``getrf`` leaves them.
 
-    ``stale`` starts False and is flipped by the solver when the factors are
-    reused at a step size they were not built for.
+    ``lu`` holds the unit lower triangle ``L`` below its diagonal and ``U`` on
+    and above it; ``piv`` holds the zero-based row interchanges.
     """
 
-    q: np.ndarray
-    r: np.ndarray
-    dt_used: float
-    stale: bool = False
+    lu: np.ndarray
+    piv: np.ndarray
 
 
 def fd_projected_hessian(
@@ -111,27 +110,34 @@ def fd_projected_hessian(
 def build_and_factor(
     hess: ProjectedHessian, shift: float, dt: float
 ) -> RegularizedFactor:
-    """Form ``(shift/dt) I + H`` and factor it by dense QR.
+    """Form ``(shift/dt) I + H`` and factor it by LU with partial pivoting.
 
     Raises
     ------
     SingularFactor
-        If any diagonal entry of the triangular factor falls below
-        ``1e-14 * ||B||`` — the caller is expected to shrink the step size
+        If any diagonal entry of ``U`` falls below ``1e-14 * ||B||`` (an exact
+        zero pivot included) — the caller is expected to shrink the step size
         and retry once before giving up.
     """
     if dt <= 0.0 or shift <= 0.0:
         raise ValueError(f"shift and dt must be positive, got shift={shift}, dt={dt}")
-    b = hess.matrix + (shift / dt) * np.eye(hess.matrix.shape[0])
-    q, r = scipy.linalg.qr(b)
+    # A Fortran-ordered copy lets getrf factor it in place.
+    b = np.array(hess.matrix, dtype=float, order="F")
+    b.flat[:: b.shape[0] + 1] += shift / dt
     norm_b = float(np.linalg.norm(b))
-    if norm_b == 0.0 or float(np.min(np.abs(np.diag(r)))) < _SINGULAR_RTOL * norm_b:
+    lu, piv, info = scipy.linalg.lapack.dgetrf(b, overwrite_a=True)
+    if (
+        norm_b == 0.0
+        or info > 0
+        or float(np.min(np.abs(np.diag(lu)))) < _SINGULAR_RTOL * norm_b
+    ):
         raise SingularFactor(
             f"shifted curvature matrix is numerically singular at dt={dt:.3e}"
         )
-    return RegularizedFactor(q=q, r=r, dt_used=dt, stale=False)
+    return RegularizedFactor(lu=lu, piv=piv)
 
 
 def solve_shifted(factor: RegularizedFactor, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``(shift/dt_used) I + H) d = rhs`` using the stored factors."""
-    return scipy.linalg.solve_triangular(factor.r, factor.q.T @ rhs)
+    """Solve ``((shift/dt) I + H) d = rhs`` using the stored LU factors."""
+    d, _ = scipy.linalg.lapack.dgetrs(factor.lu, factor.piv, rhs)
+    return d

@@ -18,7 +18,7 @@ The preconditioner runs in two one-way phases:
   memory-one quasi-Newton matrix applied in closed form (O(n) per iteration);
 * ill-posed phase — once ``dt`` falls below the threshold (a sign of stiff,
   badly conditioned curvature), ``B`` becomes the shifted finite-difference
-  tangent-space Hessian ``(shift/dt) I + H``, factored by QR and cached under
+  tangent-space Hessian ``(shift/dt) I + H``, factored by LU and cached under
   a rebuild policy driven by step acceptance and ratio quality.
 
 Every direction lies in the null space of the constraint matrix by
@@ -34,7 +34,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .errors import NonFiniteGradient, SingularFactor
+from .errors import NonFiniteGradient, NonFiniteObjective, SingularFactor
 from .hessian import (
     ProjectedHessian,
     RegularizedFactor,
@@ -268,6 +268,8 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
 
     Raises
     ------
+    NonFiniteObjective
+        If the objective at the (restored) initial point is non-finite.
     NonFiniteGradient
         If a gradient evaluation at an accepted point is non-finite, or if
         curvature probing fails even after one shrink-and-retry of ``dt``.
@@ -321,6 +323,8 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
         return fd_projected_hessian(gval, basis, at, fd_eps=cfg.fd_eps, eval_index=index)
 
     f0 = fval(x)
+    if not np.isfinite(f0):
+        raise NonFiniteObjective("objective at the initial point is not finite")
     g0 = gval(x)
     if not np.all(np.isfinite(g0)):
         raise NonFiniteGradient("gradient at the initial point is not finite")
@@ -381,8 +385,6 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
                         state.factor = build_and_factor(
                             state.hessian, cfg.reg_shift, state.dt
                         )
-                    elif state.factor.dt_used != state.dt:
-                        state.factor.stale = True
                     break
                 except (SingularFactor, NonFiniteGradient):
                     if attempt == 1:

@@ -217,8 +217,39 @@ class TestShiftedFactorization:
             d = solve_shifted(fac, -pg)
             assert float(pg @ d) < 0.0
 
-    def test_factor_records_step_size_and_freshness(self):
-        hess = ProjectedHessian(matrix=np.eye(2), fd_eps=1e-6, eval_index=3)
+    def test_residuals_small_for_nonsymmetric_curvature(self):
+        # The factored matrix is the raw, unsymmetrized H; the solve must be
+        # backward stable for any nonsymmetric draw up to the stiff size.
+        rng = np.random.default_rng(10)
+        for n in [2, 300] + [int(k) for k in rng.integers(2, 301, size=40)]:
+            mat = rng.standard_normal((n, n)) / np.sqrt(n)
+            hess = ProjectedHessian(matrix=mat, fd_eps=1e-6, eval_index=0)
+            shift = float(rng.uniform(1e-6, 1.0))
+            dt = float(rng.uniform(1e-6, 1.0))
+            fac = build_and_factor(hess, shift=shift, dt=dt)
+            rhs = rng.standard_normal(n)
+            d = solve_shifted(fac, rhs)
+            res = np.linalg.norm(mat @ d + (shift / dt) * d - rhs)
+            assert res <= 1e-12 * max(1.0, np.linalg.norm(rhs), np.linalg.norm(d))
+
+    def test_exact_zero_pivot_raises(self):
+        # B = [[0, 1], [0, 1]] has a zero first column, so elimination meets an
+        # exact zero pivot although ||B|| is not zero.
+        mat = np.array([[-1.0, 1.0], [0.0, 0.0]])
+        hess = ProjectedHessian(matrix=mat, fd_eps=1e-6, eval_index=0)
+        with pytest.raises(SingularFactor):
+            build_and_factor(hess, shift=1.0, dt=1.0)
+
+    def test_factor_holds_pivoted_lu_of_shifted_matrix(self):
+        rng = np.random.default_rng(11)
+        n = 6
+        mat = rng.standard_normal((n, n))
+        hess = ProjectedHessian(matrix=mat, fd_eps=1e-6, eval_index=3)
         fac = build_and_factor(hess, shift=1e-4, dt=0.25)
-        assert fac.dt_used == 0.25
-        assert fac.stale is False
+        lower = np.tril(fac.lu, -1) + np.eye(n)
+        upper = np.triu(fac.lu)
+        permuted = mat + 4e-4 * np.eye(n)
+        for i, p in enumerate(fac.piv):  # LAPACK row interchanges, in order
+            permuted[[i, p]] = permuted[[p, i]]
+        assert np.allclose(lower @ upper, permuted, rtol=0.0, atol=1e-13)
+        assert np.array_equal(hess.matrix, mat)  # the input is left untouched

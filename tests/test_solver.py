@@ -1,6 +1,8 @@
 """Continuation solver: step scoring, time-step control, the full loop, and
 its trace invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from eqflow import (
     WELL_POSED,
     ConstraintSystem,
     NonFiniteGradient,
+    NonFiniteObjective,
     SolverConfig,
     factor,
     get_problem,
@@ -200,6 +203,13 @@ class TestTerminalStatuses:
         with pytest.raises(NonFiniteGradient):
             solve(problem)
 
+    def test_non_finite_objective_at_start_raises(self):
+        # A finite gradient would otherwise let the run reject every trial
+        # against a NaN reference value and stop with f_star = nan.
+        problem = dataclasses.replace(get_problem("booth"), f=lambda x: float("nan"))
+        with pytest.raises(NonFiniteObjective):
+            solve(problem)
+
 
 class TestTraceInvariants:
     def run_reports(self):
@@ -355,3 +365,34 @@ class TestCurvatureCachePolicy:
     def test_identity_phase_never_probes(self):
         report = solve(get_problem("booth"))
         assert all(not rec.hessian_rebuilt for rec in report.trace)
+
+
+def _wide_zakharov():
+    # A start drawn from [-3, 3]^10 (four numbers are drawn first); the
+    # gradient there is about 3e5.
+    rng = np.random.default_rng([0, 204])
+    rng.uniform(-3.0, 3.0, size=4)
+    return dataclasses.replace(get_problem("zakharov"), x0=rng.uniform(-3.0, 3.0, size=10))
+
+
+def _wide_beale():
+    rng = np.random.default_rng([111, 947])
+    rng.uniform(size=18)
+    return dataclasses.replace(get_problem("beale"), x0=rng.uniform(-3.0, 3.0, size=2))
+
+
+def _perturbed_dixon_price():
+    base = get_problem("dixon_price", n=300)
+    return dataclasses.replace(
+        base, x0=base.x0 + 1e-2 * np.random.default_rng(73).standard_normal(300)
+    )
+
+
+@pytest.mark.parametrize("make", [_wide_zakharov, _wide_beale, _perturbed_dixon_price])
+def test_ill_posed_starts_stay_feasible(make):
+    # Each of these runs spends most of its iterations in the ill-posed phase,
+    # where every step leaks into the normal space by the roundoff of the
+    # shifted solve; the sum over the run must stay below 1e-8.
+    report = solve(make())
+    assert any(rec.phase == ILL_POSED for rec in report.trace)
+    assert report.feas <= 1e-8

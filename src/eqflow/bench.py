@@ -13,12 +13,9 @@ import csv
 import io
 import json
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Optional
-
-import numpy as np
 
 from .errors import DimensionError, EqflowError, UnknownProblem
 from .problems import (
@@ -27,15 +24,13 @@ from .problems import (
     ProblemInstance,
     get_problem,
 )
-from .projection import factor, project_gradient, restore_feasibility
 from .solver import (
     CONVERGED,
-    IterationRecord,
-    MAX_ITERATIONS,
     SINGLE_FEASIBLE_POINT,
-    STEP_FAILURE,
+    IterationRecord,
     SolverConfig,
     SolverReport,
+    baseline_projected_gradient,
     solve,
 )
 
@@ -50,9 +45,6 @@ _SETS = {
 _CSV_HEADER = ["problem", "n", "m", "solver", "steps", "time_s", "f_star", "kkt", "feas", "status"]
 
 _SUCCESS_STATUSES = {CONVERGED, SINGLE_FEASIBLE_POINT}
-
-#: Give up on a baseline backtracking search after this many halvings.
-_MAX_HALVINGS = 60
 
 
 @dataclass(frozen=True)
@@ -83,101 +75,6 @@ class BenchRow:
     kkt: float
     feas: float
     status: str
-
-
-def baseline_projected_gradient(
-    problem: ProblemInstance, config: Optional[SolverConfig] = None
-) -> SolverReport:
-    """Reference method: steepest descent along the projected gradient with
-    backtracking halving until the Armijo condition
-    ``f(x + a*d) <= f(x) + 1e-4 * a * g^T d`` holds.
-
-    Shares the solver's termination criteria and caps; every step lies in the
-    null space of the constraint matrix, so feasibility is conserved the same
-    way.
-    """
-    cfg = config if config is not None else SolverConfig()
-    cs = problem.cs
-    t_start = time.perf_counter()
-    counters = {"f": 0, "g": 0}
-
-    def fval(x):
-        counters["f"] += 1
-        return float(problem.f(x))
-
-    def gval(x):
-        counters["g"] += 1
-        return np.asarray(problem.grad(x), dtype=float)
-
-    basis = factor(cs, cfg.rank_tol)
-    x = restore_feasibility(basis, np.asarray(problem.x0, dtype=float))
-    f = fval(x)
-    g = gval(x)
-    pg = project_gradient(basis, g)
-
-    def report(status, k, accepted, trace):
-        return SolverReport(
-            status=status,
-            x_star=x,
-            f_star=f,
-            kkt=float(np.max(np.abs(pg))) if pg.size else 0.0,
-            feas=float(np.max(np.abs(cs.a @ x - cs.b))),
-            iterations=k,
-            accepted_steps=accepted,
-            objective_evals=counters["f"],
-            gradient_evals=counters["g"],
-            hessian_evals=0,
-            wall_time=time.perf_counter() - t_start,
-            trace=trace,
-        )
-
-    if basis.rank == cs.n:
-        return report(SINGLE_FEASIBLE_POINT, 0, 0, [])
-
-    trace: list[IterationRecord] = []
-    k = 0
-    while True:
-        if float(np.max(np.abs(pg))) <= cfg.tol:
-            return report(CONVERGED, k, k, trace)
-        if k >= cfg.max_iter:
-            return report(MAX_ITERATIONS, k, k, trace)
-        k += 1
-        t_iter = time.perf_counter_ns()
-        d = -pg
-        slope = float(g @ d)
-        alpha = 1.0
-        for _ in range(_MAX_HALVINGS):
-            x_trial = x + alpha * d
-            f_trial = fval(x_trial)
-            if f_trial <= f + 1e-4 * alpha * slope:
-                break
-            alpha *= 0.5
-        else:
-            return report(STEP_FAILURE, k, k - 1, trace)
-        s = alpha * d
-        decrease = -alpha * slope
-        rho = (f - f_trial) / decrease if decrease > 0 else float("-inf")
-        x, f = x_trial, f_trial
-        g = gval(x)
-        pg = project_gradient(basis, g)
-        trace.append(
-            IterationRecord(
-                k=k,
-                f=f,
-                kkt=float(np.max(np.abs(pg))),
-                feas=float(np.max(np.abs(cs.a @ x - cs.b))),
-                dt=alpha,
-                rho=rho,
-                accepted=True,
-                phase="baseline",
-                hessian_rebuilt=False,
-                wall_time_ns=time.perf_counter_ns() - t_iter,
-                decrease=decrease,
-                step_norm=float(np.linalg.norm(s)),
-                pg_norm=float(np.linalg.norm(d)),
-                step_infeas=float(np.max(np.abs(cs.a @ s))),
-            )
-        )
 
 
 def _make_row(problem: ProblemInstance, solver_name: str, rep: SolverReport) -> BenchRow:
@@ -263,6 +160,9 @@ def run(spec: RunSpec) -> int:
         return 2
     if spec.jobs < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)
+        return 2
+    if spec.trace and spec.format != "json":
+        print("error: --trace requires --format json", file=sys.stderr)
         return 2
     names: list[str] = []
     for name in spec.problems:

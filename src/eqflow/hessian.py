@@ -31,7 +31,6 @@ from .errors import NonFiniteGradient, SingularFactor
 from .projection import ProjectorBasis, project_gradient
 
 __all__ = [
-    "ProjectedHessian",
     "RegularizedFactor",
     "fd_projected_hessian",
     "build_and_factor",
@@ -41,19 +40,6 @@ __all__ = [
 #: Diagonal entries of the triangular factor below this fraction of the matrix
 #: norm flag the shifted matrix as numerically singular.
 _SINGULAR_RTOL = 1e-14
-
-
-@dataclass(frozen=True)
-class ProjectedHessian:
-    """Tangent-space curvature matrix and the settings it was evaluated with.
-
-    ``eval_index`` tags which solver iteration produced the matrix, so traces
-    can distinguish fresh from reused curvature.
-    """
-
-    matrix: np.ndarray
-    fd_eps: float
-    eval_index: int
 
 
 @dataclass(frozen=True)
@@ -73,8 +59,7 @@ def fd_projected_hessian(
     basis: ProjectorBasis,
     x: np.ndarray,
     fd_eps: float = 1e-6,
-    eval_index: int = 0,
-) -> ProjectedHessian:
+) -> np.ndarray:
     """Evaluate the projected finite-difference curvature matrix at ``x``.
 
     Probes the ``n`` projected coordinate directions in ascending index order;
@@ -103,13 +88,10 @@ def fd_projected_hessian(
     # avoids amplifying projection roundoff by 1/fd_eps.  It also makes the
     # matrix exactly zero for linear objectives, where every probe returns the
     # same gradient.
-    matrix = project_gradient(basis, (probes - g0[:, None]) / fd_eps)
-    return ProjectedHessian(matrix=matrix, fd_eps=fd_eps, eval_index=eval_index)
+    return project_gradient(basis, (probes - g0[:, None]) / fd_eps)
 
 
-def build_and_factor(
-    hess: ProjectedHessian, shift: float, dt: float
-) -> RegularizedFactor:
+def build_and_factor(hess: np.ndarray, shift: float, dt: float) -> RegularizedFactor:
     """Form ``(shift/dt) I + H`` and factor it by LU with partial pivoting.
 
     Raises
@@ -122,7 +104,7 @@ def build_and_factor(
     if dt <= 0.0 or shift <= 0.0:
         raise ValueError(f"shift and dt must be positive, got shift={shift}, dt={dt}")
     # A Fortran-ordered copy lets getrf factor it in place.
-    b = np.array(hess.matrix, dtype=float, order="F")
+    b = np.array(hess, dtype=float, order="F")
     b.flat[:: b.shape[0] + 1] += shift / dt
     norm_b = float(np.linalg.norm(b))
     lu, piv, info = scipy.linalg.lapack.dgetrf(b, overwrite_a=True)

@@ -2,8 +2,8 @@
 
 The model matrix is ``B = I - s s^T/(s^T s) + y y^T/(y^T y)`` when the stored
 (step, gradient-change) pair carries usable curvature, and the identity
-otherwise.  Both ``B v`` and ``B^{-1} v`` are rank-two updates applied in O(n);
-no matrix is formed.
+otherwise.  The solver needs only ``B^{-1} v``, a rank-two update applied in
+O(n); no matrix is formed.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LbfgsPair", "make_pair", "zero_pair", "apply_forward", "apply_inverse"]
+__all__ = ["LbfgsPair", "make_pair", "zero_pair", "apply_inverse"]
 
 
 @dataclass(frozen=True)
@@ -38,14 +38,6 @@ def zero_pair(n: int) -> LbfgsPair:
     """The empty-history pair: model is the identity."""
     z = np.zeros(n)
     return LbfgsPair(s=z, y=z, usable=False)
-
-
-def apply_forward(pair: LbfgsPair, v: np.ndarray) -> np.ndarray:
-    """Compute ``B v``."""
-    if not pair.usable:
-        return np.array(v, dtype=float, copy=True)
-    s, y = pair.s, pair.y
-    return v - s * (s @ v) / (s @ s) + y * (y @ v) / (y @ y)
 
 
 def apply_inverse(pair: LbfgsPair, v: np.ndarray) -> np.ndarray:

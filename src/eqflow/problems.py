@@ -29,7 +29,6 @@ from .projection import ConstraintSystem
 __all__ = [
     "ProblemInstance",
     "build_constraints",
-    "catalog",
     "get_problem",
     "CONVEX_PROBLEMS",
     "NONCONVEX_PROBLEMS",
@@ -529,20 +528,6 @@ def get_problem(
         known_fstar=fstar,
         fstar_note=note,
     )
-
-
-def catalog() -> dict[str, Callable[..., ProblemInstance]]:
-    """Name -> constructor for every problem in the suite; each constructor
-    accepts optional ``n`` and ``m`` overrides."""
-
-    def _ctor(name: str) -> Callable[..., ProblemInstance]:
-        def build(n: Optional[int] = None, m: Optional[int] = None) -> ProblemInstance:
-            return get_problem(name, n=n, m=m)
-
-        build.__name__ = f"build_{name}"
-        return build
-
-    return {name: _ctor(name) for name in _REGISTRY}
 
 
 def quadratic_form(name: str, n: int) -> tuple[np.ndarray, np.ndarray, float]:

@@ -24,11 +24,9 @@ from .errors import DimensionError, InconsistentConstraints, RankZero
 __all__ = [
     "ConstraintSystem",
     "ProjectorBasis",
-    "Residuals",
     "factor",
     "project_gradient",
     "restore_feasibility",
-    "residuals",
 ]
 
 
@@ -86,12 +84,6 @@ class ProjectorBasis:
     q2:
         (n, n - r) orthonormal basis of the tangent space.  Empty second axis
         when the constraints determine the point completely (r = n).
-    r1:
-        (r, m) leading rows of the triangular QR factor of ``A^T`` with its
-        columns in pivot order; kept for diagnostics and for reconstructing
-        the permuted constraint matrix as ``r1^T q1^T``.
-    perm:
-        Column pivot order applied to ``A^T`` (i.e. row order of ``A``).
     b_r:
         (r,) coefficients of the feasible-set offset in the ``q1`` basis: any
         feasible x satisfies ``q1^T x = b_r``.
@@ -100,22 +92,11 @@ class ProjectorBasis:
     rank: int
     q1: np.ndarray
     q2: np.ndarray
-    r1: np.ndarray
-    perm: np.ndarray
     b_r: np.ndarray
 
     @property
     def n(self) -> int:
         return self.q1.shape[0]
-
-
-@dataclass(frozen=True)
-class Residuals:
-    """First-order optimality (``kkt``) and constraint violation (``feas``),
-    both measured in the max norm."""
-
-    kkt: float
-    feas: float
 
 
 #: Relative residual threshold above which a rank-deficient system is declared
@@ -156,7 +137,7 @@ def factor(cs: ConstraintSystem, rank_tol: float = 1e-10) -> ProjectorBasis:
     gram = r1 @ r1.T
     b_r = scipy.linalg.solve(gram, r1 @ b_perm, assume_a="pos")
 
-    basis = ProjectorBasis(rank=rank, q1=q1, q2=q2, r1=r1, perm=perm, b_r=b_r)
+    basis = ProjectorBasis(rank=rank, q1=q1, q2=q2, b_r=b_r)
     if rank < cs.m:
         # Deficient rank: b may have a component outside range(A).  The
         # restored origin is the least-squares feasible point; if it misses
@@ -199,11 +180,3 @@ def restore_feasibility(basis: ProjectorBasis, x: np.ndarray) -> np.ndarray:
         raise DimensionError(f"point has shape {x.shape}, expected ({basis.n},)")
     return x - basis.q1 @ (basis.q1.T @ x - basis.b_r)
 
-
-def residuals(
-    basis: ProjectorBasis, cs: ConstraintSystem, x: np.ndarray, g: np.ndarray
-) -> Residuals:
-    """Max-norm first-order optimality and feasibility residuals at ``x``."""
-    kkt = float(np.max(np.abs(project_gradient(basis, g))))
-    feas = float(np.max(np.abs(cs.a @ x - cs.b)))
-    return Residuals(kkt=kkt, feas=feas)

@@ -24,6 +24,9 @@ The preconditioner runs in two one-way phases:
 Every direction lies in the null space of the constraint matrix by
 construction, so feasibility established once by an initial orthogonal
 restoration is conserved for the whole run without correction steps.
+
+:func:`baseline_projected_gradient`, the reference method of the benchmark,
+shares the set-up, checks and report of :func:`solve`.
 """
 
 from __future__ import annotations
@@ -35,20 +38,9 @@ from typing import Any, Optional
 import numpy as np
 
 from .errors import NonFiniteGradient, NonFiniteObjective, SingularFactor
-from .hessian import (
-    ProjectedHessian,
-    RegularizedFactor,
-    build_and_factor,
-    fd_projected_hessian,
-    solve_shifted,
-)
-from .lbfgs import LbfgsPair, apply_inverse, make_pair, zero_pair
-from .projection import (
-    ProjectorBasis,
-    factor,
-    project_gradient,
-    restore_feasibility,
-)
+from .hessian import build_and_factor, fd_projected_hessian, solve_shifted
+from .lbfgs import apply_inverse, make_pair, zero_pair
+from .projection import factor, project_gradient, restore_feasibility
 
 __all__ = [
     "WELL_POSED",
@@ -58,12 +50,12 @@ __all__ = [
     "STEP_FAILURE",
     "SINGLE_FEASIBLE_POINT",
     "SolverConfig",
-    "SolverState",
     "IterationRecord",
     "SolverReport",
     "trial_ratio",
     "update_timestep",
     "solve",
+    "baseline_projected_gradient",
 ]
 
 # Preconditioner phases (one-way transition, see module docstring).
@@ -152,26 +144,6 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
 
 
-@dataclass
-class SolverState:
-    """Mutable loop state; exposed for tests and debugging, not part of the
-    stable API."""
-
-    k: int
-    x: np.ndarray
-    f: float
-    g: np.ndarray
-    pg: np.ndarray
-    dt: float
-    phase: str
-    last_step_accepted: bool
-    pair: LbfgsPair
-    d: Optional[np.ndarray] = None
-    hessian: Optional[ProjectedHessian] = None
-    factor: Optional[RegularizedFactor] = None
-    rho_prev: float = 0.0
-
-
 @dataclass(frozen=True)
 class IterationRecord:
     """One row of the per-iteration trace (append-only).
@@ -252,6 +224,95 @@ def _max_abs(v: np.ndarray) -> float:
     return float(np.max(np.abs(v))) if v.size else 0.0
 
 
+class _Run:
+    """Set-up and bookkeeping shared by :func:`solve` and the baseline.
+
+    Owns the counted callbacks, the constraint factorization, the restored
+    and checked start, the trace rows and the final report.  ``x``, ``f``,
+    ``g`` and ``pg`` hold the current accepted point.  ``factor``,
+    ``restore_feasibility`` and ``project_gradient`` are looked up in this
+    module's namespace at call time, so wrappers patched onto
+    ``eqflow.solver`` see every call.
+    """
+
+    def __init__(self, problem: Any, cfg: SolverConfig) -> None:
+        self.t_start = time.perf_counter()
+        self.problem = problem
+        self.cfg = cfg
+        self.cs = problem.cs
+        self.objective_evals = self.gradient_evals = self.hessian_evals = 0
+        self.trace: list[IterationRecord] = []
+        self.basis = factor(self.cs, cfg.rank_tol)
+        self.x = restore_feasibility(self.basis, np.asarray(problem.x0, dtype=float))
+        self.f = self.fval(self.x)
+        if not np.isfinite(self.f):
+            raise NonFiniteObjective("objective at the initial point is not finite")
+        self.g, self.pg = self._gradient(self.x, "the initial point")
+
+    @property
+    def pinned(self) -> bool:
+        """The constraints determine the point completely."""
+        return self.basis.rank == self.cs.n
+
+    def fval(self, x: np.ndarray) -> float:
+        self.objective_evals += 1
+        return float(self.problem.f(x))
+
+    def gval(self, x: np.ndarray) -> np.ndarray:
+        self.gradient_evals += 1
+        return np.asarray(self.problem.grad(x), dtype=float)
+
+    def _gradient(self, x: np.ndarray, where: str) -> tuple[np.ndarray, np.ndarray]:
+        g = self.gval(x)
+        if not np.all(np.isfinite(g)):
+            raise NonFiniteGradient(f"gradient at {where} is not finite")
+        return g, project_gradient(self.basis, g)
+
+    def move_to(self, x: np.ndarray, f: float) -> None:
+        """Accept ``x`` with objective ``f``; evaluates its gradient."""
+        self.g, self.pg = self._gradient(x, "an accepted point")
+        self.x, self.f = x, f
+
+    def feas(self) -> float:
+        return _max_abs(self.cs.a @ self.x - self.cs.b)
+
+    def record(self, k: int, t_iter: int, s: np.ndarray, **row: Any) -> None:
+        """Append the trace row of iteration ``k``, which took step ``s``;
+        ``row`` holds the trial's own :class:`IterationRecord` fields."""
+        self.trace.append(
+            IterationRecord(
+                k=k,
+                f=self.f,
+                kkt=_max_abs(self.pg),
+                feas=self.feas(),
+                wall_time_ns=time.perf_counter_ns() - t_iter,
+                step_infeas=_max_abs(self.cs.a @ s),
+                **row,
+            )
+        )
+
+    def report(self, status: str, iterations: int, accepted_steps: int) -> SolverReport:
+        feas = self.feas()
+        if status == CONVERGED and feas > self.cfg.tol:
+            # Unreachable when restoration succeeded (steps conserve Ax = b),
+            # but Converged is only ever reported with both residuals small.
+            status = MAX_ITERATIONS if iterations >= self.cfg.max_iter else STEP_FAILURE
+        return SolverReport(
+            status=status,
+            x_star=self.x,
+            f_star=self.f,
+            kkt=_max_abs(self.pg),
+            feas=feas,
+            iterations=iterations,
+            accepted_steps=accepted_steps,
+            objective_evals=self.objective_evals,
+            gradient_evals=self.gradient_evals,
+            hessian_evals=self.hessian_evals,
+            wall_time=time.perf_counter() - self.t_start,
+            trace=self.trace,
+        )
+
+
 def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
     """Minimize ``problem.f`` over ``{x : Ax = b}`` from ``problem.x0``.
 
@@ -271,106 +332,58 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
     NonFiniteObjective
         If the objective at the (restored) initial point is non-finite.
     NonFiniteGradient
-        If a gradient evaluation at an accepted point is non-finite, or if
-        curvature probing fails even after one shrink-and-retry of ``dt``.
+        If the gradient at the initial point or at an accepted point is
+        non-finite, or if curvature probing fails even after one
+        shrink-and-retry of ``dt``.
     SingularFactor
         If the shifted curvature matrix stays singular after one
         shrink-and-retry of ``dt``.
     """
     cfg = config if config is not None else SolverConfig()
-    cs = problem.cs
-    n = cs.n
-    t_start = time.perf_counter()
+    run = _Run(problem, cfg)
+    if run.pinned:
+        return run.report(SINGLE_FEASIBLE_POINT, 0, 0)
+    basis = run.basis
+    hess_cb = getattr(problem, "hess", None) if cfg.use_exact_hessian else None
 
-    counters = {"f": 0, "g": 0, "h": 0}
-
-    def fval(x: np.ndarray) -> float:
-        counters["f"] += 1
-        return float(problem.f(x))
-
-    def gval(x: np.ndarray) -> np.ndarray:
-        counters["g"] += 1
-        return np.asarray(problem.grad(x), dtype=float)
-
-    basis = factor(cs, cfg.rank_tol)
-    x = restore_feasibility(basis, np.asarray(problem.x0, dtype=float))
-
-    if basis.rank == n:
-        # The constraints determine the point completely; nothing to optimize.
-        f0 = fval(x)
-        g0 = gval(x)
-        return SolverReport(
-            status=SINGLE_FEASIBLE_POINT,
-            x_star=x,
-            f_star=f0,
-            kkt=_max_abs(project_gradient(basis, g0)),
-            feas=_max_abs(cs.a @ x - cs.b),
-            iterations=0,
-            accepted_steps=0,
-            objective_evals=counters["f"],
-            gradient_evals=counters["g"],
-            hessian_evals=counters["h"],
-            wall_time=time.perf_counter() - t_start,
-        )
-
-    def eval_hessian(at: np.ndarray, index: int) -> ProjectedHessian:
-        counters["h"] += 1
-        hess_cb = getattr(problem, "hess", None)
-        if cfg.use_exact_hessian and hess_cb is not None:
+    def eval_hessian(at: np.ndarray) -> np.ndarray:
+        run.hessian_evals += 1
+        if hess_cb is not None:
             raw = np.asarray(hess_cb(at), dtype=float)
-            projected = project_gradient(basis, project_gradient(basis, raw).T).T
-            return ProjectedHessian(matrix=projected, fd_eps=cfg.fd_eps, eval_index=index)
-        return fd_projected_hessian(gval, basis, at, fd_eps=cfg.fd_eps, eval_index=index)
+            return project_gradient(basis, project_gradient(basis, raw).T).T
+        return fd_projected_hessian(run.gval, basis, at, fd_eps=cfg.fd_eps)
 
-    f0 = fval(x)
-    if not np.isfinite(f0):
-        raise NonFiniteObjective("objective at the initial point is not finite")
-    g0 = gval(x)
-    if not np.all(np.isfinite(g0)):
-        raise NonFiniteGradient("gradient at the initial point is not finite")
-
-    state = SolverState(
-        k=0,
-        x=x,
-        f=f0,
-        g=g0,
-        pg=project_gradient(basis, g0),
-        dt=cfg.dt0,
-        phase=WELL_POSED,
-        last_step_accepted=True,
-        pair=zero_pair(n),
-    )
-    trace: list[IterationRecord] = []
+    k, dt, phase = 0, cfg.dt0, WELL_POSED
+    last_accepted, rho_prev = True, 0.0
+    pair = zero_pair(run.cs.n)
+    d = hessian = shifted = None
     accepted_steps = 0
-    status: Optional[str] = None
 
-    while status is None:
-        if _max_abs(state.pg) <= cfg.tol:
-            status = CONVERGED
-            break
-        if state.k >= cfg.max_iter:
-            status = MAX_ITERATIONS
-            break
-        state.k += 1
+    while True:
+        if _max_abs(run.pg) <= cfg.tol:
+            return run.report(CONVERGED, k, accepted_steps)
+        if k >= cfg.max_iter:
+            return run.report(MAX_ITERATIONS, k, accepted_steps)
+        k += 1
         t_iter = time.perf_counter_ns()
 
-        if state.dt < cfg.phase_switch_dt:
-            state.phase = ILL_POSED  # one-way: never reset
+        if dt < cfg.phase_switch_dt:
+            phase = ILL_POSED  # one-way: never reset
 
         hessian_rebuilt = False
-        if state.phase == WELL_POSED:
-            if state.last_step_accepted:
-                state.d = -apply_inverse(state.pair, state.pg)
+        if phase == WELL_POSED:
+            if last_accepted:
+                d = -apply_inverse(pair, run.pg)
             # After a rejection the previous direction is reused as-is; only
             # the dt-dependent scaling below changes.
         else:
-            if state.hessian is None or state.factor is None:
+            if hessian is None or shifted is None:
                 # First iteration of the phase: nothing cached yet.
                 rebuild_hessian, rebuild_factor = True, True
-            elif not state.last_step_accepted:
+            elif not last_accepted:
                 # Rejected step: same curvature, refreshed shift.
                 rebuild_hessian, rebuild_factor = False, True
-            elif abs(state.rho_prev - 1.0) > cfg.ratio_band_inner:
+            elif abs(rho_prev - 1.0) > cfg.ratio_band_inner:
                 # Model agreement was poor: re-probe the curvature.
                 rebuild_hessian, rebuild_factor = True, True
             else:
@@ -379,87 +392,92 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
             for attempt in range(2):
                 try:
                     if rebuild_hessian:
-                        state.hessian = eval_hessian(state.x, state.k)
+                        hessian = eval_hessian(run.x)
                         hessian_rebuilt = True
                     if rebuild_factor:
-                        state.factor = build_and_factor(
-                            state.hessian, cfg.reg_shift, state.dt
-                        )
+                        shifted = build_and_factor(hessian, cfg.reg_shift, dt)
                     break
                 except (SingularFactor, NonFiniteGradient):
                     if attempt == 1:
                         raise
-                    state.dt = cfg.dt_shrink * state.dt
+                    dt = cfg.dt_shrink * dt
                     rebuild_factor = True
-            state.d = solve_shifted(state.factor, -state.pg)
+            d = solve_shifted(shifted, -run.pg)
 
-        dt_used = state.dt
-        s = (dt_used / (1.0 + dt_used)) * state.d
-        x_trial = state.x + s
-        f_trial = fval(x_trial)
-        rho, decrease = trial_ratio(state.f, f_trial, state.g, s, dt_used)
+        s = (dt / (1.0 + dt)) * d
+        x_trial = run.x + s
+        f_trial = run.fval(x_trial)
+        rho, decrease = trial_ratio(run.f, f_trial, run.g, s, dt)
         step_norm = float(np.linalg.norm(s))
-        pg_norm = float(np.linalg.norm(state.pg))
+        pg_norm = float(np.linalg.norm(run.pg))
         accepted = bool(
             rho >= cfg.accept_ratio_min
             and decrease >= cfg.accept_decrease_min * step_norm * pg_norm
         )
 
         if accepted:
-            g_new = gval(x_trial)
-            if not np.all(np.isfinite(g_new)):
-                raise NonFiniteGradient("gradient at an accepted point is not finite")
-            pg_new = project_gradient(basis, g_new)
-            state.pair = make_pair(s, pg_new - state.pg, cfg.curvature_floor)
-            state.x, state.f, state.g, state.pg = x_trial, f_trial, g_new, pg_new
+            pg_old = run.pg
+            run.move_to(x_trial, f_trial)
+            pair = make_pair(s, run.pg - pg_old, cfg.curvature_floor)
             accepted_steps += 1
         else:
-            state.pair = zero_pair(n)
+            pair = zero_pair(run.cs.n)
 
-        state.last_step_accepted = accepted
-        state.rho_prev = rho
-        state.dt = update_timestep(state.dt, rho, cfg)
-
-        trace.append(
-            IterationRecord(
-                k=state.k,
-                f=state.f,
-                kkt=_max_abs(state.pg),
-                feas=_max_abs(cs.a @ state.x - cs.b),
-                dt=dt_used,
-                rho=rho,
-                accepted=accepted,
-                phase=state.phase,
-                hessian_rebuilt=hessian_rebuilt,
-                wall_time_ns=time.perf_counter_ns() - t_iter,
-                decrease=decrease,
-                step_norm=step_norm,
-                pg_norm=pg_norm,
-                step_infeas=_max_abs(cs.a @ s),
-            )
+        run.record(
+            k, t_iter, s, dt=dt, rho=rho, accepted=accepted, phase=phase,
+            hessian_rebuilt=hessian_rebuilt, decrease=decrease,
+            step_norm=step_norm, pg_norm=pg_norm,
         )
+        last_accepted, rho_prev = accepted, rho
+        dt = update_timestep(dt, rho, cfg)
+        if dt < cfg.dt_min:
+            return run.report(STEP_FAILURE, k, accepted_steps)
 
-        if state.dt < cfg.dt_min:
-            status = STEP_FAILURE
 
-    kkt = _max_abs(state.pg)
-    feas = _max_abs(cs.a @ state.x - cs.b)
-    if status == CONVERGED and feas > cfg.tol:
-        # Unreachable when restoration succeeded (steps conserve Ax = b), but
-        # the Converged label is only ever allowed with both residuals small.
-        status = MAX_ITERATIONS if state.k >= cfg.max_iter else STEP_FAILURE
+#: Give up on a baseline backtracking search after this many halvings.
+_MAX_HALVINGS = 60
 
-    return SolverReport(
-        status=status,
-        x_star=state.x,
-        f_star=state.f,
-        kkt=kkt,
-        feas=feas,
-        iterations=state.k,
-        accepted_steps=accepted_steps,
-        objective_evals=counters["f"],
-        gradient_evals=counters["g"],
-        hessian_evals=counters["h"],
-        wall_time=time.perf_counter() - t_start,
-        trace=trace,
-    )
+
+def baseline_projected_gradient(
+    problem: Any, config: Optional[SolverConfig] = None
+) -> SolverReport:
+    """Reference method: steepest descent along the projected gradient with
+    backtracking halving until the Armijo condition
+    ``f(x + a*d) <= f(x) + 1e-4 * a * g^T d`` holds.
+
+    Shares the solver's set-up, non-finite checks, termination criteria and
+    caps; every step lies in the null space of the constraint matrix, so
+    feasibility is conserved the same way.
+    """
+    cfg = config if config is not None else SolverConfig()
+    run = _Run(problem, cfg)
+    if run.pinned:
+        return run.report(SINGLE_FEASIBLE_POINT, 0, 0)
+    k = 0
+    while True:
+        if _max_abs(run.pg) <= cfg.tol:
+            return run.report(CONVERGED, k, k)
+        if k >= cfg.max_iter:
+            return run.report(MAX_ITERATIONS, k, k)
+        k += 1
+        t_iter = time.perf_counter_ns()
+        d = -run.pg
+        slope = float(run.g @ d)
+        alpha = 1.0
+        for _ in range(_MAX_HALVINGS):
+            x_trial = run.x + alpha * d
+            f_trial = run.fval(x_trial)
+            if f_trial <= run.f + 1e-4 * alpha * slope:
+                break
+            alpha *= 0.5
+        else:
+            return run.report(STEP_FAILURE, k, k - 1)
+        s = alpha * d
+        decrease = -alpha * slope
+        rho = (run.f - f_trial) / decrease if decrease > 0 else float("-inf")
+        run.move_to(x_trial, f_trial)
+        run.record(
+            k, t_iter, s, dt=alpha, rho=rho, accepted=True, phase="baseline",
+            hessian_rebuilt=False, decrease=decrease,
+            step_norm=float(np.linalg.norm(s)), pg_norm=float(np.linalg.norm(d)),
+        )

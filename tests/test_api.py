@@ -1,0 +1,39 @@
+"""The package namespace: ``eqflow.__all__`` is the API the README documents."""
+
+import re
+from pathlib import Path
+
+import eqflow
+
+DOCUMENTED = {
+    # Solver, its configuration, report and trace rows, statuses and phases.
+    "solve", "SolverConfig", "SolverReport", "IterationRecord",
+    "CONVERGED", "MAX_ITERATIONS", "STEP_FAILURE", "SINGLE_FEASIBLE_POINT",
+    "WELL_POSED", "ILL_POSED", "baseline_projected_gradient",
+    # Constraints and the catalog.
+    "ConstraintSystem", "ProblemInstance", "get_problem", "build_constraints",
+    "CONVEX_PROBLEMS", "NONCONVEX_PROBLEMS", "quadratic_form", "quadratic_oracle",
+    # Lower-level pieces.
+    "factor", "project_gradient", "restore_feasibility",
+    "make_pair", "apply_inverse",
+    "fd_projected_hessian", "build_and_factor", "solve_shifted",
+    # Errors.
+    "EqflowError", "DimensionError", "RankZero", "InconsistentConstraints",
+    "NonFiniteGradient", "NonFiniteObjective", "SingularFactor", "SingularKkt",
+    "UnknownProblem",
+}
+
+
+def test_all_is_the_documented_api():
+    assert len(eqflow.__all__) == len(set(eqflow.__all__))
+    assert set(eqflow.__all__) == DOCUMENTED
+    for name in eqflow.__all__:
+        assert getattr(eqflow, name) is not None, name
+
+
+def test_readme_names_every_exported_name():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    missing = sorted(
+        name for name in DOCUMENTED if not re.search(f"`{name}[`(]", readme)
+    )
+    assert missing == []

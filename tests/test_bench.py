@@ -1,6 +1,7 @@
 """Benchmark CLI: baseline method, output formats, exit codes, parallel runs."""
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -11,6 +12,8 @@ from eqflow import (
     CONVERGED,
     MAX_ITERATIONS,
     SINGLE_FEASIBLE_POINT,
+    NonFiniteGradient,
+    NonFiniteObjective,
     SolverConfig,
     get_problem,
     solve,
@@ -78,6 +81,30 @@ class TestBaseline:
             slow = baseline_projected_gradient(problem, cfg)
             assert fast.status == CONVERGED
             assert slow.iterations >= fast.iterations, name
+
+    def test_non_finite_gradient_at_start_raises(self):
+        problem = dataclasses.replace(
+            get_problem("booth"), grad=lambda x: np.array([np.nan, 0.0])
+        )
+        with pytest.raises(NonFiniteGradient, match="at the initial point"):
+            baseline_projected_gradient(problem)
+
+    def test_non_finite_gradient_at_accepted_point_raises(self):
+        booth = get_problem("booth")
+        calls = {"n": 0}
+
+        def grad(x):
+            calls["n"] += 1
+            return booth.grad(x) if calls["n"] == 1 else np.full(2, np.inf)
+
+        problem = dataclasses.replace(booth, grad=grad)
+        with pytest.raises(NonFiniteGradient, match="at an accepted point"):
+            baseline_projected_gradient(problem)
+
+    def test_non_finite_objective_at_start_raises(self):
+        problem = dataclasses.replace(get_problem("booth"), f=lambda x: float("nan"))
+        with pytest.raises(NonFiniteObjective):
+            baseline_projected_gradient(problem)
 
 
 def parse_csv(text):
@@ -186,6 +213,11 @@ class TestExitCodes:
         )
         assert run(spec) == 1
         assert rows_from_csv(out.read_text())[0].status == MAX_ITERATIONS
+
+    def test_trace_needs_json(self, capsys):
+        assert main(["--problem", "booth", "--format", "csv", "--trace"]) == 2
+        err = capsys.readouterr().err
+        assert "error: --trace requires --format json" in err
 
     def test_incompatible_dimension(self, capsys):
         assert run(RunSpec(problems=("booth",), n=10)) == 2

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from eqflow import (
-    ConstraintSystem,
     NonFiniteGradient,
-    ProjectedHessian,
     SingularFactor,
     build_and_factor,
     factor,
@@ -40,7 +38,7 @@ class TestExactOnQuadratics:
             hess = fd_projected_hessian(quadratic_grad(q_mat, c), basis, x)
             p = dense_projector(basis)
             target = p @ q_mat @ p
-            err = np.linalg.norm(hess.matrix - target)
+            err = np.linalg.norm(hess - target)
             assert err <= 1e-6 * max(1.0, np.linalg.norm(target))
 
     def test_two_dim_quadratic_hand_value(self):
@@ -51,13 +49,13 @@ class TestExactOnQuadratics:
         hess = fd_projected_hessian(problem.grad, basis, problem.x0)
         p = dense_projector(basis)
         target = p @ np.array([[10.0, 8.0], [8.0, 10.0]]) @ p
-        assert np.linalg.norm(hess.matrix - target) < 1e-6
+        assert np.linalg.norm(hess - target) < 1e-6
 
     def test_linear_objective_gives_zero_matrix(self):
         _, basis = make_basis(8)
         c = np.arange(1.0, 9.0)
         hess = fd_projected_hessian(lambda x: c, basis, np.ones(8))
-        assert np.max(np.abs(hess.matrix)) <= 1e-12
+        assert np.max(np.abs(hess)) <= 1e-12
 
 
 class TestStructuralInvariants:
@@ -68,8 +66,8 @@ class TestStructuralInvariants:
             problem = get_problem("rosenbrock", n=n)
             x = rng.standard_normal(n)
             hess = fd_projected_hessian(problem.grad, basis, x, fd_eps=1e-6)
-            scale = max(1.0, float(np.linalg.norm(hess.matrix)))
-            assert np.linalg.norm(hess.matrix - hess.matrix.T) <= 10 * 1e-6 * scale
+            scale = max(1.0, float(np.linalg.norm(hess)))
+            assert np.linalg.norm(hess - hess.T) <= 10 * 1e-6 * scale
 
     def test_columns_stay_in_null_space(self):
         # The assembled matrix is left-projected, so its range must lie in the
@@ -80,8 +78,8 @@ class TestStructuralInvariants:
         problem = get_problem("levy", n=n)
         hess = fd_projected_hessian(problem.grad, basis, problem.x0)
         v = np.random.default_rng(7).standard_normal(n)
-        assert np.max(np.abs(cs.a @ (hess.matrix @ v))) < 1e-9 * max(
-            1.0, float(np.linalg.norm(hess.matrix @ v))
+        assert np.max(np.abs(cs.a @ (hess @ v))) < 1e-9 * max(
+            1.0, float(np.linalg.norm(hess @ v))
         )
 
     def test_row_space_projected_for_quadratics(self):
@@ -96,8 +94,8 @@ class TestStructuralInvariants:
         hess = fd_projected_hessian(
             quadratic_grad(q_mat, rng.standard_normal(n)), basis, rng.standard_normal(n)
         )
-        scale = max(1.0, float(np.linalg.norm(hess.matrix)))
-        assert np.max(np.abs(hess.matrix @ cs.a.T)) < 1e-8 * scale
+        scale = max(1.0, float(np.linalg.norm(hess)))
+        assert np.max(np.abs(hess @ cs.a.T)) < 1e-8 * scale
 
     def test_probe_count_and_order(self):
         n = 6
@@ -128,7 +126,7 @@ class TestStructuralInvariants:
         errs = []
         for eps in (1e-4, 5e-5):
             hess = fd_projected_hessian(problem.grad, basis, x, fd_eps=eps)
-            errs.append(np.linalg.norm(hess.matrix - target))
+            errs.append(np.linalg.norm(hess - target))
         ratio = errs[0] / errs[1]
         assert 1.4 <= ratio <= 2.6
 
@@ -151,8 +149,7 @@ class TestStructuralInvariants:
 class TestShiftedFactorization:
     def test_zero_curvature_is_exact_scaling(self):
         n = 5
-        hess = ProjectedHessian(matrix=np.zeros((n, n)), fd_eps=1e-6, eval_index=0)
-        fac = build_and_factor(hess, shift=1.0, dt=0.1)  # shift/dt = 10
+        fac = build_and_factor(np.zeros((n, n)), shift=1.0, dt=0.1)  # shift/dt = 10
         rhs = np.array([1.0, -2.0, 3.0, 0.0, 5.0])
         d = solve_shifted(fac, rhs)
         assert np.array_equal(d, rhs / 10.0)
@@ -163,13 +160,12 @@ class TestShiftedFactorization:
             n = int(rng.integers(2, 25))
             raw = rng.standard_normal((n, n))
             mat = raw + raw.T
-            hess = ProjectedHessian(matrix=mat, fd_eps=1e-6, eval_index=0)
             shift = float(rng.uniform(1e-6, 1.0))
             dt = float(rng.uniform(1e-6, 1.0))
             b = mat + (shift / dt) * np.eye(n)
             if np.min(np.abs(np.linalg.eigvalsh((b + b.T) / 2))) < 1e-8:
                 continue  # skip accidentally singular draws
-            fac = build_and_factor(hess, shift=shift, dt=dt)
+            fac = build_and_factor(mat, shift=shift, dt=dt)
             rhs = rng.standard_normal(n)
             d = solve_shifted(fac, rhs)
             res = np.linalg.norm(b @ d - rhs)
@@ -177,29 +173,24 @@ class TestShiftedFactorization:
 
     def test_indefinite_curvature_is_factorizable(self):
         mat = np.diag([-5.0, 0.0, 3.0])
-        hess = ProjectedHessian(matrix=mat, fd_eps=1e-6, eval_index=0)
-        fac = build_and_factor(hess, shift=1.0, dt=1.0)  # B = diag(-4, 1, 4)
+        fac = build_and_factor(mat, shift=1.0, dt=1.0)  # B = diag(-4, 1, 4)
         d = solve_shifted(fac, np.array([4.0, 1.0, 4.0]))
         assert np.allclose(d, [-1.0, 1.0, 1.0], atol=1e-12)
 
     def test_singular_shift_raises(self):
         mat = -np.eye(3)
-        hess = ProjectedHessian(matrix=mat, fd_eps=1e-6, eval_index=0)
         with pytest.raises(SingularFactor):
-            build_and_factor(hess, shift=1.0, dt=1.0)  # B = 0
+            build_and_factor(mat, shift=1.0, dt=1.0)  # B = 0
 
     def test_nonpositive_parameters_rejected(self):
-        hess = ProjectedHessian(matrix=np.eye(2), fd_eps=1e-6, eval_index=0)
         with pytest.raises(ValueError):
-            build_and_factor(hess, shift=0.0, dt=1.0)
+            build_and_factor(np.eye(2), shift=0.0, dt=1.0)
         with pytest.raises(ValueError):
-            build_and_factor(hess, shift=1.0, dt=-0.5)
+            build_and_factor(np.eye(2), shift=1.0, dt=-0.5)
 
     def test_zero_rhs_gives_zero_direction(self):
-        hess = ProjectedHessian(
-            matrix=np.array([[2.0, 1.0], [1.0, 2.0]]), fd_eps=1e-6, eval_index=0
-        )
-        fac = build_and_factor(hess, shift=1e-4, dt=1e-2)
+        mat = np.array([[2.0, 1.0], [1.0, 2.0]])
+        fac = build_and_factor(mat, shift=1e-4, dt=1e-2)
         assert np.array_equal(solve_shifted(fac, np.zeros(2)), np.zeros(2))
 
     def test_descent_direction_under_strong_shift(self):
@@ -211,8 +202,7 @@ class TestShiftedFactorization:
             raw = rng.standard_normal((n, n))
             mat = raw + raw.T
             dt = 0.4 / max(1.0, float(np.linalg.norm(mat, 2)))
-            hess = ProjectedHessian(matrix=mat, fd_eps=1e-6, eval_index=0)
-            fac = build_and_factor(hess, shift=1.0, dt=dt)
+            fac = build_and_factor(mat, shift=1.0, dt=dt)
             pg = rng.standard_normal(n)
             d = solve_shifted(fac, -pg)
             assert float(pg @ d) < 0.0
@@ -223,10 +213,9 @@ class TestShiftedFactorization:
         rng = np.random.default_rng(10)
         for n in [2, 300] + [int(k) for k in rng.integers(2, 301, size=40)]:
             mat = rng.standard_normal((n, n)) / np.sqrt(n)
-            hess = ProjectedHessian(matrix=mat, fd_eps=1e-6, eval_index=0)
             shift = float(rng.uniform(1e-6, 1.0))
             dt = float(rng.uniform(1e-6, 1.0))
-            fac = build_and_factor(hess, shift=shift, dt=dt)
+            fac = build_and_factor(mat, shift=shift, dt=dt)
             rhs = rng.standard_normal(n)
             d = solve_shifted(fac, rhs)
             res = np.linalg.norm(mat @ d + (shift / dt) * d - rhs)
@@ -236,20 +225,19 @@ class TestShiftedFactorization:
         # B = [[0, 1], [0, 1]] has a zero first column, so elimination meets an
         # exact zero pivot although ||B|| is not zero.
         mat = np.array([[-1.0, 1.0], [0.0, 0.0]])
-        hess = ProjectedHessian(matrix=mat, fd_eps=1e-6, eval_index=0)
         with pytest.raises(SingularFactor):
-            build_and_factor(hess, shift=1.0, dt=1.0)
+            build_and_factor(mat, shift=1.0, dt=1.0)
 
     def test_factor_holds_pivoted_lu_of_shifted_matrix(self):
         rng = np.random.default_rng(11)
         n = 6
         mat = rng.standard_normal((n, n))
-        hess = ProjectedHessian(matrix=mat, fd_eps=1e-6, eval_index=3)
-        fac = build_and_factor(hess, shift=1e-4, dt=0.25)
+        original = mat.copy()
+        fac = build_and_factor(mat, shift=1e-4, dt=0.25)
         lower = np.tril(fac.lu, -1) + np.eye(n)
         upper = np.triu(fac.lu)
         permuted = mat + 4e-4 * np.eye(n)
         for i, p in enumerate(fac.piv):  # LAPACK row interchanges, in order
             permuted[[i, p]] = permuted[[p, i]]
         assert np.allclose(lower @ upper, permuted, rtol=0.0, atol=1e-13)
-        assert np.array_equal(hess.matrix, mat)  # the input is left untouched
+        assert np.array_equal(mat, original)  # the input is left untouched

@@ -23,10 +23,9 @@ from eqflow import (
     quadratic_oracle,
     restore_feasibility,
     solve,
-    trial_ratio,
-    update_timestep,
 )
 from eqflow.problems import build_constraints
+from eqflow.solver import trial_ratio, update_timestep
 from helpers import traces_equal
 
 
@@ -207,6 +206,14 @@ class TestTerminalStatuses:
         # A finite gradient would otherwise let the run reject every trial
         # against a NaN reference value and stop with f_star = nan.
         problem = dataclasses.replace(get_problem("booth"), f=lambda x: float("nan"))
+        with pytest.raises(NonFiniteObjective):
+            solve(problem)
+
+    def test_non_finite_objective_at_fully_determined_point_raises(self):
+        # A pinned point is still a reported optimum; f_star = nan there
+        # would otherwise count as a success.
+        cs = ConstraintSystem(a=np.eye(2), b=np.array([1.0, 2.0]))
+        problem = StubProblem(cs, np.zeros(2), lambda x: float("nan"), lambda x: 2 * x)
         with pytest.raises(NonFiniteObjective):
             solve(problem)
 

@@ -12,10 +12,11 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 from .errors import DimensionError, EqflowError, UnknownProblem
 from .problems import (
@@ -141,16 +142,24 @@ def _render_csv(rows: list[BenchRow]) -> str:
     return buf.getvalue()
 
 
+def _json_fields(record: Any) -> dict[str, Any]:
+    """A dataclass's fields with non-finite floats as None (JSON ``null``)."""
+    return {
+        key: None if isinstance(value, float) and not math.isfinite(value) else value
+        for key, value in asdict(record).items()
+    }
+
+
 def _render_json(
     rows: list[BenchRow], traces: list[Optional[list[IterationRecord]]], include_trace: bool
 ) -> str:
     payload = []
     for row, trace in zip(rows, traces):
-        entry = asdict(row)
+        entry = _json_fields(row)
         if include_trace:
-            entry["trace"] = [asdict(rec) for rec in (trace or [])]
+            entry["trace"] = [_json_fields(rec) for rec in (trace or [])]
         payload.append(entry)
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def run(spec: RunSpec) -> int:

@@ -31,6 +31,7 @@ shares the set-up, checks and report of :func:`solve`.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -68,10 +69,22 @@ MAX_ITERATIONS = "MaxIterations"
 STEP_FAILURE = "StepFailure"
 SINGLE_FEASIBLE_POINT = "SingleFeasiblePoint"
 
+# The method's fixed constants.
+_ACCEPT_RATIO_MIN = 1e-6  # smallest agreement ratio that accepts a trial
+_ACCEPT_DECREASE_MIN = 1e-10  # model-decrease floor, times ||s|| * ||pg||
+_RATIO_BAND_INNER = 0.25  # |1 - ratio| up to this: dt grows, curvature kept
+_RATIO_BAND_OUTER = 0.75  # |1 - ratio| from this on: dt shrinks
+_DT_GROW = 2.0
+_DT_SHRINK = 0.5
+_PHASE_SWITCH_DT = 1e-3  # dt below this starts the ill-posed phase for good
+_DT_MIN = 1e-16  # dt below this ends the run with StepFailure
+
 
 @dataclass
 class SolverConfig:
-    """Tuning knobs with their standard defaults.
+    """The settings that vary between runs, with their standard defaults.
+
+    Every float setting must be finite and positive.
 
     Attributes
     ----------
@@ -85,29 +98,6 @@ class SolverConfig:
         matrix by ``reg_shift / dt``.
     dt0:
         Initial pseudo-time step.
-    accept_ratio_min:
-        Smallest agreement ratio at which a trial step is accepted.
-    accept_decrease_min:
-        The model decrease must also exceed this times ``||s|| * ||pg||``.
-    ratio_band_inner / ratio_band_outer:
-        Bands on ``|1 - ratio|`` steering the time-step update: inside the
-        inner band the step doubles, between the bands it holds, outside the
-        outer band it halves.
-    dt_grow / dt_shrink:
-        The grow/shrink factors applied by :func:`update_timestep`.
-    curvature_floor:
-        Relative curvature threshold below which a quasi-Newton pair is
-        discarded as unusable.
-    phase_switch_dt:
-        The ``dt`` level that triggers the permanent switch to the
-        factorized second-order preconditioner.
-    fd_eps:
-        Finite-difference increment for curvature probes.
-    rank_tol:
-        Relative rank threshold for the constraint factorization.
-    dt_min:
-        Hard floor: the run aborts with status StepFailure if ``dt`` is
-        driven below this by persistent rejections.
     use_exact_hessian:
         When True and the problem supplies an analytic Hessian callback, the
         ill-posed phase projects that instead of finite differencing.
@@ -117,29 +107,13 @@ class SolverConfig:
     max_iter: int = 300
     reg_shift: float = 1e-4
     dt0: float = 1e-2
-    accept_ratio_min: float = 1e-6
-    accept_decrease_min: float = 1e-10
-    ratio_band_inner: float = 0.25
-    ratio_band_outer: float = 0.75
-    dt_grow: float = 2.0
-    dt_shrink: float = 0.5
-    curvature_floor: float = 1e-6
-    phase_switch_dt: float = 1e-3
-    fd_eps: float = 1e-6
-    rank_tol: float = 1e-10
-    dt_min: float = 1e-16
     use_exact_hessian: bool = False
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.ratio_band_inner < self.ratio_band_outer:
-            raise ValueError("need 0 < ratio_band_inner < ratio_band_outer")
-        if not self.dt_grow > 1.0 > self.dt_shrink > 0.0:
-            raise ValueError("need dt_grow > 1 > dt_shrink > 0")
-        for name in ("tol", "reg_shift", "dt0", "accept_ratio_min",
-                     "accept_decrease_min", "curvature_floor",
-                     "phase_switch_dt", "fd_eps", "rank_tol", "dt_min"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("tol", "reg_shift", "dt0"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -205,7 +179,7 @@ def trial_ratio(
     return (f_current - f_trial) / decrease, decrease
 
 
-def update_timestep(dt: float, rho: float, config: SolverConfig) -> float:
+def update_timestep(dt: float, rho: float) -> float:
     """Trust-region style time-step update.
 
     Grows ``dt`` when the ratio is near one, holds it in the middle band, and
@@ -213,11 +187,11 @@ def update_timestep(dt: float, rho: float, config: SolverConfig) -> float:
     ``-inf`` sentinel both fall through to the shrink branch.
     """
     deviation = abs(1.0 - rho)
-    if deviation <= config.ratio_band_inner:
-        return config.dt_grow * dt
-    if deviation < config.ratio_band_outer:
+    if deviation <= _RATIO_BAND_INNER:
+        return _DT_GROW * dt
+    if deviation < _RATIO_BAND_OUTER:
         return dt
-    return config.dt_shrink * dt
+    return _DT_SHRINK * dt
 
 
 def _max_abs(v: np.ndarray) -> float:
@@ -242,7 +216,7 @@ class _Run:
         self.cs = problem.cs
         self.objective_evals = self.gradient_evals = self.hessian_evals = 0
         self.trace: list[IterationRecord] = []
-        self.basis = factor(self.cs, cfg.rank_tol)
+        self.basis = factor(self.cs)
         self.x = restore_feasibility(self.basis, np.asarray(problem.x0, dtype=float))
         self.f = self.fval(self.x)
         if not np.isfinite(self.f):
@@ -327,17 +301,21 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
     scored by :func:`trial_ratio`; acceptance requires both the ratio and the
     model-decrease floors; ``dt`` is updated by :func:`update_timestep`.
 
+    The ill-posed phase probes curvature when none is cached or the last
+    accepted ratio left the inner band, and factors the shifted matrix after
+    a probe or a rejected step; otherwise it reuses the factors.
+
     Raises
     ------
     NonFiniteObjective
         If the objective at the (restored) initial point is non-finite.
     NonFiniteGradient
-        If the gradient at the initial point or at an accepted point is
-        non-finite, or if curvature probing fails even after one
-        shrink-and-retry of ``dt``.
+        If the gradient at the initial point or at an accepted point, or a
+        curvature probe (differenced or analytic), is non-finite.  Probes are
+        not retried: their points do not depend on ``dt``.
     SingularFactor
-        If the shifted curvature matrix stays singular after one
-        shrink-and-retry of ``dt``.
+        If the shifted curvature matrix is still singular after ``dt`` is
+        halved once and the matrix factored again.
     """
     cfg = config if config is not None else SolverConfig()
     run = _Run(problem, cfg)
@@ -350,8 +328,10 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
         run.hessian_evals += 1
         if hess_cb is not None:
             raw = np.asarray(hess_cb(at), dtype=float)
+            if not np.all(np.isfinite(raw)):
+                raise NonFiniteGradient("analytic Hessian is not finite")
             return project_gradient(basis, project_gradient(basis, raw).T).T
-        return fd_projected_hessian(run.gval, basis, at, fd_eps=cfg.fd_eps)
+        return fd_projected_hessian(run.gval, basis, at)
 
     k, dt, phase = 0, cfg.dt0, WELL_POSED
     last_accepted, rho_prev = True, 0.0
@@ -367,7 +347,7 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
         k += 1
         t_iter = time.perf_counter_ns()
 
-        if dt < cfg.phase_switch_dt:
+        if dt < _PHASE_SWITCH_DT:
             phase = ILL_POSED  # one-way: never reset
 
         hessian_rebuilt = False
@@ -377,31 +357,18 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
             # After a rejection the previous direction is reused as-is; only
             # the dt-dependent scaling below changes.
         else:
-            if hessian is None or shifted is None:
-                # First iteration of the phase: nothing cached yet.
-                rebuild_hessian, rebuild_factor = True, True
-            elif not last_accepted:
-                # Rejected step: same curvature, refreshed shift.
-                rebuild_hessian, rebuild_factor = False, True
-            elif abs(rho_prev - 1.0) > cfg.ratio_band_inner:
-                # Model agreement was poor: re-probe the curvature.
-                rebuild_hessian, rebuild_factor = True, True
-            else:
-                rebuild_hessian, rebuild_factor = False, False
-
-            for attempt in range(2):
+            hessian_rebuilt = hessian is None or (
+                last_accepted and abs(rho_prev - 1.0) > _RATIO_BAND_INNER
+            )
+            if hessian_rebuilt:
+                hessian = eval_hessian(run.x)
+            if hessian_rebuilt or not last_accepted:
+                # A rejected step keeps the curvature and refreshes the shift.
                 try:
-                    if rebuild_hessian:
-                        hessian = eval_hessian(run.x)
-                        hessian_rebuilt = True
-                    if rebuild_factor:
-                        shifted = build_and_factor(hessian, cfg.reg_shift, dt)
-                    break
-                except (SingularFactor, NonFiniteGradient):
-                    if attempt == 1:
-                        raise
-                    dt = cfg.dt_shrink * dt
-                    rebuild_factor = True
+                    shifted = build_and_factor(hessian, cfg.reg_shift, dt)
+                except SingularFactor:
+                    dt = _DT_SHRINK * dt
+                    shifted = build_and_factor(hessian, cfg.reg_shift, dt)
             d = solve_shifted(shifted, -run.pg)
 
         s = (dt / (1.0 + dt)) * d
@@ -411,17 +378,15 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
         step_norm = float(np.linalg.norm(s))
         pg_norm = float(np.linalg.norm(run.pg))
         accepted = bool(
-            rho >= cfg.accept_ratio_min
-            and decrease >= cfg.accept_decrease_min * step_norm * pg_norm
+            rho >= _ACCEPT_RATIO_MIN
+            and decrease >= _ACCEPT_DECREASE_MIN * step_norm * pg_norm
         )
 
         if accepted:
             pg_old = run.pg
             run.move_to(x_trial, f_trial)
-            pair = make_pair(s, run.pg - pg_old, cfg.curvature_floor)
+            pair = make_pair(s, run.pg - pg_old)
             accepted_steps += 1
-        else:
-            pair = zero_pair(run.cs.n)
 
         run.record(
             k, t_iter, s, dt=dt, rho=rho, accepted=accepted, phase=phase,
@@ -429,8 +394,8 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
             step_norm=step_norm, pg_norm=pg_norm,
         )
         last_accepted, rho_prev = accepted, rho
-        dt = update_timestep(dt, rho, cfg)
-        if dt < cfg.dt_min:
+        dt = update_timestep(dt, rho)
+        if dt < _DT_MIN:
             return run.report(STEP_FAILURE, k, accepted_steps)
 
 

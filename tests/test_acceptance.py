@@ -257,7 +257,6 @@ def test_criterion_8_timestep_control_table():
         8, "ratio -> step-size factor table matches exactly, including the "
         "rejection sentinel"
     ):
-        cfg = SolverConfig()
         table = [
             (1.0, 2.0),
             (0.76, 2.0),
@@ -268,7 +267,7 @@ def test_criterion_8_timestep_control_table():
         ]
         for dt in (1e-3, 0.02, 1.0, 64.0):
             for rho, factor_expected in table:
-                assert update_timestep(dt, rho, cfg) == factor_expected * dt
+                assert update_timestep(dt, rho) == factor_expected * dt
 
 
 def test_criterion_9_descent_termination_determinism():

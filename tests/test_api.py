@@ -1,9 +1,13 @@
-"""The package namespace: ``eqflow.__all__`` is the API the README documents."""
+"""The public API the README documents: ``eqflow.__all__`` and the fields of
+``SolverConfig``."""
 
+import dataclasses
 import re
 from pathlib import Path
 
 import eqflow
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 DOCUMENTED = {
     # Solver, its configuration, report and trace rows, statuses and phases.
@@ -32,8 +36,17 @@ def test_all_is_the_documented_api():
 
 
 def test_readme_names_every_exported_name():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     missing = sorted(
         name for name in DOCUMENTED if not re.search(f"`{name}[`(]", readme)
     )
     assert missing == []
+
+
+def test_solver_config_has_the_documented_settings():
+    # The method's constants live in eqflow/solver.py; only the settings that
+    # vary between runs are fields, and the README names each one.
+    names = [f.name for f in dataclasses.fields(eqflow.SolverConfig)]
+    assert names == ["tol", "max_iter", "reg_shift", "dt0", "use_exact_hessian"]
+    readme = README.read_text()
+    assert [name for name in names if f"`{name}`" not in readme] == []

@@ -174,6 +174,21 @@ class TestOutputFormats:
         for key in ("k", "f", "kkt", "feas", "dt", "rho", "accepted", "phase"):
             assert key in first
 
+    def test_json_is_strict_with_non_finite_trace_values(self, tmp_path):
+        # Rejected trials carry the rho = -inf sentinel; strict JSON has no
+        # spelling for it, so it is written as null.
+        out = tmp_path / "rows.json"
+        main(["--problem", "ackley", "--n", "20", "--format", "json", "--trace",
+              "--out", str(out)])
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        entry = json.loads(out.read_text(), parse_constant=reject)[0]
+        rhos = [rec["rho"] for rec in entry["trace"]]
+        assert None in rhos
+        assert all(rho is None or np.isfinite(rho) for rho in rhos)
+
     def test_table_format(self, capsys):
         code = run(RunSpec(problems=("booth",), format="table"))
         assert code == 0
@@ -296,6 +311,12 @@ class TestMain:
         entry = json.loads(out.read_text())[0]
         assert entry["steps"] == 1  # a unit first step solves the quadratic
         assert main(["--problem", "booth", "--tol", "-1.0"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--tol", "--dt0", "--sigma0"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_settings_are_usage_errors(self, flag, value, capsys):
+        assert main(["--problem", "booth", flag, value]) == 2
+        assert "must be finite and positive" in capsys.readouterr().err
 
     def test_fully_determined_instance_counts_as_success(self):
         # A square full-rank system leaves nothing to optimize; the row

@@ -16,6 +16,7 @@ from eqflow import (
     ConstraintSystem,
     NonFiniteGradient,
     NonFiniteObjective,
+    SingularFactor,
     SolverConfig,
     factor,
     get_problem,
@@ -24,6 +25,7 @@ from eqflow import (
     restore_feasibility,
     solve,
 )
+import eqflow.solver as solver_module
 from eqflow.problems import build_constraints
 from eqflow.solver import trial_ratio, update_timestep
 from helpers import traces_equal
@@ -82,26 +84,20 @@ class TestUpdateTimestep:
         ],
     )
     def test_band_table(self, rho, factor_expected):
-        cfg = SolverConfig()
         for dt in (1e-3, 0.7, 128.0):
-            assert update_timestep(dt, rho, cfg) == factor_expected * dt
+            assert update_timestep(dt, rho) == factor_expected * dt
 
     def test_band_edges(self):
-        cfg = SolverConfig()
-        assert update_timestep(1.0, 0.75, cfg) == 2.0  # |1-rho| == inner band
-        assert update_timestep(1.0, 0.25, cfg) == 0.5  # |1-rho| == outer band
+        assert update_timestep(1.0, 0.75) == 2.0  # |1-rho| == inner band
+        assert update_timestep(1.0, 0.25) == 0.5  # |1-rho| == outer band
 
 
 class TestConfigValidation:
-    def test_rejects_bad_bands(self):
-        with pytest.raises(ValueError):
-            SolverConfig(ratio_band_inner=0.8, ratio_band_outer=0.5)
-
-    def test_rejects_bad_growth(self):
-        with pytest.raises(ValueError):
-            SolverConfig(dt_grow=0.9)
-        with pytest.raises(ValueError):
-            SolverConfig(dt_shrink=1.5)
+    @pytest.mark.parametrize("name", ["tol", "reg_shift", "dt0"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_scalars(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            SolverConfig(**{name: value})
 
     def test_rejects_nonpositive_scalars(self):
         with pytest.raises(ValueError):
@@ -372,6 +368,56 @@ class TestCurvatureCachePolicy:
     def test_identity_phase_never_probes(self):
         report = solve(get_problem("booth"))
         assert all(not rec.hessian_rebuilt for rec in report.trace)
+
+    def test_singular_factor_retry_does_not_reprobe(self, monkeypatch):
+        # The first factorization fails once: dt is halved and the cached
+        # curvature factored again, without a second probe at the same point.
+        original = solver_module.build_and_factor
+        raised = []
+
+        def singular_once(hess, shift, dt):
+            if not raised:
+                raised.append(dt)
+                raise SingularFactor("forced")
+            return original(hess, shift, dt)
+
+        monkeypatch.setattr(solver_module, "build_and_factor", singular_once)
+        n = 30
+        report = solve(get_problem("sum_squares", n=n), SolverConfig(dt0=1e-4))
+        assert raised == [1e-4]
+        assert report.trace[0].dt == 0.5e-4
+        assert report.hessian_evals == sum(rec.hessian_rebuilt for rec in report.trace)
+        probes = report.gradient_evals - (report.accepted_steps + 1)
+        assert probes == report.hessian_evals * (n + 1)
+
+    def test_non_finite_probe_is_evaluated_once(self):
+        # The gradient is NaN everywhere but at the (restored) start; the
+        # first probe off the start raises at once instead of being repeated.
+        cs = build_constraints(4)
+        start = []
+        calls = []
+
+        def grad(x):
+            if not start:
+                start.append(np.array(x))
+            calls.append(np.array_equal(x, start[0]))
+            return 2.0 * x if calls[-1] else np.full(4, np.nan)
+
+        x0 = np.array([1.0, 0.0, 2.0, -1.0])
+        problem = StubProblem(cs, x0, lambda x: float(x @ x), grad)
+        with pytest.raises(NonFiniteGradient, match="probe"):
+            solve(problem, SolverConfig(dt0=1e-4))
+        assert calls.count(False) == 1
+        assert calls[-1] is False
+
+    def test_non_finite_analytic_hessian_raises(self):
+        n = 30
+        problem = dataclasses.replace(
+            get_problem("sum_squares", n=n), hess=lambda x: np.full((n, n), np.nan)
+        )
+        cfg = SolverConfig(dt0=1e-4, use_exact_hessian=True)
+        with pytest.raises(NonFiniteGradient, match="Hessian"):
+            solve(problem, cfg)
 
 
 def _wide_zakharov():

@@ -2,8 +2,9 @@
 baseline) over the problem catalog and emit rows as a table, CSV, or JSON.
 
 Exit codes: 0 when every selected solve converged, 1 when any run fell short
-(iteration cap, step failure, or an internal solver error), 2 on usage errors
-such as unknown problem names or invalid flag combinations.
+(iteration cap, step failure, or an internal solver error, which is reported
+as that run's row), 2 on usage errors such as unknown problem names or invalid
+flag combinations.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ import io
 import json
 import math
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
-from typing import Any, Optional
+from dataclasses import asdict, astuple, dataclass, field, fields
+from typing import Any, Callable, Optional
 
 from .errors import DimensionError, EqflowError, UnknownProblem
 from .problems import (
@@ -43,8 +45,6 @@ _SETS = {
     "all": CONVEX_PROBLEMS + NONCONVEX_PROBLEMS,
 }
 
-_CSV_HEADER = ["problem", "n", "m", "solver", "steps", "time_s", "f_star", "kkt", "feas", "status"]
-
 _SUCCESS_STATUSES = {CONVERGED, SINGLE_FEASIBLE_POINT}
 
 
@@ -64,7 +64,7 @@ class RunSpec:
 
 @dataclass(frozen=True)
 class BenchRow:
-    """One output row; field order matches the CSV header."""
+    """One output row; its fields, in order, are the output columns."""
 
     problem: str
     n: int
@@ -78,40 +78,44 @@ class BenchRow:
     status: str
 
 
+_CSV_HEADER = [f.name for f in fields(BenchRow)]
+
+# Table cell format per column; the other columns print as they are.
+_TABLE_FORMATS = {"time_s": ".3f", "f_star": ".6g", "kkt": ".3e", "feas": ".3e"}
+
+
 def _make_row(problem: ProblemInstance, solver_name: str, rep: SolverReport) -> BenchRow:
-    return BenchRow(
-        problem=problem.name,
-        n=problem.n,
-        m=problem.cs.m,
-        solver=solver_name,
-        steps=rep.iterations,
-        time_s=rep.wall_time,
-        f_star=rep.f_star,
-        kkt=rep.kkt,
-        feas=rep.feas,
-        status=rep.status,
-    )
+    return BenchRow(problem.name, problem.n, problem.cs.m, solver_name, rep.iterations,
+                    rep.wall_time, rep.f_star, rep.kkt, rep.feas, rep.status)
+
+
+def _run_one(
+    problem: ProblemInstance,
+    solver_name: str,
+    method: Callable[[ProblemInstance, SolverConfig], SolverReport],
+    config: SolverConfig,
+) -> tuple[BenchRow, list[IterationRecord]]:
+    """One solve as a row and its trace.  An :class:`EqflowError` becomes a
+    row whose status is the exception's class name, with no steps and NaN
+    results, so that it costs no other run its row."""
+    t_start = time.perf_counter()
+    try:
+        rep = method(problem, config)
+    except EqflowError as exc:
+        status, nan = type(exc).__name__, math.nan
+        print(f"error: {status}: {exc}", file=sys.stderr)
+        row = BenchRow(problem.name, problem.n, problem.cs.m, solver_name, 0,
+                       time.perf_counter() - t_start, nan, nan, nan, status)
+        return row, []
+    return _make_row(problem, solver_name, rep), rep.trace
 
 
 def _render_table(rows: list[BenchRow]) -> str:
-    header = _CSV_HEADER
-    cells = [header]
-    for row in rows:
-        cells.append(
-            [
-                row.problem,
-                str(row.n),
-                str(row.m),
-                row.solver,
-                str(row.steps),
-                f"{row.time_s:.3f}",
-                f"{row.f_star:.6g}",
-                f"{row.kkt:.3e}",
-                f"{row.feas:.3e}",
-                row.status,
-            ]
-        )
-    widths = [max(len(line[i]) for line in cells) for i in range(len(header))]
+    cells = [_CSV_HEADER] + [
+        [format(v, _TABLE_FORMATS.get(name, "")) for name, v in zip(_CSV_HEADER, astuple(row))]
+        for row in rows
+    ]
+    widths = [max(len(line[i]) for line in cells) for i in range(len(_CSV_HEADER))]
     lines = []
     for idx, line in enumerate(cells):
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip())
@@ -125,20 +129,7 @@ def _render_csv(rows: list[BenchRow]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_HEADER)
     for row in rows:
-        writer.writerow(
-            [
-                row.problem,
-                row.n,
-                row.m,
-                row.solver,
-                row.steps,
-                repr(row.time_s),
-                repr(row.f_star),
-                repr(row.kkt),
-                repr(row.feas),
-                row.status,
-            ]
-        )
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in astuple(row)])
     return buf.getvalue()
 
 
@@ -151,13 +142,13 @@ def _json_fields(record: Any) -> dict[str, Any]:
 
 
 def _render_json(
-    rows: list[BenchRow], traces: list[Optional[list[IterationRecord]]], include_trace: bool
+    rows: list[BenchRow], traces: list[list[IterationRecord]], include_trace: bool
 ) -> str:
     payload = []
     for row, trace in zip(rows, traces):
         entry = _json_fields(row)
         if include_trace:
-            entry["trace"] = [_json_fields(rec) for rec in (trace or [])]
+            entry["trace"] = [_json_fields(rec) for rec in trace]
         payload.append(entry)
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
@@ -182,23 +173,18 @@ def run(spec: RunSpec) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    def solve_one(problem: ProblemInstance) -> list[tuple[BenchRow, list[IterationRecord]]]:
-        rep = solve(problem, spec.config)
-        out = [(_make_row(problem, "continuation", rep), rep.trace)]
-        if spec.baseline:
-            rep_b = baseline_projected_gradient(problem, spec.config)
-            out.append((_make_row(problem, "projected-gradient", rep_b), rep_b.trace))
-        return out
+    methods = [("continuation", solve)]
+    if spec.baseline:
+        methods.append(("projected-gradient", baseline_projected_gradient))
 
-    try:
-        if spec.jobs > 1:
-            with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-                nested = list(pool.map(solve_one, problems))
-        else:
-            nested = [solve_one(p) for p in problems]
-    except EqflowError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    def solve_one(problem: ProblemInstance) -> list[tuple[BenchRow, list[IterationRecord]]]:
+        return [_run_one(problem, name, method, spec.config) for name, method in methods]
+
+    if spec.jobs > 1:
+        with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
+            nested = list(pool.map(solve_one, problems))
+    else:
+        nested = [solve_one(p) for p in problems]
 
     rows = [row for group in nested for row, _ in group]
     traces = [trace for group in nested for _, trace in group]
@@ -221,6 +207,10 @@ def run(spec: RunSpec) -> int:
     return 0 if converged == len(rows) else 1
 
 
+# CLI flag (argparse dest) -> SolverConfig setting
+_FLAG_SETTINGS = {"max_iter": "max_iter", "tol": "tol", "sigma0": "reg_shift", "dt0": "dt0"}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eqflow-bench",
@@ -232,7 +222,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--problem",
         action="append",
-        default=None,
         metavar="NAME",
         help=(
             "problem name, comma-separated names, or one of the sets "
@@ -242,9 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n", type=int, default=None, help="dimension override")
     parser.add_argument("--max-iter", type=int, default=None, help="iteration cap")
     parser.add_argument("--tol", type=float, default=None, help="stopping tolerance")
-    parser.add_argument(
-        "--sigma0", type=float, default=None, help="regularization shift scale"
-    )
+    parser.add_argument("--sigma0", type=float, default=None, help="regularization shift scale")
     parser.add_argument("--dt0", type=float, default=None, help="initial time step")
     parser.add_argument(
         "--format", choices=("table", "json", "csv"), default="table", help="output format"
@@ -266,15 +253,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {}
-    if args.max_iter is not None:
-        overrides["max_iter"] = args.max_iter
-    if args.tol is not None:
-        overrides["tol"] = args.tol
-    if args.sigma0 is not None:
-        overrides["reg_shift"] = args.sigma0
-    if args.dt0 is not None:
-        overrides["dt0"] = args.dt0
+    overrides = {
+        setting: getattr(args, flag)
+        for flag, setting in _FLAG_SETTINGS.items()
+        if getattr(args, flag) is not None
+    }
     try:
         config = SolverConfig(**overrides)
     except ValueError as exc:

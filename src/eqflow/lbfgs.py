@@ -22,15 +22,18 @@ class LbfgsPair:
     usable: bool
 
 
-def make_pair(s: np.ndarray, y: np.ndarray, curvature_floor: float = 1e-6) -> LbfgsPair:
+_CURVATURE_FLOOR = 1e-6
+
+
+def make_pair(s: np.ndarray, y: np.ndarray) -> LbfgsPair:
     """Store a (step, projected-gradient-change) pair.
 
-    The pair is marked usable only when ``|s^T y| > curvature_floor * ||s||^2``;
+    The pair is marked usable only when ``|s^T y| > _CURVATURE_FLOOR * ||s||^2``;
     otherwise the model silently falls back to the identity.
     """
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
-    usable = abs(float(s @ y)) > curvature_floor * float(s @ s)
+    usable = abs(float(s @ y)) > _CURVATURE_FLOOR * float(s @ s)
     return LbfgsPair(s=s, y=y, usable=usable)
 
 

@@ -44,12 +44,8 @@ HessianFn = Callable[[Vector], np.ndarray]
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """One constrained benchmark instance.
-
-    ``known_fstar`` is an optional reference optimum; ``fstar_note`` records
-    where that number comes from (closed form, oracle, ...), empty when
-    ``known_fstar`` is None.
-    """
+    """One constrained benchmark instance; ``known_fstar`` is an optional
+    reference optimum."""
 
     name: str
     n: int
@@ -59,7 +55,6 @@ class ProblemInstance:
     grad: Gradient
     hess: Optional[HessianFn] = None
     known_fstar: Optional[float] = None
-    fstar_note: str = ""
 
 
 def build_constraints(n: int, m: Optional[int] = None) -> ConstraintSystem:
@@ -90,7 +85,9 @@ def build_constraints(n: int, m: Optional[int] = None) -> ConstraintSystem:
 
 # --- objective definitions -------------------------------------------------
 #
-# Each _mk_* returns (f, grad, hess-or-None) closures for dimension n.
+# Each _mk_* returns (f, grad, hess-or-None) closures for dimension n.  The
+# exactly-quadratic entries leave hess to get_problem, which reads it from
+# quadratic_form.
 
 
 def _mk_sphere(n):
@@ -100,10 +97,7 @@ def _mk_sphere(n):
     def grad(x):
         return 2.0 * x
 
-    def hess(x):
-        return 2.0 * np.eye(n)
-
-    return f, grad, hess
+    return f, grad, None
 
 
 def _mk_sum_squares(n):
@@ -115,10 +109,7 @@ def _mk_sum_squares(n):
     def grad(x):
         return 2.0 * w * x
 
-    def hess(x):
-        return np.diag(2.0 * w)
-
-    return f, grad, hess
+    return f, grad, None
 
 
 def _mk_trid(n):
@@ -131,14 +122,7 @@ def _mk_trid(n):
         g[1:] -= x[:-1]
         return g
 
-    def hess(x):
-        return (
-            2.0 * np.eye(n)
-            - np.diag(np.ones(n - 1), 1)
-            - np.diag(np.ones(n - 1), -1)
-        )
-
-    return f, grad, hess
+    return f, grad, None
 
 
 def _mk_rotated_hyper_ellipsoid(n):
@@ -151,10 +135,7 @@ def _mk_rotated_hyper_ellipsoid(n):
     def grad(x):
         return 2.0 * w * x
 
-    def hess(x):
-        return np.diag(2.0 * w)
-
-    return f, grad, hess
+    return f, grad, None
 
 
 def _mk_booth(n):
@@ -166,10 +147,7 @@ def _mk_booth(n):
         t2 = 2 * x[0] + x[1] - 5
         return np.array([2 * t1 + 4 * t2, 4 * t1 + 2 * t2])
 
-    def hess(x):
-        return np.array([[10.0, 8.0], [8.0, 10.0]])
-
-    return f, grad, hess
+    return f, grad, None
 
 
 def _mk_matyas(n):
@@ -181,10 +159,7 @@ def _mk_matyas(n):
             [0.52 * x[0] - 0.48 * x[1], 0.52 * x[1] - 0.48 * x[0]]
         )
 
-    def hess(x):
-        return np.array([[0.52, -0.48], [-0.48, 0.52]])
-
-    return f, grad, hess
+    return f, grad, None
 
 
 def _mk_zakharov(n):
@@ -441,61 +416,55 @@ def _mk_beale(n):
     return f, grad, None
 
 
-# name -> (maker, default n, fixed-dimension flag, known_fstar, note)
-_REGISTRY: dict[str, tuple] = {
-    "sphere": (_mk_sphere, 1000, False, None, ""),
-    "sum_squares": (_mk_sum_squares, 1000, False, None, ""),
-    "trid": (_mk_trid, 1000, False, None, ""),
-    "rotated_hyper_ellipsoid": (_mk_rotated_hyper_ellipsoid, 1000, False, None, ""),
-    "booth": (_mk_booth, 2, True, 9.0, "closed form: stationary feasible point (-1, 4)"),
-    "matyas": (
-        _mk_matyas,
-        2,
-        True,
-        0.017699115044247787,
-        "closed form on the feasible line x2 = 2 - 2*x1",
-    ),
-    "zakharov": (_mk_zakharov, 10, False, None, ""),
-    "quartic_noise": (_mk_quartic, 1000, False, None, ""),
-    "rosenbrock": (_mk_rosenbrock, 1000, False, None, ""),
-    "dixon_price": (_mk_dixon_price, 1000, False, None, ""),
-    "griewank": (_mk_griewank, 1000, False, None, ""),
-    "levy": (_mk_levy, 1000, False, None, ""),
-    "rastrigin": (_mk_rastrigin, 1000, False, None, ""),
-    "ackley": (_mk_ackley, 1000, False, None, ""),
-    "powell": (_mk_powell, 1000, False, None, ""),
-    "styblinski_tang": (_mk_styblinski_tang, 1000, False, None, ""),
-    "schwefel": (_mk_schwefel, 1000, False, None, ""),
-    "three_hump_camel": (_mk_three_hump_camel, 2, True, None, ""),
-    "six_hump_camel": (_mk_six_hump_camel, 2, True, None, ""),
-    "beale": (_mk_beale, 2, True, None, ""),
+# name -> (maker, default n, fixed-dimension flag, known_fstar)
+_CONVEX: dict[str, tuple] = {
+    "sphere": (_mk_sphere, 1000, False, None),
+    "sum_squares": (_mk_sum_squares, 1000, False, None),
+    "trid": (_mk_trid, 1000, False, None),
+    "rotated_hyper_ellipsoid": (_mk_rotated_hyper_ellipsoid, 1000, False, None),
+    # closed form: stationary feasible point (-1, 4)
+    "booth": (_mk_booth, 2, True, 9.0),
+    # closed form on the feasible line x2 = 2 - 2*x1
+    "matyas": (_mk_matyas, 2, True, 0.017699115044247787),
+    "zakharov": (_mk_zakharov, 10, False, None),
+    "quartic_noise": (_mk_quartic, 1000, False, None),
 }
+_NONCONVEX: dict[str, tuple] = {
+    "rosenbrock": (_mk_rosenbrock, 1000, False, None),
+    "dixon_price": (_mk_dixon_price, 1000, False, None),
+    "griewank": (_mk_griewank, 1000, False, None),
+    "levy": (_mk_levy, 1000, False, None),
+    "rastrigin": (_mk_rastrigin, 1000, False, None),
+    "ackley": (_mk_ackley, 1000, False, None),
+    "powell": (_mk_powell, 1000, False, None),
+    "styblinski_tang": (_mk_styblinski_tang, 1000, False, None),
+    "schwefel": (_mk_schwefel, 1000, False, None),
+    "three_hump_camel": (_mk_three_hump_camel, 2, True, None),
+    "six_hump_camel": (_mk_six_hump_camel, 2, True, None),
+    "beale": (_mk_beale, 2, True, None),
+}
+_REGISTRY = {**_CONVEX, **_NONCONVEX}
+CONVEX_PROBLEMS = tuple(_CONVEX)
+NONCONVEX_PROBLEMS = tuple(_NONCONVEX)
 
-CONVEX_PROBLEMS = (
-    "sphere",
-    "sum_squares",
-    "trid",
-    "rotated_hyper_ellipsoid",
-    "booth",
-    "matyas",
-    "zakharov",
-    "quartic_noise",
-)
 
-NONCONVEX_PROBLEMS = (
-    "rosenbrock",
-    "dixon_price",
-    "griewank",
-    "levy",
-    "rastrigin",
-    "ackley",
-    "powell",
-    "styblinski_tang",
-    "schwefel",
-    "three_hump_camel",
-    "six_hump_camel",
-    "beale",
-)
+# name -> n -> (Q, c, const) with f(x) = 0.5 x^T Q x + c^T x + const
+_QUADRATIC: dict[str, Callable[[int], tuple[np.ndarray, np.ndarray, float]]] = {
+    "sphere": lambda n: (2.0 * np.eye(n), np.zeros(n), 0.0),
+    "sum_squares": lambda n: (np.diag(2.0 * np.arange(1.0, n + 1.0)), np.zeros(n), 0.0),
+    "trid": lambda n: (
+        2.0 * np.eye(n) - np.diag(np.ones(n - 1), 1) - np.diag(np.ones(n - 1), -1),
+        -2.0 * np.ones(n),
+        float(n),
+    ),
+    "rotated_hyper_ellipsoid": lambda n: (
+        np.diag(2.0 * np.arange(n, 0.0, -1.0)), np.zeros(n), 0.0
+    ),
+    "booth": lambda n: (
+        np.array([[10.0, 8.0], [8.0, 10.0]]), np.array([-34.0, -38.0]), 74.0
+    ),
+    "matyas": lambda n: (np.array([[0.52, -0.48], [-0.48, 0.52]]), np.zeros(2), 0.0),
+}
 
 
 def get_problem(
@@ -510,7 +479,7 @@ def get_problem(
     """
     if name not in _REGISTRY:
         raise UnknownProblem(f"unknown problem {name!r}")
-    maker, default_n, fixed_dim, fstar, note = _REGISTRY[name]
+    maker, default_n, fixed_dim, fstar = _REGISTRY[name]
     if n is None:
         n = default_n
     elif fixed_dim and n != default_n:
@@ -524,37 +493,17 @@ def get_problem(
         x0=np.ones(n),
         f=f,
         grad=grad,
-        hess=hess,
+        hess=(lambda x: quadratic_form(name, n)[0]) if name in _QUADRATIC else hess,
         known_fstar=fstar,
-        fstar_note=note,
     )
 
 
 def quadratic_form(name: str, n: int) -> tuple[np.ndarray, np.ndarray, float]:
     """``(Q, c, const)`` with ``f(x) = 0.5 x^T Q x + c^T x + const`` for the
     exactly-quadratic catalog entries; raises UnknownProblem otherwise."""
-    if name == "sphere":
-        return 2.0 * np.eye(n), np.zeros(n), 0.0
-    if name == "sum_squares":
-        return np.diag(2.0 * np.arange(1.0, n + 1.0)), np.zeros(n), 0.0
-    if name == "trid":
-        q = (
-            2.0 * np.eye(n)
-            - np.diag(np.ones(n - 1), 1)
-            - np.diag(np.ones(n - 1), -1)
-        )
-        return q, -2.0 * np.ones(n), float(n)
-    if name == "rotated_hyper_ellipsoid":
-        return np.diag(2.0 * np.arange(n, 0.0, -1.0)), np.zeros(n), 0.0
-    if name == "booth":
-        return (
-            np.array([[10.0, 8.0], [8.0, 10.0]]),
-            np.array([-34.0, -38.0]),
-            74.0,
-        )
-    if name == "matyas":
-        return np.array([[0.52, -0.48], [-0.48, 0.52]]), np.zeros(2), 0.0
-    raise UnknownProblem(f"{name} is not one of the quadratic catalog entries")
+    if name not in _QUADRATIC:
+        raise UnknownProblem(f"{name} is not one of the quadratic catalog entries")
+    return _QUADRATIC[name](n)
 
 
 def quadratic_oracle(

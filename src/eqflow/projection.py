@@ -102,14 +102,16 @@ class ProjectorBasis:
 #: Relative residual threshold above which a rank-deficient system is declared
 #: to have no solution.
 _CONSISTENCY_RTOL = 1e-8
+#: Relative size at or below which a diagonal entry of R counts as zero.
+_RANK_TOL = 1e-10
 
 
-def factor(cs: ConstraintSystem, rank_tol: float = 1e-10) -> ProjectorBasis:
+def factor(cs: ConstraintSystem) -> ProjectorBasis:
     """Factor the constraint system once, for reuse by every later projection.
 
     Computes the column-pivoted QR factorization ``A^T[:, perm] = Q R``,
     detects the numerical rank ``r`` as the number of diagonal entries of
-    ``R`` above ``rank_tol`` relative to the largest one, splits ``Q`` into
+    ``R`` above ``_RANK_TOL`` relative to the largest one, splits ``Q`` into
     normal-space and tangent-space blocks, and solves the small positive
     definite system ``(R1 R1^T) b_r = R1 b[perm]`` that anchors the feasible
     set.
@@ -126,7 +128,7 @@ def factor(cs: ConstraintSystem, rank_tol: float = 1e-10) -> ProjectorBasis:
     diag = np.abs(np.diag(r_full))
     if diag.size == 0 or diag[0] <= 0.0:
         raise RankZero("constraint matrix is numerically zero")
-    rank = int(np.count_nonzero(diag > rank_tol * diag[0]))
+    rank = int(np.count_nonzero(diag > _RANK_TOL * diag[0]))
     if rank == 0:
         raise RankZero("constraint matrix is numerically zero")
 

@@ -301,9 +301,10 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
     scored by :func:`trial_ratio`; acceptance requires both the ratio and the
     model-decrease floors; ``dt`` is updated by :func:`update_timestep`.
 
-    The ill-posed phase probes curvature when none is cached or the last
-    accepted ratio left the inner band, and factors the shifted matrix after
-    a probe or a rejected step; otherwise it reuses the factors.
+    Each cache is dropped by the event that makes it stale: an accepted step
+    drops the direction, and the curvature and its shifted factors too when
+    its ratio left the inner band; a rejected step drops only the factors.
+    The ill-posed phase probes or factors whatever is missing.
 
     Raises
     ------
@@ -334,7 +335,6 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
         return fd_projected_hessian(run.gval, basis, at)
 
     k, dt, phase = 0, cfg.dt0, WELL_POSED
-    last_accepted, rho_prev = True, 0.0
     pair = zero_pair(run.cs.n)
     d = hessian = shifted = None
     accepted_steps = 0
@@ -352,18 +352,15 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
 
         hessian_rebuilt = False
         if phase == WELL_POSED:
-            if last_accepted:
+            if d is None:
                 d = -apply_inverse(pair, run.pg)
             # After a rejection the previous direction is reused as-is; only
             # the dt-dependent scaling below changes.
         else:
-            hessian_rebuilt = hessian is None or (
-                last_accepted and abs(rho_prev - 1.0) > _RATIO_BAND_INNER
-            )
+            hessian_rebuilt = hessian is None
             if hessian_rebuilt:
                 hessian = eval_hessian(run.x)
-            if hessian_rebuilt or not last_accepted:
-                # A rejected step keeps the curvature and refreshes the shift.
+            if shifted is None:
                 try:
                     shifted = build_and_factor(hessian, cfg.reg_shift, dt)
                 except SingularFactor:
@@ -387,13 +384,17 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
             run.move_to(x_trial, f_trial)
             pair = make_pair(s, run.pg - pg_old)
             accepted_steps += 1
+            d = None
+            if abs(1.0 - rho) > _RATIO_BAND_INNER:
+                hessian = shifted = None
+        else:
+            shifted = None
 
         run.record(
             k, t_iter, s, dt=dt, rho=rho, accepted=accepted, phase=phase,
             hessian_rebuilt=hessian_rebuilt, decrease=decrease,
             step_norm=step_norm, pg_norm=pg_norm,
         )
-        last_accepted, rho_prev = accepted, rho
         dt = update_timestep(dt, rho)
         if dt < _DT_MIN:
             return run.report(STEP_FAILURE, k, accepted_steps)

@@ -14,6 +14,7 @@ from eqflow import (
     SINGLE_FEASIBLE_POINT,
     NonFiniteGradient,
     NonFiniteObjective,
+    SingularFactor,
     SolverConfig,
     get_problem,
     solve,
@@ -22,6 +23,7 @@ from eqflow.bench import (
     BenchRow,
     RunSpec,
     _render_csv,
+    _render_table,
     baseline_projected_gradient,
     main,
     run,
@@ -196,6 +198,26 @@ class TestOutputFormats:
         assert "problem" in captured.out and "booth" in captured.out
         assert "1/1 runs converged" in captured.err
 
+    def test_table_bytes_are_pinned(self):
+        rows = [
+            BenchRow("booth", 2, 1, "continuation", 7, 0.0123456, 9.0, 3.5e-9,
+                     0.0, "Converged"),
+            BenchRow("rotated_hyper_ellipsoid", 1000, 500, "projected-gradient",
+                     300, 12.3456, -1234567.891, float("nan"), 1.25e-14,
+                     "MaxIterations"),
+        ]
+        expected = "".join(line + "\n" for line in [
+            "problem                  n     m    solver              steps  time_s"
+            "  f_star        kkt        feas       status",
+            "-----------------------  ----  ---  ------------------  -----  ------"
+            "  ------------  ---------  ---------  -------------",
+            "booth                    2     1    continuation        7      0.012 "
+            "  9             3.500e-09  0.000e+00  Converged",
+            "rotated_hyper_ellipsoid  1000  500  projected-gradient  300    12.346"
+            "  -1.23457e+06  nan        1.250e-14  MaxIterations",
+        ])
+        assert _render_table(rows) == expected
+
     def test_baseline_adds_rows(self, tmp_path):
         out = tmp_path / "rows.csv"
         run(RunSpec(problems=("booth",), format="csv", out=str(out), baseline=True))
@@ -237,6 +259,41 @@ class TestExitCodes:
     def test_incompatible_dimension(self, capsys):
         assert run(RunSpec(problems=("booth",), n=10)) == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestFailedRuns:
+    @pytest.fixture
+    def matyas_fails(self, monkeypatch):
+        import eqflow.bench as bench_mod
+
+        def failing_solve(problem, config=None):
+            if problem.name == "matyas":
+                raise SingularFactor("forced")
+            return solve(problem, config)
+
+        monkeypatch.setattr(bench_mod, "solve", failing_solve)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_error_is_a_row_and_others_keep_theirs(self, matyas_fails, jobs, capsys):
+        spec = RunSpec(problems=("booth", "matyas", "beale"), format="csv", jobs=jobs)
+        assert run(spec) == 1
+        captured = capsys.readouterr()
+        assert "error: SingularFactor: forced" in captured.err
+        rows = rows_from_csv(captured.out)
+        assert [r.problem for r in rows] == ["booth", "matyas", "beale"]
+        assert rows[0].status == rows[2].status == CONVERGED
+        failed = rows[1]
+        assert (failed.status, failed.steps, failed.n, failed.m) == ("SingularFactor", 0, 2, 1)
+        assert all(np.isnan(v) for v in (failed.f_star, failed.kkt, failed.feas))
+
+    def test_error_row_in_json_is_null(self, matyas_fails, capsys):
+        spec = RunSpec(problems=("matyas",), format="json", baseline=True, trace=True)
+        assert run(spec) == 1
+        failed, baseline = json.loads(capsys.readouterr().out)
+        assert failed["status"] == "SingularFactor"
+        assert failed["f_star"] is failed["kkt"] is failed["feas"] is None
+        assert failed["trace"] == []
+        assert baseline["status"] == CONVERGED
 
 
 class TestParallelism:

@@ -38,7 +38,7 @@ from .solver import (
     IterationRecord,
     SolverConfig,
     SolverReport,
-    baseline_projected_gradient,
+    baseline_sqp,
     solve,
 )
 from .problems import (
@@ -77,7 +77,7 @@ __all__ = [
     "UnknownProblem",
     "WELL_POSED",
     "apply_inverse",
-    "baseline_projected_gradient",
+    "baseline_sqp",
     "build_and_factor",
     "build_constraints",
     "factor",

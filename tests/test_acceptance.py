@@ -127,6 +127,11 @@ def test_criterion_2_large_sphere_fast_convergence():
         assert coarse_run.kkt <= 1e-6
         assert coarse_run.accepted_steps <= 5
 
+        # The counts behind the time bound, which load on the host cannot move
+        # (the same with one and two BLAS threads).
+        assert (default_run.iterations, default_run.gradient_evals) == (8, 9)
+        assert default_run.hessian_evals == 0
+        assert (coarse_run.iterations, coarse_run.gradient_evals) == (1, 2)
         assert default_run.wall_time + coarse_run.wall_time < 5.0
 
 

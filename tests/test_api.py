@@ -2,7 +2,10 @@
 ``SolverConfig``."""
 
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import eqflow
@@ -13,7 +16,7 @@ DOCUMENTED = {
     # Solver, its configuration, report and trace rows, statuses and phases.
     "solve", "SolverConfig", "SolverReport", "IterationRecord",
     "CONVERGED", "MAX_ITERATIONS", "STEP_FAILURE", "SINGLE_FEASIBLE_POINT",
-    "WELL_POSED", "ILL_POSED", "baseline_projected_gradient",
+    "WELL_POSED", "ILL_POSED", "baseline_sqp",
     # Constraints and the catalog.
     "ConstraintSystem", "ProblemInstance", "get_problem", "build_constraints",
     "CONVEX_PROBLEMS", "NONCONVEX_PROBLEMS", "quadratic_form", "quadratic_oracle",
@@ -50,3 +53,17 @@ def test_solver_config_has_the_documented_settings():
     assert names == ["tol", "max_iter", "reg_shift", "dt0", "use_exact_hessian"]
     readme = README.read_text()
     assert [name for name in names if f"`{name}`" not in readme] == []
+
+
+def test_import_does_not_load_scipy_optimize():
+    # A fresh interpreter: this process loads scipy.optimize once the SQP
+    # baseline has run.  The baseline imports it lazily because it would add
+    # about 0.26 s to every ``import eqflow``.
+    src = str(Path(eqflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    code = "import eqflow, sys; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

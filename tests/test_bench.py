@@ -10,12 +10,15 @@ import pytest
 
 from eqflow import (
     CONVERGED,
+    ConstraintSystem,
     MAX_ITERATIONS,
     SINGLE_FEASIBLE_POINT,
     NonFiniteGradient,
     NonFiniteObjective,
     SingularFactor,
     SolverConfig,
+    baseline_sqp,
+    build_constraints,
     get_problem,
     solve,
 )
@@ -24,89 +27,120 @@ from eqflow.bench import (
     RunSpec,
     _render_csv,
     _render_table,
-    baseline_projected_gradient,
     main,
     run,
 )
 from eqflow import quadratic_form, quadratic_oracle
 
 
+def oracle_fstar(problem):
+    q, c, _ = quadratic_form(problem.name, problem.n)
+    return problem.f(quadratic_oracle(problem.cs, q, c)[0])
+
+
 class TestBaseline:
     def test_two_dim_quadratic(self):
-        report = baseline_projected_gradient(get_problem("booth"))
+        report = baseline_sqp(get_problem("booth"))
         assert report.status == CONVERGED
         assert report.f_star == pytest.approx(9.0, abs=1e-5)
         assert report.kkt <= 1e-6
         assert report.feas <= 1e-8
 
+    @pytest.mark.parametrize("name, n", [
+        ("booth", None), ("matyas", None), ("sphere", 100), ("trid", 100),
+    ])
+    def test_quadratics_match_oracle(self, name, n):
+        problem = get_problem(name) if n is None else get_problem(name, n=n)
+        report = baseline_sqp(problem)
+        assert report.status == CONVERGED
+        f_ref = oracle_fstar(problem)
+        assert abs(report.f_star - f_ref) <= 1e-6 * max(1.0, abs(f_ref))
+        assert report.trace == []
+
     def test_stationary_start_takes_no_steps(self):
         problem = get_problem("sphere", n=12)
         q, c, _ = quadratic_form("sphere", 12)
         problem.x0[:] = quadratic_oracle(problem.cs, q, c)[0]
-        report = baseline_projected_gradient(problem)
+        report = baseline_sqp(problem)
         assert report.status == CONVERGED
         assert report.iterations == 0
 
     def test_sphere_converges(self):
-        report = baseline_projected_gradient(get_problem("sphere", n=100))
+        report = baseline_sqp(get_problem("sphere", n=100))
         assert report.status == CONVERGED
 
     def test_feasibility_conserved(self):
-        report = baseline_projected_gradient(get_problem("sum_squares", n=40))
+        report = baseline_sqp(get_problem("sum_squares", n=40))
         assert report.status == CONVERGED
-        assert all(rec.feas <= 1e-8 for rec in report.trace)
-        assert all(rec.phase == "baseline" for rec in report.trace)
+        assert report.feas <= 1e-8
+
+    def test_accepted_steps_leave_out_rejected_trials(self):
+        report = baseline_sqp(get_problem("sum_squares", n=40))
+        assert 0 < report.accepted_steps < report.iterations
+
+    def test_rank_deficient_scaled_constraints(self):
+        # A dependent row scaled by 1e6: SQP sees the orthonormal rows that
+        # factor builds, so the system reaches it well posed.
+        cs = build_constraints(20)
+        a = np.vstack([cs.a, 1e6 * (cs.a[0] + cs.a[1])])
+        b = np.append(cs.b, 1e6 * (cs.b[0] + cs.b[1]))
+        problem = dataclasses.replace(
+            get_problem("sphere", n=20), cs=ConstraintSystem(a=a, b=b)
+        )
+        report = baseline_sqp(problem)
+        assert report.status == CONVERGED
+        assert report.feas <= 1e-8
 
     def test_respects_iteration_cap(self):
         cfg = SolverConfig(max_iter=3)
-        report = baseline_projected_gradient(get_problem("trid", n=40), cfg)
+        report = baseline_sqp(get_problem("trid", n=40), cfg)
         assert report.status == MAX_ITERATIONS
         assert report.iterations == 3
 
-    def test_needs_more_steps_than_continuation_on_stiff_problems(self):
-        # First-order steepest descent pays for curvature spread; on the
-        # better-conditioned catalog quadratics (sphere, matyas) a backtracked
-        # unit step can land on the exact line minimum, so those two are
-        # excluded: measured over the full convex suite the baseline needs at
-        # least as many iterations on 5 of 8 instances, and on the five below
-        # the gap is structural.
-        cfg = SolverConfig(max_iter=2000, reg_shift=1e-8)
-        for name, n in [
-            ("sum_squares", 100),
-            ("trid", 100),
-            ("booth", None),
-            ("zakharov", 10),
-            ("quartic_noise", 100),
-        ]:
-            problem = get_problem(name) if n is None else get_problem(name, n=n)
-            fast = solve(problem, cfg)
-            slow = baseline_projected_gradient(problem, cfg)
-            assert fast.status == CONVERGED
-            assert slow.iterations >= fast.iterations, name
+    @pytest.mark.parametrize("name, n", [("booth", None), ("rosenbrock", 100)])
+    def test_reruns_are_bit_identical(self, name, n):
+        first, second = (
+            baseline_sqp(get_problem(name) if n is None else get_problem(name, n=n))
+            for _ in range(2)
+        )
+        assert first.f_star == second.f_star
+        assert np.array_equal(first.x_star, second.x_star)
 
     def test_non_finite_gradient_at_start_raises(self):
         problem = dataclasses.replace(
             get_problem("booth"), grad=lambda x: np.array([np.nan, 0.0])
         )
         with pytest.raises(NonFiniteGradient, match="at the initial point"):
-            baseline_projected_gradient(problem)
+            baseline_sqp(problem)
 
-    def test_non_finite_gradient_at_accepted_point_raises(self):
+    def test_non_finite_gradient_mid_run_raises(self):
         booth = get_problem("booth")
         calls = {"n": 0}
 
         def grad(x):
             calls["n"] += 1
-            return booth.grad(x) if calls["n"] == 1 else np.full(2, np.inf)
+            return booth.grad(x) if calls["n"] <= 3 else np.full(2, np.inf)
 
         problem = dataclasses.replace(booth, grad=grad)
-        with pytest.raises(NonFiniteGradient, match="at an accepted point"):
-            baseline_projected_gradient(problem)
+        with pytest.raises(NonFiniteGradient, match="at an SQP point"):
+            baseline_sqp(problem)
 
     def test_non_finite_objective_at_start_raises(self):
         problem = dataclasses.replace(get_problem("booth"), f=lambda x: float("nan"))
         with pytest.raises(NonFiniteObjective):
-            baseline_projected_gradient(problem)
+            baseline_sqp(problem)
+
+    def test_non_finite_final_objective_raises(self):
+        booth = get_problem("booth")
+        calls = {"n": 0}
+
+        def f(x):
+            calls["n"] += 1
+            return booth.f(x) if calls["n"] <= 2 else float("nan")
+
+        problem = dataclasses.replace(booth, f=f)
+        with pytest.raises(NonFiniteObjective, match="at the SQP point"):
+            baseline_sqp(problem, SolverConfig(max_iter=20))
 
 
 def parse_csv(text):
@@ -191,6 +225,18 @@ class TestOutputFormats:
         assert None in rhos
         assert all(rho is None or np.isfinite(rho) for rho in rhos)
 
+    def test_json_with_baseline_and_trace_is_strict(self, tmp_path):
+        out = tmp_path / "rows.json"
+        main(["--problem", "ackley", "--n", "20", "--baseline", "--format", "json",
+              "--trace", "--out", str(out)])
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        ours, sqp = json.loads(out.read_text(), parse_constant=reject)
+        assert (ours["solver"], sqp["solver"]) == ("continuation", "sqp")
+        assert ours["trace"] != [] and sqp["trace"] == []
+
     def test_table_format(self, capsys):
         code = run(RunSpec(problems=("booth",), format="table"))
         assert code == 0
@@ -222,7 +268,7 @@ class TestOutputFormats:
         out = tmp_path / "rows.csv"
         run(RunSpec(problems=("booth",), format="csv", out=str(out), baseline=True))
         rows = rows_from_csv(out.read_text())
-        assert [r.solver for r in rows] == ["continuation", "projected-gradient"]
+        assert [r.solver for r in rows] == ["continuation", "sqp"]
 
 
 class TestExitCodes:

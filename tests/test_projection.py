@@ -1,14 +1,18 @@
 """Constraint factorization, tangent-space projection, and feasibility
 restoration."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from eqflow import (
     ConstraintSystem,
     DimensionError,
     InconsistentConstraints,
     RankZero,
+    build_constraints,
     factor,
     project_gradient,
     restore_feasibility,
@@ -130,6 +134,18 @@ class TestRankDetection:
         assert basis.rank == 2
         x = restore_feasibility(basis, np.zeros(3))
         assert np.linalg.norm(a @ x - b) < 1e-12
+
+    @pytest.mark.xfail(strict=True, raises=scipy.linalg.LinAlgWarning, reason=(
+        "factor anchors b_r by the normal equations R1 R1^T b_r = R1 b, which "
+        "square the condition number (rcond 1.7e-19 here); a triangular solve "
+        "with R1 avoids that but moves most catalog trajectories"
+    ))
+    def test_badly_scaled_rows_factor_without_warning(self):
+        cs = build_constraints(20)
+        scale = np.where(np.arange(cs.m) % 2 == 0, 1e4, 1e-4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            factor(ConstraintSystem(a=scale[:, None] * cs.a, b=scale * cs.b))
 
 
 class TestRestoration:

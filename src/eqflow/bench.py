@@ -77,6 +77,7 @@ class BenchRow:
     kkt: float
     feas: float
     status: str
+    stop_reason: str
 
 
 _CSV_HEADER = [f.name for f in fields(BenchRow)]
@@ -87,7 +88,8 @@ _TABLE_FORMATS = {"time_s": ".3f", "f_star": ".6g", "kkt": ".3e", "feas": ".3e"}
 
 def _make_row(problem: ProblemInstance, solver_name: str, rep: SolverReport) -> BenchRow:
     return BenchRow(problem.name, problem.n, problem.cs.m, solver_name, rep.iterations,
-                    rep.wall_time, rep.f_star, rep.kkt, rep.feas, rep.status)
+                    rep.wall_time, rep.f_star, rep.kkt, rep.feas, rep.status,
+                    rep.stop_reason)
 
 
 def _run_one(
@@ -97,8 +99,9 @@ def _run_one(
     config: SolverConfig,
 ) -> tuple[BenchRow, list[IterationRecord]]:
     """One solve as a row and its trace.  An :class:`EqflowError` becomes a
-    row whose status is the exception's class name, with no steps and NaN
-    results, so that it costs no other run its row."""
+    row whose status is the exception's class name, with stop reason
+    ``"error"``, no steps and NaN results, so that it costs no other run its
+    row."""
     t_start = time.perf_counter()
     try:
         rep = method(problem, config)
@@ -106,7 +109,7 @@ def _run_one(
         status, nan = type(exc).__name__, math.nan
         print(f"error: {status}: {exc}", file=sys.stderr)
         row = BenchRow(problem.name, problem.n, problem.cs.m, solver_name, 0,
-                       time.perf_counter() - t_start, nan, nan, nan, status)
+                       time.perf_counter() - t_start, nan, nan, nan, status, "error")
         return row, []
     return _make_row(problem, solver_name, rep), rep.trace
 

@@ -25,6 +25,12 @@ Every direction lies in the null space of the constraint matrix by
 construction, so feasibility established once by an initial orthogonal
 restoration is conserved for the whole run without correction steps.
 
+A run ends with ``StepFailure`` when ``dt`` falls below a floor, or earlier,
+in the ill-posed phase, at the first trial step that rounds to the current
+point while the shift dominates the curvature: every smaller ``dt`` then
+gives a shorter step, so no later trial could move the point.  The report's
+``stop_reason`` says which rule ended the run.
+
 :func:`baseline_sqp`, the reference method of the benchmark, runs scipy's
 SQP through the same set-up, checks and report as :func:`solve`.
 """
@@ -32,6 +38,7 @@ SQP through the same set-up, checks and report as :func:`solve`.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -92,7 +99,8 @@ class SolverConfig:
         Stopping tolerance on the max-norm projected gradient; convergence
         additionally requires the feasibility residual to be below it.
     max_iter:
-        Cap on outer iterations (trials, accepted or not).
+        Cap on outer iterations (trials, accepted or not); an integer of at
+        least 1.
     reg_shift:
         Base regularization scale; the ill-posed phase shifts the curvature
         matrix by ``reg_shift / dt``.
@@ -114,8 +122,13 @@ class SolverConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        max_iter = self.max_iter
+        if (
+            isinstance(max_iter, bool)
+            or not isinstance(max_iter, numbers.Integral)
+            or max_iter < 1
+        ):
+            raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -147,9 +160,18 @@ class IterationRecord:
 
 @dataclass
 class SolverReport:
-    """Result of a solve: terminal point, residuals, counters, trace."""
+    """Result of a solve: terminal point, residuals, counters, trace.
+
+    ``stop_reason`` names the rule that ended the run, at finer grain than
+    ``status``: ``"tolerance"`` (Converged), ``"iteration-cap"``
+    (MaxIterations), ``"dt-floor"``, ``"step-rounds-away"`` and, from
+    :func:`baseline_sqp`, ``"sqp-stopped"`` (StepFailure), ``"pinned"``
+    (SingleFeasiblePoint), and ``"feasibility-lost"`` for a converged run
+    whose point is not feasible to ``tol``.
+    """
 
     status: str
+    stop_reason: str
     x_star: np.ndarray
     f_star: float
     kkt: float
@@ -265,14 +287,18 @@ class _Run:
             )
         )
 
-    def report(self, status: str, iterations: int, accepted_steps: int) -> SolverReport:
+    def report(
+        self, status: str, stop_reason: str, iterations: int, accepted_steps: int
+    ) -> SolverReport:
         feas = self.feas()
         if status == CONVERGED and feas > self.cfg.tol:
             # Unreachable when restoration succeeded (steps conserve Ax = b),
             # but Converged is only ever reported with both residuals small.
             status = MAX_ITERATIONS if iterations >= self.cfg.max_iter else STEP_FAILURE
+            stop_reason = "feasibility-lost"
         return SolverReport(
             status=status,
+            stop_reason=stop_reason,
             x_star=self.x,
             f_star=self.f,
             kkt=_max_abs(self.pg),
@@ -301,6 +327,12 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
     scored by :func:`trial_ratio`; acceptance requires both the ratio and the
     model-decrease floors; ``dt`` is updated by :func:`update_timestep`.
 
+    The run stops with ``StepFailure`` when ``dt`` falls below its floor, or
+    when an ill-posed trial point equals the current point bit for bit while
+    ``reg_shift/dt`` is at least the Frobenius norm of the curvature matrix.
+    That trial calls no ``f``, writes no trace row and is not counted in
+    ``iterations``.
+
     Each cache is dropped by the event that makes it stale: an accepted step
     drops the direction, and the curvature and its shifted factors too when
     its ratio left the inner band; a rejected step drops only the factors.
@@ -321,7 +353,7 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
     cfg = config if config is not None else SolverConfig()
     run = _Run(problem, cfg)
     if run.pinned:
-        return run.report(SINGLE_FEASIBLE_POINT, 0, 0)
+        return run.report(SINGLE_FEASIBLE_POINT, "pinned", 0, 0)
     basis = run.basis
     hess_cb = getattr(problem, "hess", None) if cfg.use_exact_hessian else None
 
@@ -337,13 +369,14 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
     k, dt, phase = 0, cfg.dt0, WELL_POSED
     pair = zero_pair(run.cs.n)
     d = hessian = shifted = None
+    hessian_norm = math.inf
     accepted_steps = 0
 
     while True:
         if _max_abs(run.pg) <= cfg.tol:
-            return run.report(CONVERGED, k, accepted_steps)
+            return run.report(CONVERGED, "tolerance", k, accepted_steps)
         if k >= cfg.max_iter:
-            return run.report(MAX_ITERATIONS, k, accepted_steps)
+            return run.report(MAX_ITERATIONS, "iteration-cap", k, accepted_steps)
         k += 1
         t_iter = time.perf_counter_ns()
 
@@ -360,6 +393,7 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
             hessian_rebuilt = hessian is None
             if hessian_rebuilt:
                 hessian = eval_hessian(run.x)
+                hessian_norm = float(np.linalg.norm(hessian))
             if shifted is None:
                 try:
                     shifted = build_and_factor(hessian, cfg.reg_shift, dt)
@@ -370,6 +404,15 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
 
         s = (dt / (1.0 + dt)) * d
         x_trial = run.x + s
+        if (
+            phase == ILL_POSED
+            and hessian_norm <= cfg.reg_shift / dt
+            and np.array_equal(x_trial, run.x)
+        ):
+            # The trial would be rejected (f_trial == f), and with the shift
+            # dominating H each halving of dt shortens the step about
+            # fourfold, so no later trial could move x either.
+            return run.report(STEP_FAILURE, "step-rounds-away", k - 1, accepted_steps)
         f_trial = run.fval(x_trial)
         rho, decrease = trial_ratio(run.f, f_trial, run.g, s, dt)
         step_norm = float(np.linalg.norm(s))
@@ -397,7 +440,7 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
         )
         dt = update_timestep(dt, rho)
         if dt < _DT_MIN:
-            return run.report(STEP_FAILURE, k, accepted_steps)
+            return run.report(STEP_FAILURE, "dt-floor", k, accepted_steps)
 
 
 def baseline_sqp(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
@@ -409,8 +452,9 @@ def baseline_sqp(problem: Any, config: Optional[SolverConfig] = None) -> SolverR
     form :func:`factor` built.  ``iterations`` counts SQP's trial steps; the
     trace is empty.  The status comes from the residuals at the returned
     point: ``Converged`` when the projected gradient meets ``tol``, else
-    ``MaxIterations`` at the cap, else ``StepFailure``.  Non-finite gradients
-    anywhere, and a non-finite objective at the start or the end, raise.
+    ``MaxIterations`` at the cap, else ``StepFailure`` with stop reason
+    ``"sqp-stopped"``.  Non-finite gradients anywhere, and a non-finite
+    objective at the start or the end, raise.
     """
     # Imported here: scipy.optimize would add about 0.26 s to ``import eqflow``.
     from scipy.optimize import LinearConstraint, minimize
@@ -418,7 +462,7 @@ def baseline_sqp(problem: Any, config: Optional[SolverConfig] = None) -> SolverR
     cfg = config if config is not None else SolverConfig()
     run = _Run(problem, cfg)
     if run.pinned:
-        return run.report(SINGLE_FEASIBLE_POINT, 0, 0)
+        return run.report(SINGLE_FEASIBLE_POINT, "pinned", 0, 0)
     accepted, last = 0, run.x
 
     def count_accepted(intermediate_result: Any) -> None:
@@ -440,7 +484,7 @@ def baseline_sqp(problem: Any, config: Optional[SolverConfig] = None) -> SolverR
     run.move_to(res.x, f)
     steps = res.nit - 1
     if _max_abs(run.pg) <= cfg.tol:
-        status = CONVERGED
-    else:
-        status = MAX_ITERATIONS if steps >= cfg.max_iter else STEP_FAILURE
-    return run.report(status, steps, accepted)
+        return run.report(CONVERGED, "tolerance", steps, accepted)
+    if steps >= cfg.max_iter:
+        return run.report(MAX_ITERATIONS, "iteration-cap", steps, accepted)
+    return run.report(STEP_FAILURE, "sqp-stopped", steps, accepted)

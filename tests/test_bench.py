@@ -13,6 +13,7 @@ from eqflow import (
     ConstraintSystem,
     MAX_ITERATIONS,
     SINGLE_FEASIBLE_POINT,
+    STEP_FAILURE,
     NonFiniteGradient,
     NonFiniteObjective,
     SingularFactor,
@@ -42,6 +43,7 @@ class TestBaseline:
     def test_two_dim_quadratic(self):
         report = baseline_sqp(get_problem("booth"))
         assert report.status == CONVERGED
+        assert report.stop_reason == "tolerance"
         assert report.f_star == pytest.approx(9.0, abs=1e-5)
         assert report.kkt <= 1e-6
         assert report.feas <= 1e-8
@@ -95,7 +97,24 @@ class TestBaseline:
         cfg = SolverConfig(max_iter=3)
         report = baseline_sqp(get_problem("trid", n=40), cfg)
         assert report.status == MAX_ITERATIONS
+        assert report.stop_reason == "iteration-cap"
         assert report.iterations == 3
+
+    def test_stop_short_of_tolerance_is_a_step_failure(self):
+        # No double-precision point meets tol = 1e-300: SQP stops on its own
+        # step-size test at the optimum, well inside the iteration cap.
+        report = baseline_sqp(get_problem("booth"), SolverConfig(tol=1e-300))
+        assert report.status == STEP_FAILURE
+        assert report.stop_reason == "sqp-stopped"
+        assert report.iterations < 300
+        assert report.kkt <= 1e-12
+
+    def test_fully_determined_point(self):
+        cs = ConstraintSystem(a=np.eye(2), b=np.array([1.0, 2.0]))
+        problem = dataclasses.replace(get_problem("booth"), cs=cs)
+        report = baseline_sqp(problem)
+        assert (report.status, report.stop_reason) == (SINGLE_FEASIBLE_POINT, "pinned")
+        assert report.iterations == 0
 
     @pytest.mark.parametrize("name, n", [("booth", None), ("rosenbrock", 100)])
     def test_reruns_are_bit_identical(self, name, n):
@@ -164,6 +183,7 @@ def rows_from_csv(text):
                 kkt=float(line[7]),
                 feas=float(line[8]),
                 status=line[9],
+                stop_reason=line[10],
             )
         )
     return out
@@ -180,7 +200,7 @@ class TestOutputFormats:
         header, body = parse_csv(text)
         assert header == [
             "problem", "n", "m", "solver", "steps", "time_s",
-            "f_star", "kkt", "feas", "status",
+            "f_star", "kkt", "feas", "status", "stop_reason",
         ]
         assert [line[0] for line in body] == ["booth", "matyas"]
         # Floats are written in round-trip form: parse -> re-render is exact.
@@ -195,6 +215,7 @@ class TestOutputFormats:
         entry = payload[0]
         assert entry["problem"] == "booth"
         assert entry["status"] == CONVERGED
+        assert entry["stop_reason"] == "tolerance"
         assert entry["f_star"] == pytest.approx(9.0, abs=1e-6)
         assert "trace" not in entry
 
@@ -247,20 +268,20 @@ class TestOutputFormats:
     def test_table_bytes_are_pinned(self):
         rows = [
             BenchRow("booth", 2, 1, "continuation", 7, 0.0123456, 9.0, 3.5e-9,
-                     0.0, "Converged"),
+                     0.0, "Converged", "tolerance"),
             BenchRow("rotated_hyper_ellipsoid", 1000, 500, "projected-gradient",
                      300, 12.3456, -1234567.891, float("nan"), 1.25e-14,
-                     "MaxIterations"),
+                     "MaxIterations", "iteration-cap"),
         ]
         expected = "".join(line + "\n" for line in [
             "problem                  n     m    solver              steps  time_s"
-            "  f_star        kkt        feas       status",
+            "  f_star        kkt        feas       status         stop_reason",
             "-----------------------  ----  ---  ------------------  -----  ------"
-            "  ------------  ---------  ---------  -------------",
+            "  ------------  ---------  ---------  -------------  -------------",
             "booth                    2     1    continuation        7      0.012 "
-            "  9             3.500e-09  0.000e+00  Converged",
+            "  9             3.500e-09  0.000e+00  Converged      tolerance",
             "rotated_hyper_ellipsoid  1000  500  projected-gradient  300    12.346"
-            "  -1.23457e+06  nan        1.250e-14  MaxIterations",
+            "  -1.23457e+06  nan        1.250e-14  MaxIterations  iteration-cap",
         ])
         assert _render_table(rows) == expected
 
@@ -328,8 +349,10 @@ class TestFailedRuns:
         rows = rows_from_csv(captured.out)
         assert [r.problem for r in rows] == ["booth", "matyas", "beale"]
         assert rows[0].status == rows[2].status == CONVERGED
+        assert rows[0].stop_reason == rows[2].stop_reason == "tolerance"
         failed = rows[1]
         assert (failed.status, failed.steps, failed.n, failed.m) == ("SingularFactor", 0, 2, 1)
+        assert failed.stop_reason == "error"
         assert all(np.isnan(v) for v in (failed.f_star, failed.kkt, failed.feas))
 
     def test_error_row_in_json_is_null(self, matyas_fails, capsys):
@@ -337,6 +360,7 @@ class TestFailedRuns:
         assert run(spec) == 1
         failed, baseline = json.loads(capsys.readouterr().out)
         assert failed["status"] == "SingularFactor"
+        assert failed["stop_reason"] == "error"
         assert failed["f_star"] is failed["kkt"] is failed["feas"] is None
         assert failed["trace"] == []
         assert baseline["status"] == CONVERGED

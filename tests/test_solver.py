@@ -20,12 +20,14 @@ from eqflow import (
     SolverConfig,
     factor,
     get_problem,
+    project_gradient,
     quadratic_form,
     quadratic_oracle,
     restore_feasibility,
     solve,
 )
 import eqflow.solver as solver_module
+from eqflow.hessian import build_and_factor, solve_shifted
 from eqflow.problems import build_constraints
 from eqflow.solver import trial_ratio, update_timestep
 from helpers import traces_equal
@@ -107,11 +109,24 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(max_iter=0)
 
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), 2.5, 300.0, True, np.bool_(True), "300"]
+    )
+    def test_rejects_max_iter_that_is_not_an_integer(self, value):
+        with pytest.raises(ValueError, match="max_iter must be an integer of at least 1"):
+            SolverConfig(max_iter=value)
+
+    def test_accepts_numpy_integer_max_iter(self):
+        report = solve(get_problem("griewank", n=20), SolverConfig(max_iter=np.int64(3)))
+        assert report.status == MAX_ITERATIONS
+        assert report.iterations == 3
+
 
 class TestTerminalStatuses:
     def test_two_dim_quadratic_converges(self):
         report = solve(get_problem("booth"))
         assert report.status == CONVERGED
+        assert report.stop_reason == "tolerance"
         assert abs(report.f_star - 9.0) < 1e-9
         assert np.allclose(report.x_star, [-1.0, 4.0], atol=1e-6)
         assert report.kkt <= 1e-6
@@ -135,6 +150,7 @@ class TestTerminalStatuses:
         problem = StubProblem(cs, np.zeros(3), lambda x: float(x @ x), lambda x: 2 * x)
         report = solve(problem)
         assert report.status == SINGLE_FEASIBLE_POINT
+        assert report.stop_reason == "pinned"
         assert report.iterations == 0
         assert np.allclose(report.x_star, cs.b, atol=1e-12)
         assert report.feas <= 1e-10
@@ -142,11 +158,15 @@ class TestTerminalStatuses:
     def test_iteration_cap(self):
         report = solve(get_problem("griewank", n=20), SolverConfig(max_iter=5))
         assert report.status == MAX_ITERATIONS
+        assert report.stop_reason == "iteration-cap"
         assert report.iterations == 5
 
     def test_impossible_decrease_exhausts_timestep(self):
         # Constant objective with a lying non-zero gradient: every trial is
-        # rejected, dt halves to the floor, and the run aborts.
+        # rejected and dt halves through the phase switch.  The curvature is
+        # zero, so the step shrinks with dt**2 until x + s == x at every
+        # coordinate of x0 = ones, and the run stops there, long before the
+        # dt floor.
         cs = build_constraints(4)
         problem = StubProblem(
             cs,
@@ -156,9 +176,67 @@ class TestTerminalStatuses:
         )
         report = solve(problem)
         assert report.status == STEP_FAILURE
+        assert report.stop_reason == "step-rounds-away"
+        assert report.iterations == len(report.trace) == 29
         assert report.accepted_steps == 0
         assert all(not rec.accepted for rec in report.trace)
         assert report.trace[-1].phase == ILL_POSED  # shrank through the switch
+
+    def test_impossible_decrease_at_zero_reaches_dt_floor(self):
+        # The same lying gradient from the origin: every nonzero step moves a
+        # zero coordinate, so no trial rounds away and dt halves to the floor.
+        cs = ConstraintSystem(a=np.array([[1.0, 1.0, 0.0, 0.0]]), b=np.array([0.0]))
+        problem = StubProblem(
+            cs,
+            np.zeros(4),
+            lambda x: 1.0,
+            lambda x: np.array([1.0, -2.0, 0.5, 3.0]),
+        )
+        report = solve(problem)
+        assert report.status == STEP_FAILURE
+        assert report.stop_reason == "dt-floor"
+        assert report.iterations == len(report.trace) == 47
+        assert report.accepted_steps == 0
+        assert solver_module._DT_SHRINK * report.trace[-1].dt < solver_module._DT_MIN
+        assert report.trace[-1].dt >= solver_module._DT_MIN
+
+    def test_step_that_rounds_away_ends_the_ill_posed_phase(self):
+        n = 100
+        problem = get_problem("rotated_hyper_ellipsoid", n=n)
+        cfg = SolverConfig(use_exact_hessian=True)
+        report = solve(problem, cfg)
+        assert report.status == STEP_FAILURE
+        assert report.stop_reason == "step-rounds-away"
+        last = report.trace[-1]
+        assert last.phase == ILL_POSED and not last.accepted
+        # The stopping trial evaluated no f and wrote no row.
+        assert len(report.trace) == report.iterations
+        assert report.objective_evals == report.iterations + 1
+
+        # Replay the trials that halving dt down to the floor would have
+        # run: not one of them moves x*.
+        basis = factor(problem.cs)
+        x_star = report.x_star
+        pg = project_gradient(basis, problem.grad(x_star))
+        raw = problem.hess(x_star)
+        hess = project_gradient(basis, project_gradient(basis, raw).T).T
+        dt, replayed = last.dt, 0
+        while dt * solver_module._DT_SHRINK >= solver_module._DT_MIN:
+            dt *= solver_module._DT_SHRINK
+            d = solve_shifted(build_and_factor(hess, cfg.reg_shift, dt), -pg)
+            assert np.array_equal(x_star + (dt / (1.0 + dt)) * d, x_star), dt
+            replayed += 1
+        assert replayed > 10
+
+    def test_infeasible_converged_point_is_not_reported_converged(self, monkeypatch):
+        # Restoration that does nothing leaves an infeasible, stationary start.
+        monkeypatch.setattr(solver_module, "restore_feasibility", lambda basis, x: x)
+        cs = ConstraintSystem(a=np.array([[1.0, 1.0, 0.0, 0.0]]), b=np.array([1.0]))
+        problem = StubProblem(cs, np.zeros(4), lambda x: 0.0, lambda x: np.zeros(4))
+        report = solve(problem)
+        assert report.status == STEP_FAILURE
+        assert report.stop_reason == "feasibility-lost"
+        assert report.feas == 1.0
 
     def test_nan_objective_is_rejected_not_raised(self):
         cs = build_constraints(4)

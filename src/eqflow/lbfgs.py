@@ -8,39 +8,48 @@ O(n); no matrix is formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = ["LbfgsPair", "make_pair", "zero_pair", "apply_inverse"]
 
-
-@dataclass(frozen=True)
-class LbfgsPair:
-    s: np.ndarray
-    y: np.ndarray
-    usable: bool
-
-
 _CURVATURE_FLOOR = 1e-6
 
 
-def make_pair(s: np.ndarray, y: np.ndarray) -> LbfgsPair:
-    """Store a (step, projected-gradient-change) pair.
+@dataclass(frozen=True)
+class LbfgsPair:
+    """A (step, projected-gradient-change) pair and the products the model
+    needs, computed once at construction.
 
-    The pair is marked usable only when ``|s^T y| > _CURVATURE_FLOOR * ||s||^2``;
+    The pair is usable only when ``|s^T y| > _CURVATURE_FLOOR * ||s||^2``;
     otherwise the model silently falls back to the identity.
     """
-    s = np.asarray(s, dtype=float)
-    y = np.asarray(y, dtype=float)
-    usable = abs(float(s @ y)) > _CURVATURE_FLOOR * float(s @ s)
-    return LbfgsPair(s=s, y=y, usable=usable)
+
+    s: np.ndarray
+    y: np.ndarray
+    sy: float = field(init=False)
+    yy: float = field(init=False)
+    usable: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        sy = float(self.s @ self.y)
+        object.__setattr__(self, "sy", sy)
+        object.__setattr__(self, "yy", float(self.y @ self.y))
+        object.__setattr__(
+            self, "usable", abs(sy) > _CURVATURE_FLOOR * float(self.s @ self.s)
+        )
+
+
+def make_pair(s: np.ndarray, y: np.ndarray) -> LbfgsPair:
+    """Store a (step, projected-gradient-change) pair as float arrays."""
+    return LbfgsPair(np.asarray(s, dtype=float), np.asarray(y, dtype=float))
 
 
 def zero_pair(n: int) -> LbfgsPair:
     """The empty-history pair: model is the identity."""
     z = np.zeros(n)
-    return LbfgsPair(s=z, y=z, usable=False)
+    return LbfgsPair(z, z)
 
 
 def apply_inverse(pair: LbfgsPair, v: np.ndarray) -> np.ndarray:
@@ -51,8 +60,7 @@ def apply_inverse(pair: LbfgsPair, v: np.ndarray) -> np.ndarray:
     """
     if not pair.usable:
         return np.array(v, dtype=float, copy=True)
-    s, y = pair.s, pair.y
-    ys = float(y @ s)
+    s, y, ys = pair.s, pair.y, pair.sy
     sv = float(s @ v)
     yv = float(y @ v)
-    return v - (y * sv + s * yv) / ys + (2.0 * float(y @ y) * sv / ys**2) * s
+    return v - (y * sv + s * yv) / ys + (2.0 * pair.yy * sv / ys**2) * s

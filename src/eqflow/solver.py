@@ -91,7 +91,9 @@ _DT_MIN = 1e-16  # dt below this ends the run with StepFailure
 class SolverConfig:
     """The settings that vary between runs, with their standard defaults.
 
-    Every float setting must be finite and positive.
+    Every float setting must be a finite and positive real number (a Python
+    or numpy number, not a bool), and ``use_exact_hessian`` a bool (Python
+    or numpy); anything else raises ``ValueError``.
 
     Attributes
     ----------
@@ -120,6 +122,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         for name in ("tol", "reg_shift", "dt0"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, not a bool, got {value!r}")
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
         max_iter = self.max_iter
@@ -129,6 +133,10 @@ class SolverConfig:
             or max_iter < 1
         ):
             raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
+        if not isinstance(self.use_exact_hessian, (bool, np.bool_)):
+            raise ValueError(
+                f"use_exact_hessian must be a bool, got {self.use_exact_hessian!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -217,7 +225,14 @@ def update_timestep(dt: float, rho: float) -> float:
 
 
 def _max_abs(v: np.ndarray) -> float:
-    return float(np.max(np.abs(v))) if v.size else 0.0
+    return float(np.abs(v).max()) if v.size else 0.0
+
+
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of a contiguous 1-d float array, bit for bit as
+    ``np.linalg.norm`` computes it (a strided view would be summed in a
+    different order)."""
+    return math.sqrt(float(v @ v))
 
 
 class _Run:
@@ -225,7 +240,9 @@ class _Run:
 
     Owns the counted callbacks, the constraint factorization, the restored
     and checked start, the trace rows and the final report.  ``x``, ``f``,
-    ``g`` and ``pg`` hold the current accepted point.  ``factor``,
+    ``g`` and ``pg`` hold the current accepted point, and ``kkt`` (max-norm
+    of ``pg``), ``pg_norm`` (its 2-norm) and ``feas`` (max-norm of
+    ``Ax - b``) its residuals, computed once when the point is set.  ``factor``,
     ``restore_feasibility`` and ``project_gradient`` are looked up in this
     module's namespace at call time, so wrappers patched onto
     ``eqflow.solver`` see every call.
@@ -239,11 +256,11 @@ class _Run:
         self.objective_evals = self.gradient_evals = self.hessian_evals = 0
         self.trace: list[IterationRecord] = []
         self.basis = factor(self.cs)
-        self.x = restore_feasibility(self.basis, np.asarray(problem.x0, dtype=float))
-        self.f = self.fval(self.x)
-        if not np.isfinite(self.f):
+        x = restore_feasibility(self.basis, np.asarray(problem.x0, dtype=float))
+        f = self.fval(x)
+        if not np.isfinite(f):
             raise NonFiniteObjective("objective at the initial point is not finite")
-        self.g, self.pg = self._gradient(self.x, "the initial point")
+        self.move_to(x, f, "the initial point")
 
     @property
     def pinned(self) -> bool:
@@ -258,19 +275,21 @@ class _Run:
         self.gradient_evals += 1
         return np.asarray(self.problem.grad(x), dtype=float)
 
-    def _gradient(self, x: np.ndarray, where: str) -> tuple[np.ndarray, np.ndarray]:
+    def checked_gval(self, x: np.ndarray, where: str) -> np.ndarray:
         g = self.gval(x)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NonFiniteGradient(f"gradient at {where} is not finite")
-        return g, project_gradient(self.basis, g)
+        return g
 
-    def move_to(self, x: np.ndarray, f: float) -> None:
-        """Accept ``x`` with objective ``f``; evaluates its gradient."""
-        self.g, self.pg = self._gradient(x, "an accepted point")
-        self.x, self.f = x, f
-
-    def feas(self) -> float:
-        return _max_abs(self.cs.a @ self.x - self.cs.b)
+    def move_to(self, x: np.ndarray, f: float, where: str = "an accepted point") -> None:
+        """Make ``x``, with objective ``f``, the current point; evaluates its
+        gradient and residuals."""
+        g = self.checked_gval(x, where)
+        pg = project_gradient(self.basis, g)
+        self.x, self.f, self.g, self.pg = x, f, g, pg
+        self.kkt = _max_abs(pg)
+        self.pg_norm = _norm(pg)
+        self.feas = _max_abs(self.cs.a @ x - self.cs.b)
 
     def record(self, k: int, t_iter: int, s: np.ndarray, **row: Any) -> None:
         """Append the trace row of iteration ``k``, which took step ``s``;
@@ -279,8 +298,8 @@ class _Run:
             IterationRecord(
                 k=k,
                 f=self.f,
-                kkt=_max_abs(self.pg),
-                feas=self.feas(),
+                kkt=self.kkt,
+                feas=self.feas,
                 wall_time_ns=time.perf_counter_ns() - t_iter,
                 step_infeas=_max_abs(self.cs.a @ s),
                 **row,
@@ -290,8 +309,7 @@ class _Run:
     def report(
         self, status: str, stop_reason: str, iterations: int, accepted_steps: int
     ) -> SolverReport:
-        feas = self.feas()
-        if status == CONVERGED and feas > self.cfg.tol:
+        if status == CONVERGED and self.feas > self.cfg.tol:
             # Unreachable when restoration succeeded (steps conserve Ax = b),
             # but Converged is only ever reported with both residuals small.
             status = MAX_ITERATIONS if iterations >= self.cfg.max_iter else STEP_FAILURE
@@ -301,8 +319,8 @@ class _Run:
             stop_reason=stop_reason,
             x_star=self.x,
             f_star=self.f,
-            kkt=_max_abs(self.pg),
-            feas=feas,
+            kkt=self.kkt,
+            feas=self.feas,
             iterations=iterations,
             accepted_steps=accepted_steps,
             objective_evals=self.objective_evals,
@@ -361,7 +379,7 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
         run.hessian_evals += 1
         if hess_cb is not None:
             raw = np.asarray(hess_cb(at), dtype=float)
-            if not np.all(np.isfinite(raw)):
+            if not np.isfinite(raw).all():
                 raise NonFiniteGradient("analytic Hessian is not finite")
             return project_gradient(basis, project_gradient(basis, raw).T).T
         return fd_projected_hessian(run.gval, basis, at)
@@ -373,7 +391,7 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
     accepted_steps = 0
 
     while True:
-        if _max_abs(run.pg) <= cfg.tol:
+        if run.kkt <= cfg.tol:
             return run.report(CONVERGED, "tolerance", k, accepted_steps)
         if k >= cfg.max_iter:
             return run.report(MAX_ITERATIONS, "iteration-cap", k, accepted_steps)
@@ -415,8 +433,8 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
             return run.report(STEP_FAILURE, "step-rounds-away", k - 1, accepted_steps)
         f_trial = run.fval(x_trial)
         rho, decrease = trial_ratio(run.f, f_trial, run.g, s, dt)
-        step_norm = float(np.linalg.norm(s))
-        pg_norm = float(np.linalg.norm(run.pg))
+        step_norm = _norm(s)
+        pg_norm = run.pg_norm
         accepted = bool(
             rho >= _ACCEPT_RATIO_MIN
             and decrease >= _ACCEPT_DECREASE_MIN * step_norm * pg_norm
@@ -473,7 +491,7 @@ def baseline_sqp(problem: Any, config: Optional[SolverConfig] = None) -> SolverR
     q1, b_r = run.basis.q1, run.basis.b_r
     res = minimize(
         run.fval, run.x, method="trust-constr",
-        jac=lambda x: run._gradient(x, "an SQP point")[0],
+        jac=lambda x: run.checked_gval(x, "an SQP point"),
         constraints=LinearConstraint(q1.T, b_r, b_r), callback=count_accepted,
         # scipy's nit counts the check at the start as an iteration.
         options={"gtol": cfg.tol, "maxiter": cfg.max_iter + 1},
@@ -483,7 +501,7 @@ def baseline_sqp(problem: Any, config: Optional[SolverConfig] = None) -> SolverR
         raise NonFiniteObjective("objective at the SQP point is not finite")
     run.move_to(res.x, f)
     steps = res.nit - 1
-    if _max_abs(run.pg) <= cfg.tol:
+    if run.kkt <= cfg.tol:
         return run.report(CONVERGED, "tolerance", steps, accepted)
     if steps >= cfg.max_iter:
         return run.report(MAX_ITERATIONS, "iteration-cap", steps, accepted)

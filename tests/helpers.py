@@ -1,8 +1,11 @@
 """Shared test utilities: dense oracles and random instance generators."""
 
-import numpy as np
+import dataclasses
 
-from eqflow import ConstraintSystem, factor, project_gradient
+import numpy as np
+from hypothesis import strategies as st
+
+from eqflow import ConstraintSystem, factor, get_problem, project_gradient
 
 
 def dense_projector(basis):
@@ -26,9 +29,49 @@ def rank_deficient_constraints(rng, n_max=40):
     n = int(rng.integers(3, n_max + 1))
     m = int(rng.integers(2, n + 1))
     r = int(rng.integers(1, m))
+    return planted_rank_system(rng, n, m, r), r
+
+
+def planted_rank_system(rng, n, m, r):
+    """A consistent m-by-n system ``A = U V`` with U m-by-r and V r-by-n
+    Gaussian, so of rank r (almost surely)."""
     a = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
-    z = rng.standard_normal(n)
-    return ConstraintSystem(a=a, b=a @ z), r
+    return ConstraintSystem(a=a, b=a @ rng.standard_normal(n))
+
+
+def problem_on(cs, name, seed):
+    """The catalog objective ``name`` (which must take any n) under ``cs``,
+    started from a point drawn uniformly from [-2, 2]^n."""
+    start = np.random.default_rng(seed).uniform(-2.0, 2.0, size=cs.n)
+    return dataclasses.replace(get_problem(name, n=cs.n, m=1), cs=cs, x0=start)
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def rank_deficient_systems(draw, n_max=10):
+    """Hypothesis strategy: m rows of rank r < m, so at least one row is a
+    combination of the others."""
+    n = draw(st.integers(3, n_max))
+    m = draw(st.integers(2, n))
+    r = draw(st.integers(1, m - 1))
+    return planted_rank_system(np.random.default_rng(draw(_SEEDS)), n, m, r)
+
+
+@st.composite
+def one_freedom_systems(draw, n_max=10):
+    """Hypothesis strategy: m = n - 1 rows of full rank, which leave one
+    degree of freedom."""
+    n = draw(st.integers(2, n_max))
+    return planted_rank_system(np.random.default_rng(draw(_SEEDS)), n, n - 1, n - 1)
+
+
+@st.composite
+def constrained_problems(draw, systems, names):
+    """Hypothesis strategy: :func:`problem_on` a system from ``systems`` and
+    an objective from ``names``."""
+    return problem_on(draw(systems), draw(st.sampled_from(names)), draw(_SEEDS))
 
 
 def svd_rank(a, rel_tol=1e-10):

@@ -1,6 +1,7 @@
 """Memory-one quasi-Newton pair: forward model, closed-form inverse, spectrum."""
 
 import numpy as np
+import pytest
 
 from eqflow.lbfgs import LbfgsPair, apply_inverse, make_pair, zero_pair
 from helpers import dense_lbfgs_model as dense_model
@@ -27,6 +28,31 @@ class TestUsability:
         v = np.array([1.0, -2.0, 3.0, 0.5])
         assert np.array_equal(dense_model(pair) @ v, v)
         assert np.array_equal(apply_inverse(pair, v), v)
+
+
+class TestDirectConstruction:
+    def test_constructor_computes_the_stored_products(self):
+        # A pair built without make_pair must not carry stale or default
+        # products into apply_inverse.
+        rng = np.random.default_rng(47)
+        for _ in range(30):
+            n = int(rng.integers(2, 20))
+            s, y = rng.standard_normal(n), rng.standard_normal(n)
+            pair = LbfgsPair(s, y)
+            assert (pair.sy, pair.yy) == (float(s @ y), float(y @ y))
+            assert pair.usable == make_pair(s, y).usable
+            if not pair.usable:
+                continue
+            v = rng.standard_normal(n)
+            ref = np.linalg.solve(dense_model(pair), v)
+            assert np.allclose(apply_inverse(pair, v), ref, rtol=1e-8, atol=1e-8)
+            assert np.array_equal(apply_inverse(pair, v), apply_inverse(make_pair(s, y), v))
+
+    def test_products_cannot_be_passed_in(self):
+        with pytest.raises(TypeError):
+            LbfgsPair(np.ones(2), np.ones(2), sy=0.0, yy=0.0)
+        with pytest.raises(TypeError):
+            LbfgsPair(np.ones(2), np.ones(2), usable=True)
 
 
 class TestHandWorkedPair:

@@ -1,0 +1,131 @@
+"""Property tests: the method's invariants on generated hostile constraint
+systems (rank-deficient rows, and m = n - 1 rows that leave one degree of
+freedom).
+
+Systems with rows scaled by 1e±8 or nearly dependent rows are not generated
+yet: ``factor`` raises ``LinAlgWarning`` on them (see
+``test_badly_scaled_rows_factor_without_warning``).
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from eqflow import (
+    CONVERGED,
+    MAX_ITERATIONS,
+    SINGLE_FEASIBLE_POINT,
+    STEP_FAILURE,
+    SolverConfig,
+    solve,
+)
+from helpers import (
+    constrained_problems,
+    one_freedom_systems,
+    planted_rank_system,
+    problem_on,
+    rank_deficient_systems,
+    traces_equal,
+)
+
+# Catalog objectives that take any n.  On some generated systems the steps
+# of the four in _DRIFTING leave null(A) by more than roundoff; the strict
+# xfails at the end reproduce that.
+_OBJECTIVES = (
+    "sphere",
+    "sum_squares",
+    "trid",
+    "rotated_hyper_ellipsoid",
+    "quartic_noise",
+    "griewank",
+    "levy",
+    "rastrigin",
+    "ackley",
+    "styblinski_tang",
+)
+_DRIFTING = ("rosenbrock", "zakharov", "dixon_price", "schwefel")
+
+_SYSTEMS = st.one_of(rank_deficient_systems(), one_freedom_systems())
+_CONFIG = SolverConfig(max_iter=200)
+
+# Fixed examples: the suite must give the same verdict on every run.
+_PROPERTY = settings(
+    max_examples=40,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+_STOP_REASONS = {
+    CONVERGED: {"tolerance"},
+    MAX_ITERATIONS: {"iteration-cap", "feasibility-lost"},
+    STEP_FAILURE: {"dt-floor", "step-rounds-away", "feasibility-lost"},
+    SINGLE_FEASIBLE_POINT: {"pinned"},
+}
+
+
+def assert_conserves_feasibility(report):
+    # The suite's roundoff bounds: 1e-8 on max|A x - b| at every iterate and
+    # on max|A s| relative to the step.
+    assert report.feas <= 1e-8
+    for rec in report.trace:
+        assert rec.feas <= 1e-8
+        assert rec.step_infeas <= 1e-8 * max(1.0, rec.step_norm)
+
+
+@_PROPERTY
+@given(problem=constrained_problems(_SYSTEMS, _OBJECTIVES + _DRIFTING))
+def test_monotone_reproducible_and_documented(problem):
+    report = solve(problem, _CONFIG)
+    assert report.stop_reason in _STOP_REASONS[report.status]
+    if report.status == CONVERGED:
+        assert report.kkt <= _CONFIG.tol and report.feas <= _CONFIG.tol
+    f_accepted = [rec.f for rec in report.trace if rec.accepted]
+    assert all(b < a for a, b in zip(f_accepted, f_accepted[1:]))
+
+    rerun = solve(dataclasses.replace(problem, x0=problem.x0.copy()), _CONFIG)
+    assert (rerun.status, rerun.stop_reason) == (report.status, report.stop_reason)
+    assert (rerun.f_star, rerun.kkt, rerun.feas) == (report.f_star, report.kkt, report.feas)
+    assert np.array_equal(rerun.x_star, report.x_star)
+    assert traces_equal(rerun.trace, report.trace)
+
+
+@_PROPERTY
+@given(problem=constrained_problems(_SYSTEMS, _OBJECTIVES))
+def test_steps_stay_in_null_space(problem):
+    assert_conserves_feasibility(solve(problem, _CONFIG))
+
+
+_ILL_POSED_DRIFT = pytest.mark.xfail(
+    strict=True,
+    reason="ill-posed steps leave null(A): the LU solve of (shift/dt) I + P H "
+    "keeps a normal component of roundoff times the matrix's condition number",
+)
+
+
+@pytest.mark.parametrize(
+    "name, n, m, r, system_seed, start_seed",
+    [
+        pytest.param("rosenbrock", 5, 4, 2, 85, 27, marks=_ILL_POSED_DRIFT),
+        pytest.param("zakharov", 8, 7, 7, 293, 541, marks=_ILL_POSED_DRIFT),
+        pytest.param("dixon_price", 10, 6, 1, 580, 811, marks=_ILL_POSED_DRIFT),
+        pytest.param(
+            "schwefel", 10, 10, 2, 39, 894,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="well-posed steps of up to ~1e2 add roundoff off null(A) "
+                "step after step",
+            ),
+        ),
+    ],
+)
+def test_drifting_objectives_stay_in_null_space(name, n, m, r, system_seed, start_seed):
+    # Known drift, one instance per objective left out above.  Feasibility
+    # reaches 1.6e-6 (rosenbrock), 1.0e-7, 1.2e-8 and 3.3e-7 (schwefel).
+    cs = planted_rank_system(np.random.default_rng(system_seed), n, m, r)
+    problem = problem_on(cs, name, start_seed)
+    assert_conserves_feasibility(solve(problem, _CONFIG))

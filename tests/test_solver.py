@@ -18,6 +18,7 @@ from eqflow import (
     NonFiniteObjective,
     SingularFactor,
     SolverConfig,
+    baseline_sqp,
     factor,
     get_problem,
     project_gradient,
@@ -120,6 +121,34 @@ class TestConfigValidation:
         report = solve(get_problem("griewank", n=20), SolverConfig(max_iter=np.int64(3)))
         assert report.status == MAX_ITERATIONS
         assert report.iterations == 3
+
+    @pytest.mark.parametrize("name", ["tol", "reg_shift", "dt0"])
+    @pytest.mark.parametrize("value", [True, np.bool_(True), "1e-6", None, 1e-6 + 0j])
+    def test_rejects_float_setting_that_is_not_a_real_number(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a real number, not a bool"):
+            SolverConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", ["no", "", 1, 0, None, 1.0])
+    def test_rejects_use_exact_hessian_that_is_not_a_bool(self, value):
+        with pytest.raises(ValueError, match="use_exact_hessian must be a bool"):
+            SolverConfig(use_exact_hessian=value)
+
+    def test_bool_settings_cannot_loosen_the_tolerance(self):
+        # tol=True once read as 1.0: booth then stopped "Converged" at kkt 0.37.
+        with pytest.raises(ValueError):
+            SolverConfig(tol=True, dt0=True, use_exact_hessian="no")
+
+    def test_accepts_numpy_numbers_and_bools(self):
+        plain = solve(get_problem("booth"))
+        numpy_cfg = SolverConfig(
+            tol=np.float64(1e-6),
+            reg_shift=np.float32(1e-4),
+            dt0=np.float64(1e-2),
+            use_exact_hessian=np.bool_(False),
+        )
+        report = solve(get_problem("booth"), numpy_cfg)
+        assert report.status == CONVERGED
+        assert traces_equal(report.trace, plain.trace)
 
 
 class TestTerminalStatuses:
@@ -399,6 +428,42 @@ class TestTraceInvariants:
             assert r1.f_star == r2.f_star
             assert np.array_equal(r1.x_star, r2.x_star)
             assert traces_equal(r1.trace, r2.trace)
+
+
+def fresh_residuals(problem, x):
+    """``max|P g(x)|`` and ``max|A x - b|``, computed from scratch."""
+    pg = project_gradient(factor(problem.cs), problem.grad(x))
+    return (
+        float(np.max(np.abs(pg))),
+        float(np.max(np.abs(problem.cs.a @ x - problem.cs.b))),
+    )
+
+
+class TestStoredResiduals:
+    """``kkt``, ``feas`` and ``pg_norm`` are computed once per point; no stored
+    value may outlive the point it belongs to."""
+
+    def test_rejected_rows_repeat_the_previous_residuals(self):
+        rows = solve(get_problem("rosenbrock", n=100)).trace
+        pairs = list(zip(rows, rows[1:]))
+        rejected = [rec for _, rec in pairs if not rec.accepted]
+        assert {rec.phase for rec in rejected} == {WELL_POSED, ILL_POSED}
+        for prev, rec in pairs:
+            if not rec.accepted:
+                assert (rec.kkt, rec.feas) == (prev.kkt, prev.feas)
+            if not prev.accepted:
+                # A row's pg_norm belongs to the point its trial started from.
+                assert rec.pg_norm == prev.pg_norm
+
+    @pytest.mark.parametrize("method", [solve, baseline_sqp])
+    def test_report_residuals_match_the_final_point(self, method):
+        problem = get_problem("rosenbrock", n=100)
+        # The cap keeps SQP short; solve stops on its own after 58 steps.
+        report = method(problem, SolverConfig(max_iter=60))
+        assert (report.kkt, report.feas) == fresh_residuals(problem, report.x_star)
+        if report.trace:
+            last = report.trace[-1]
+            assert (last.kkt, last.feas) == (report.kkt, report.feas)
 
 
 class TestEvaluationAccounting:

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -39,6 +40,9 @@ from .solver import (
 )
 
 __all__ = ["RunSpec", "BenchRow", "run", "main"]
+
+# Any of these pins the BLAS thread pool that parallel solves share.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 _SETS = {
     "all-convex": CONVEX_PROBLEMS,
@@ -185,6 +189,13 @@ def run(spec: RunSpec) -> int:
         return [_run_one(problem, name, method, spec.config) for name, method in methods]
 
     if spec.jobs > 1:
+        if not any(os.environ.get(var) for var in _BLAS_THREAD_VARS):
+            print(
+                "warning: the --jobs solves share one BLAS thread pool, so they can run "
+                "slower than --jobs 1 unless BLAS is pinned to one thread: set "
+                f"{' or '.join(_BLAS_THREAD_VARS)} to 1",
+                file=sys.stderr,
+            )
         with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
             nested = list(pool.map(solve_one, problems))
     else:

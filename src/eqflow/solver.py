@@ -86,6 +86,10 @@ _DT_SHRINK = 0.5
 _PHASE_SWITCH_DT = 1e-3  # dt below this starts the ill-posed phase for good
 _DT_MIN = 1e-16  # dt below this ends the run with StepFailure
 
+# Trace vectors per product with A: one matrix product reads A once for a
+# block, where a matrix-vector product per vector reads it once per vector.
+_RESIDUAL_BLOCK = 32
+
 
 @dataclass
 class SolverConfig:
@@ -148,6 +152,12 @@ class IterationRecord:
     iteration.  The 2-norm diagnostics (``decrease``, ``step_norm``,
     ``pg_norm``, ``step_infeas``) feed the conservation and model-decrease
     property tests.
+
+    ``feas`` (max-norm of ``Ax - b``) and ``step_infeas`` (max-norm of ``As``)
+    come from one matrix product with ``A`` per block of 32 points or steps,
+    so they equal a product per vector up to roundoff; the last point's
+    ``feas`` is the report's, bit for bit.  ``wall_time_ns`` does not include
+    them.
     """
 
     k: int
@@ -241,11 +251,17 @@ class _Run:
     Owns the counted callbacks, the constraint factorization, the restored
     and checked start, the trace rows and the final report.  ``x``, ``f``,
     ``g`` and ``pg`` hold the current accepted point, and ``kkt`` (max-norm
-    of ``pg``), ``pg_norm`` (its 2-norm) and ``feas`` (max-norm of
-    ``Ax - b``) its residuals, computed once when the point is set.  ``factor``,
-    ``restore_feasibility`` and ``project_gradient`` are looked up in this
-    module's namespace at call time, so wrappers patched onto
-    ``eqflow.solver`` see every call.
+    of ``pg``) and ``pg_norm`` (its 2-norm) its residuals, computed once when
+    the point is set.  ``factor``, ``restore_feasibility`` and
+    ``project_gradient`` are looked up in this module's namespace at call
+    time, so wrappers patched onto ``eqflow.solver`` see every call.
+
+    The trace's products with ``A`` steer nothing, so they wait in blocks:
+    ``steps`` holds the trial steps and ``points`` the left points that rows
+    refer to, and each turns into max-norm residuals, ``step_infeas`` and
+    ``feas``, with one matrix product once it holds ``_RESIDUAL_BLOCK``
+    vectors.  :meth:`report` computes the current point's ``feas`` on its own
+    and builds the trace records.
     """
 
     def __init__(self, problem: Any, cfg: SolverConfig) -> None:
@@ -254,7 +270,13 @@ class _Run:
         self.cfg = cfg
         self.cs = problem.cs
         self.objective_evals = self.gradient_evals = self.hessian_evals = 0
-        self.trace: list[IterationRecord] = []
+        # Each row's own fields, with the index of its point's feas value.
+        self.rows: list[tuple[dict[str, Any], int]] = []
+        self.steps: list[np.ndarray] = []
+        self.points: list[np.ndarray] = []
+        self.step_infeas: list[float] = []
+        self.point_feas: list[float] = []
+        self.x_has_rows = False
         self.basis = factor(self.cs)
         x = restore_feasibility(self.basis, np.asarray(problem.x0, dtype=float))
         f = self.fval(x)
@@ -286,30 +308,45 @@ class _Run:
         gradient and residuals."""
         g = self.checked_gval(x, where)
         pg = project_gradient(self.basis, g)
+        if self.x_has_rows:
+            self.points.append(self.x)
+            self.x_has_rows = False
         self.x, self.f, self.g, self.pg = x, f, g, pg
         self.kkt = _max_abs(pg)
         self.pg_norm = _norm(pg)
-        self.feas = _max_abs(self.cs.a @ x - self.cs.b)
 
     def record(self, k: int, t_iter: int, s: np.ndarray, **row: Any) -> None:
-        """Append the trace row of iteration ``k``, which took step ``s``;
+        """Add the trace row of iteration ``k``, which took step ``s``;
         ``row`` holds the trial's own :class:`IterationRecord` fields."""
-        self.trace.append(
-            IterationRecord(
-                k=k,
-                f=self.f,
-                kkt=self.kkt,
-                feas=self.feas,
-                wall_time_ns=time.perf_counter_ns() - t_iter,
-                step_infeas=_max_abs(self.cs.a @ s),
-                **row,
-            )
-        )
+        row.update(k=k, f=self.f, kkt=self.kkt, wall_time_ns=time.perf_counter_ns() - t_iter)
+        self.rows.append((row, len(self.point_feas) + len(self.points)))
+        self.steps.append(s)
+        self.x_has_rows = True
+        self.flush(_RESIDUAL_BLOCK)
+
+    def flush(self, full: int) -> None:
+        """Compute the waiting residuals of each buffer that holds at least
+        ``full`` (at least 1) vectors."""
+        a = self.cs.a
+        if len(self.steps) >= full:
+            self.step_infeas += np.abs(a @ np.column_stack(self.steps)).max(axis=0).tolist()
+            self.steps = []
+        if len(self.points) >= full:
+            residuals = a @ np.column_stack(self.points) - self.cs.b[:, None]
+            self.point_feas += np.abs(residuals).max(axis=0).tolist()
+            self.points = []
 
     def report(
         self, status: str, stop_reason: str, iterations: int, accepted_steps: int
     ) -> SolverReport:
-        if status == CONVERGED and self.feas > self.cfg.tol:
+        feas = _max_abs(self.cs.a @ self.x - self.cs.b)
+        self.flush(1)
+        point_feas = self.point_feas + [feas]
+        trace = [
+            IterationRecord(feas=point_feas[point], step_infeas=step_infeas, **row)
+            for (row, point), step_infeas in zip(self.rows, self.step_infeas)
+        ]
+        if status == CONVERGED and feas > self.cfg.tol:
             # Unreachable when restoration succeeded (steps conserve Ax = b),
             # but Converged is only ever reported with both residuals small.
             status = MAX_ITERATIONS if iterations >= self.cfg.max_iter else STEP_FAILURE
@@ -320,14 +357,14 @@ class _Run:
             x_star=self.x,
             f_star=self.f,
             kkt=self.kkt,
-            feas=self.feas,
+            feas=feas,
             iterations=iterations,
             accepted_steps=accepted_steps,
             objective_evals=self.objective_evals,
             gradient_evals=self.gradient_evals,
             hessian_evals=self.hessian_evals,
             wall_time=time.perf_counter() - self.t_start,
-            trace=self.trace,
+            trace=trace,
         )
 
 

@@ -26,6 +26,7 @@ from eqflow import (
 from eqflow.bench import (
     BenchRow,
     RunSpec,
+    _BLAS_THREAD_VARS,
     _render_csv,
     _render_table,
     main,
@@ -384,6 +385,23 @@ class TestParallelism:
             assert a.steps == b.steps
             assert a.f_star == b.f_star  # bit-identical despite threading
             assert a.status == b.status
+
+    @pytest.mark.parametrize("pinned", (None,) + _BLAS_THREAD_VARS)
+    def test_jobs_warn_unless_blas_threads_are_pinned(self, monkeypatch, capsys, pinned):
+        for var in _BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        if pinned is not None:
+            monkeypatch.setenv(pinned, "1")
+        assert run(RunSpec(problems=("booth", "matyas"), format="csv", jobs=2)) == 0
+        captured = capsys.readouterr()
+        assert [r.problem for r in rows_from_csv(captured.out)] == ["booth", "matyas"]
+        warnings = [line for line in captured.err.splitlines() if line.startswith("warning:")]
+        if pinned is None:
+            assert len(warnings) == 1
+            assert all(var in warnings[0] for var in _BLAS_THREAD_VARS)
+        else:
+            assert warnings == []
+        assert captured.err.endswith("2/2 runs converged\n")
 
 
 class TestMain:

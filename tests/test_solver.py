@@ -31,7 +31,7 @@ import eqflow.solver as solver_module
 from eqflow.hessian import build_and_factor, solve_shifted
 from eqflow.problems import build_constraints
 from eqflow.solver import trial_ratio, update_timestep
-from helpers import traces_equal
+from helpers import planted_rank_system, problem_on, traces_equal
 
 
 class StubProblem:
@@ -439,31 +439,86 @@ def fresh_residuals(problem, x):
     )
 
 
+# Runs whose traces cross the 32-vector blocks of the trace's residual
+# products: rosenbrock writes more than 64 rows, and sum_squares ends in
+# StepFailure with more than 32 rejected rows after its last accepted step.
+_BLOCK_RUNS = [
+    ("rosenbrock", 300, SolverConfig(reg_shift=1e-12)),
+    ("sum_squares", 300, SolverConfig(reg_shift=1e-12)),
+]
+
+
+def _trailing_rejections(rows):
+    return next((i for i, rec in enumerate(reversed(rows)) if rec.accepted), len(rows))
+
+
 class TestStoredResiduals:
     """``kkt``, ``feas`` and ``pg_norm`` are computed once per point; no stored
     value may outlive the point it belongs to."""
 
     def test_rejected_rows_repeat_the_previous_residuals(self):
-        rows = solve(get_problem("rosenbrock", n=100)).trace
-        pairs = list(zip(rows, rows[1:]))
-        rejected = [rec for _, rec in pairs if not rec.accepted]
-        assert {rec.phase for rec in rejected} == {WELL_POSED, ILL_POSED}
-        for prev, rec in pairs:
-            if not rec.accepted:
-                assert (rec.kkt, rec.feas) == (prev.kkt, prev.feas)
-            if not prev.accepted:
-                # A row's pg_norm belongs to the point its trial started from.
-                assert rec.pg_norm == prev.pg_norm
+        for name, n, cfg in [("rosenbrock", 100, SolverConfig())] + _BLOCK_RUNS:
+            rows = solve(get_problem(name, n=n), cfg).trace
+            pairs = list(zip(rows, rows[1:]))
+            rejected = [rec for _, rec in pairs if not rec.accepted]
+            assert {rec.phase for rec in rejected} == {WELL_POSED, ILL_POSED}
+            for prev, rec in pairs:
+                if not rec.accepted:
+                    assert (rec.kkt, rec.feas) == (prev.kkt, prev.feas)
+                if not prev.accepted:
+                    # A row's pg_norm belongs to the point its trial started from.
+                    assert rec.pg_norm == prev.pg_norm
 
     @pytest.mark.parametrize("method", [solve, baseline_sqp])
     def test_report_residuals_match_the_final_point(self, method):
-        problem = get_problem("rosenbrock", n=100)
         # The cap keeps SQP short; solve stops on its own after 58 steps.
-        report = method(problem, SolverConfig(max_iter=60))
-        assert (report.kkt, report.feas) == fresh_residuals(problem, report.x_star)
-        if report.trace:
-            last = report.trace[-1]
-            assert (last.kkt, last.feas) == (report.kkt, report.feas)
+        runs = [("rosenbrock", 100, SolverConfig(max_iter=60))]
+        if method is solve:
+            runs += _BLOCK_RUNS
+        for name, n, cfg in runs:
+            problem = get_problem(name, n=n)
+            report = method(problem, cfg)
+            assert (report.kkt, report.feas) == fresh_residuals(problem, report.x_star)
+            if report.trace:
+                last = report.trace[-1]
+                assert (last.kkt, last.feas) == (report.kkt, report.feas)
+            if (name, n, cfg) in _BLOCK_RUNS:
+                assert len(report.trace) > 64 or (
+                    report.status == STEP_FAILURE
+                    and _trailing_rejections(report.trace) > 32
+                )
+
+    def test_trace_residuals_measure_the_constraints(self):
+        # A drifting instance from test_properties.py: feas climbs to 1.6e-6,
+        # so neighbouring rows differ by up to 7e-8, far above the roundoff
+        # bound (about 1e-13 on most rows), and a value put on the wrong row
+        # fails.  Each row is checked against max|A x - b| and
+        # max|A (x_trial - x)| computed one vector at a time from the
+        # objective's arguments.
+        cs = planted_rank_system(np.random.default_rng(85), 5, 4, 2)
+        problem = problem_on(cs, "rosenbrock", 27)
+        points = []
+
+        def spy_f(x, _inner=problem.f):
+            points.append(np.array(x))
+            return _inner(x)
+
+        report = solve(dataclasses.replace(problem, f=spy_f), SolverConfig(max_iter=200))
+        assert len(report.trace) > 64 and report.feas > 1e-6
+        assert len(points) == len(report.trace) + 1
+        norm_a = float(np.max(np.sum(np.abs(cs.a), axis=1)))
+        norm_b = float(np.max(np.abs(cs.b)))
+        current = points[0]
+        for rec, x_trial in zip(report.trace, points[1:]):
+            # Roundoff of either product at these two points.
+            x_scale = max(float(np.max(np.abs(x_trial))), float(np.max(np.abs(current))))
+            bound = 32 * np.finfo(float).eps * (norm_a * x_scale + norm_b)
+            step_infeas = float(np.max(np.abs(cs.a @ (x_trial - current))))
+            if rec.accepted:
+                current = x_trial
+            feas = float(np.max(np.abs(cs.a @ current - cs.b)))
+            assert abs(rec.step_infeas - step_infeas) <= bound, f"at k={rec.k}"
+            assert abs(rec.feas - feas) <= bound, f"at k={rec.k}"
 
 
 class TestEvaluationAccounting:

@@ -11,6 +11,7 @@ flag combinations.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -29,6 +30,7 @@ from .problems import (
     ProblemInstance,
     get_problem,
 )
+from .projection import factor
 from .solver import (
     CONVERGED,
     SINGLE_FEASIBLE_POINT,
@@ -180,6 +182,14 @@ def run(spec: RunSpec) -> int:
     except (UnknownProblem, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+    # Factor each distinct system before any solve is timed, so that no row's
+    # time_s depends on whether an earlier row shared its system, and before
+    # the threads share the kept factorizations.  A system that raises here
+    # raises again in the solves of its own rows.
+    for cs in {id(p.cs): p.cs for p in problems}.values():
+        with contextlib.suppress(EqflowError):
+            factor(cs)
 
     methods = [("continuation", solve)]
     if spec.baseline:

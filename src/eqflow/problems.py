@@ -16,7 +16,9 @@ their input and never mutate it.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -57,6 +59,11 @@ class ProblemInstance:
     known_fstar: Optional[float] = None
 
 
+# (n, m) -> the system build_constraints handed out, while a caller holds it.
+_SHARED_SYSTEMS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_SHARED_SYSTEMS_LOCK = threading.Lock()
+
+
 def build_constraints(n: int, m: Optional[int] = None) -> ConstraintSystem:
     """Structured constraint system ``[A1 | A2] x = 2`` used by the suite.
 
@@ -64,6 +71,10 @@ def build_constraints(n: int, m: Optional[int] = None) -> ConstraintSystem:
     so the system always has full row rank.  ``A2`` rows are constant vectors
     alternating 1, 2, 1, 2, ... down the rows.  The default split is
     ``m = n/2``; pass ``m`` explicitly for the n/3 and 2n/3 variants.
+
+    Equal ``(n, m)`` give the same immutable system, so its factorization is
+    computed once however many instances share it; the system is freed once
+    no caller holds it.
 
     Raises :class:`DimensionError` for odd ``n`` in the default configuration
     and for any ``m`` outside ``1 <= m < n``.
@@ -76,11 +87,15 @@ def build_constraints(n: int, m: Optional[int] = None) -> ConstraintSystem:
         m = n // 2
     if not 1 <= m < n:
         raise DimensionError(f"need 1 <= m < n, got m={m}, n={n}")
-    a1 = 2.0 * np.eye(m) + np.diag(np.ones(m - 1), 1) + np.diag(np.ones(m - 1), -1)
-    row_values = np.where(np.arange(m) % 2 == 1, 2.0, 1.0)
-    a2 = np.repeat(row_values[:, None], n - m, axis=1)
-    a = np.hstack([a1, a2])
-    return ConstraintSystem(a=a, b=2.0 * np.ones(m))
+    with _SHARED_SYSTEMS_LOCK:
+        cs = _SHARED_SYSTEMS.get((n, m))
+        if cs is None:
+            a1 = 2.0 * np.eye(m) + np.diag(np.ones(m - 1), 1) + np.diag(np.ones(m - 1), -1)
+            row_values = np.where(np.arange(m) % 2 == 1, 2.0, 1.0)
+            a2 = np.repeat(row_values[:, None], n - m, axis=1)
+            a = np.hstack([a1, a2])
+            cs = _SHARED_SYSTEMS[n, m] = ConstraintSystem(a=a, b=2.0 * np.ones(m))
+    return cs
 
 
 # --- objective definitions -------------------------------------------------

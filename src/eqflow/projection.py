@@ -10,6 +10,9 @@ callers apply it through :func:`project_gradient`.
 The factorization also produces, once, the coefficient vector ``b_r`` with
 which any point can be snapped back onto the constraint set by the minimum-norm
 correction ``x - Q1 (Q1^T x - b_r)`` (see :func:`restore_feasibility`).
+
+A :class:`ConstraintSystem` is immutable, so :func:`factor` runs the QR once
+per system and keeps the basis on it for every later call.
 """
 
 from __future__ import annotations
@@ -38,14 +41,19 @@ class ConstraintSystem:
     finite, and the system must not be wider than it is long in the constraint
     direction (more constraint rows than variables is rejected outright rather
     than silently treated as least squares).
+
+    ``a`` and ``b`` are read-only copies of the arrays passed in, so the
+    :class:`ProjectorBasis` that :func:`factor` keeps on the system, an n-by-n
+    array of floats, stays valid for as long as the system lives.  A system
+    made with :func:`dataclasses.replace` is a new system with no basis yet.
     """
 
     a: np.ndarray
     b: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
+        a = np.array(self.a, dtype=float)
+        b = np.array(self.b, dtype=float)
         if a.ndim != 2:
             raise DimensionError(f"constraint matrix must be 2-d, got ndim={a.ndim}")
         if b.ndim != 1:
@@ -59,6 +67,7 @@ class ConstraintSystem:
             raise DimensionError(f"need 1 <= m <= n, got m={m}, n={n}")
         if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
             raise DimensionError("constraint data must be finite")
+        a.flags.writeable = b.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -73,7 +82,7 @@ class ConstraintSystem:
 
 @dataclass(frozen=True)
 class ProjectorBasis:
-    """Frozen output of :func:`factor`.
+    """Frozen output of :func:`factor`, with read-only arrays.
 
     Attributes
     ----------
@@ -116,6 +125,10 @@ def factor(cs: ConstraintSystem) -> ProjectorBasis:
     definite system ``(R1 R1^T) b_r = R1 b[perm]`` that anchors the feasible
     set.
 
+    The basis is kept on ``cs`` and returned as it is by every later call on
+    the same system.  A system that raises keeps nothing and raises again on
+    every call.
+
     Raises
     ------
     RankZero
@@ -124,6 +137,11 @@ def factor(cs: ConstraintSystem) -> ProjectorBasis:
         If the rank is deficient and the right-hand side is not in the range
         of ``A`` (checked by restoring the origin and measuring ``Ax - b``).
     """
+    # Not functools.cached_property: on Python 3.11 it takes one lock per
+    # class, which would serialize solves on separate threads.
+    cached = getattr(cs, "_basis", None)
+    if cached is not None:
+        return cached
     q, r_full, perm = scipy.linalg.qr(cs.a.T, pivoting=True)
     diag = np.abs(np.diag(r_full))
     if diag.size == 0 or diag[0] <= 0.0:
@@ -132,12 +150,15 @@ def factor(cs: ConstraintSystem) -> ProjectorBasis:
     if rank == 0:
         raise RankZero("constraint matrix is numerically zero")
 
+    # Views taken from here on are read-only too.
+    q.flags.writeable = False
     q1 = q[:, :rank]
     q2 = q[:, rank:]
     r1 = r_full[:rank, :]
     b_perm = cs.b[perm]
     gram = r1 @ r1.T
     b_r = scipy.linalg.solve(gram, r1 @ b_perm, assume_a="pos")
+    b_r.flags.writeable = False
 
     basis = ProjectorBasis(rank=rank, q1=q1, q2=q2, b_r=b_r)
     if rank < cs.m:
@@ -150,6 +171,7 @@ def factor(cs: ConstraintSystem) -> ProjectorBasis:
             raise InconsistentConstraints(
                 f"rank-deficient system has no solution (residual {gap:.3e})"
             )
+    object.__setattr__(cs, "_basis", basis)
     return basis
 
 

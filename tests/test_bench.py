@@ -7,6 +7,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from eqflow import (
     CONVERGED,
@@ -356,6 +357,31 @@ class TestFailedRuns:
         assert failed.stop_reason == "error"
         assert all(np.isnan(v) for v in (failed.f_star, failed.kkt, failed.feas))
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_system_that_cannot_be_factored_is_an_error_row(self, monkeypatch, jobs, capsys):
+        import eqflow.bench as bench_mod
+
+        zero = ConstraintSystem(a=np.zeros((1, 2)), b=np.zeros(1))
+
+        def zero_constraints_for_matyas(name, n=None):
+            problem = get_problem(name, n=n)
+            return dataclasses.replace(problem, cs=zero) if name == "matyas" else problem
+
+        monkeypatch.setattr(bench_mod, "get_problem", zero_constraints_for_matyas)
+        spec = RunSpec(problems=("booth", "matyas", "beale"), format="csv", baseline=True,
+                       jobs=jobs)
+        assert run(spec) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("error: RankZero: ") == 2
+        rows = rows_from_csv(captured.out)
+        assert [(r.problem, r.solver) for r in rows] == [
+            (name, solver) for name in ("booth", "matyas", "beale")
+            for solver in ("continuation", "sqp")
+        ]
+        assert [r.status for r in rows[2:4]] == ["RankZero"] * 2
+        assert [r.stop_reason for r in rows[2:4]] == ["error"] * 2
+        assert all(r.status == CONVERGED for r in rows[:2] + rows[4:])
+
     def test_error_row_in_json_is_null(self, matyas_fails, capsys):
         spec = RunSpec(problems=("matyas",), format="json", baseline=True, trace=True)
         assert run(spec) == 1
@@ -368,6 +394,28 @@ class TestFailedRuns:
 
 
 class TestParallelism:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_system_is_factored_before_the_solves(self, monkeypatch, jobs):
+        import eqflow.bench as bench_mod
+
+        qr_calls, seen = [], []
+        original = scipy.linalg.qr
+
+        def counted_qr(*args, **kwargs):
+            qr_calls.append(1)
+            return original(*args, **kwargs)
+
+        def counting_solve(problem, config=None):
+            seen.append(len(qr_calls))
+            return solve(problem, config)
+
+        monkeypatch.setattr(scipy.linalg, "qr", counted_qr)
+        monkeypatch.setattr(bench_mod, "solve", counting_solve)
+        # The three instances share the one system build_constraints(26) hands out.
+        run(RunSpec(problems=("sphere", "trid", "griewank"), n=26, format="csv", jobs=jobs))
+        assert len(qr_calls) == 1
+        assert seen == [1, 1, 1]
+
     def test_jobs_preserve_input_order_and_values(self, tmp_path):
         names = ("booth", "matyas", "sphere", "beale")
         serial_out = tmp_path / "serial.csv"

@@ -1,5 +1,10 @@
 """Benchmark catalog: constraint builder, gradients, and the quadratic oracle."""
 
+import gc
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
@@ -66,6 +71,50 @@ class TestConstraintBuilder:
             build_constraints(6, 0)
         with pytest.raises(DimensionError):
             build_constraints(6, 7)
+
+
+class TestSharedSystems:
+    def test_equal_shapes_share_one_system(self):
+        sphere, trid = get_problem("sphere", n=12), get_problem("trid", n=12)
+        assert sphere.cs is trid.cs is build_constraints(12, 6)
+        assert get_problem("sphere", n=12, m=4).cs is not sphere.cs
+
+    def test_default_split_is_validated_before_sharing(self):
+        three_rows = get_problem("sphere", n=7, m=3)
+        assert three_rows.cs.m == 3
+        with pytest.raises(DimensionError, match="even n"):
+            get_problem("sphere", n=7)
+
+    def test_system_is_freed_once_no_instance_holds_it(self):
+        problems = [get_problem(name, n=22, m=9) for name in ("sphere", "levy")]
+        factor(problems[0].cs)
+        ref = weakref.ref(problems[0].cs)
+        del problems
+        gc.collect()
+        assert ref() is None
+
+    def test_threads_get_one_system_per_shape(self):
+        workers, shapes = 8, range(1, 40)
+        barrier = threading.Barrier(workers)
+        seen = []
+
+        def build():
+            barrier.wait(timeout=10)
+            seen.extend(build_constraints(40, m) for m in shapes)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == workers * len(shapes)
+        assert len({id(cs) for cs in seen}) == len(shapes)
 
 
 class TestCatalog:

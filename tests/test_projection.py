@@ -1,6 +1,7 @@
 """Constraint factorization, tangent-space projection, and feasibility
 restoration."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -14,14 +15,17 @@ from eqflow import (
     RankZero,
     build_constraints,
     factor,
+    get_problem,
     project_gradient,
     restore_feasibility,
+    solve,
 )
 from helpers import (
     dense_projector,
     random_constraints,
     rank_deficient_constraints,
     svd_rank,
+    traces_equal,
 )
 
 
@@ -186,3 +190,89 @@ class TestErrors:
             ConstraintSystem(a=np.ones((4, 3)), b=np.ones(4))  # more rows than cols
         with pytest.raises(DimensionError):
             ConstraintSystem(a=np.array([[np.nan, 1.0]]), b=np.ones(1))
+
+
+@pytest.fixture
+def qr_calls(monkeypatch):
+    """Counts the calls of ``scipy.linalg.qr``, which :func:`factor` makes
+    once per factorization."""
+    calls = []
+    original = scipy.linalg.qr
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "qr", counted)
+    return calls
+
+
+def assert_reports_equal(r1, r2):
+    """Every field of two reports bit for bit, except the wall times."""
+    for f in dataclasses.fields(r1):
+        v1, v2 = getattr(r1, f.name), getattr(r2, f.name)
+        if f.name == "trace":
+            assert traces_equal(v1, v2)
+        elif f.name == "x_star":
+            assert np.array_equal(v1, v2)
+        elif f.name != "wall_time":
+            assert v1 == v2, f.name
+
+
+class TestKeptFactorization:
+    def test_second_call_returns_the_same_basis(self, qr_calls):
+        cs = random_constraints(np.random.default_rng(41))
+        assert factor(cs) is factor(cs)
+        assert len(qr_calls) == 1
+
+    def test_second_solve_does_not_factor(self, qr_calls):
+        base = get_problem("rosenbrock", n=20)
+        problem = dataclasses.replace(base, cs=ConstraintSystem(a=base.cs.a, b=base.cs.b))
+        first = solve(problem)
+        assert len(qr_calls) == 1
+        second = solve(problem)
+        assert len(qr_calls) == 1
+        assert_reports_equal(first, second)
+
+    def test_new_systems_get_their_own_factorization(self, qr_calls):
+        cs = random_constraints(np.random.default_rng(42))
+        basis = factor(cs)
+        replaced = dataclasses.replace(cs)
+        equal_data = ConstraintSystem(a=cs.a, b=cs.b)
+        assert factor(replaced) is not basis
+        assert factor(equal_data) is not basis
+        assert len(qr_calls) == 3
+        assert np.array_equal(factor(equal_data).q1, basis.q1)
+
+    @pytest.mark.parametrize("raises, cs", [
+        (RankZero, ConstraintSystem(a=np.zeros((2, 4)), b=np.zeros(2))),
+        (InconsistentConstraints, ConstraintSystem(
+            a=np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]]), b=np.array([1.0, 3.0]))),
+    ])
+    def test_a_system_that_raises_raises_on_every_call(self, qr_calls, raises, cs):
+        for calls in (1, 2, 3):
+            with pytest.raises(raises):
+                factor(cs)
+            assert len(qr_calls) == calls
+
+
+class TestImmutability:
+    def test_system_and_basis_arrays_are_read_only(self):
+        cs = random_constraints(np.random.default_rng(43))
+        basis = factor(cs)
+        for array in (cs.a, cs.b, basis.q1, basis.q2, basis.b_r):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                array += 1.0
+
+    def test_callers_arrays_stay_writable_and_unchanged(self):
+        a = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+        b = np.array([2.0, 1.0])
+        a_before, b_before = a.copy(), b.copy()
+        cs = ConstraintSystem(a=a, b=b)
+        factor(cs)
+        assert a.flags.writeable and b.flags.writeable
+        assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
+        a[0, 0] = b[0] = 5.0
+        assert cs.a[0, 0] == 2.0 and cs.b[0] == 2.0

@@ -88,7 +88,9 @@ _DT_MIN = 1e-16  # dt below this ends the run with StepFailure
 
 # Trace vectors per product with A: one matrix product reads A once for a
 # block, where a matrix-vector product per vector reads it once per vector.
-_RESIDUAL_BLOCK = 32
+# The two waiting buffers hold up to 2 * _RESIDUAL_BLOCK * n floats (2 MB at
+# n = 1000).
+_RESIDUAL_BLOCK = 128
 
 
 @dataclass
@@ -154,7 +156,7 @@ class IterationRecord:
     property tests.
 
     ``feas`` (max-norm of ``Ax - b``) and ``step_infeas`` (max-norm of ``As``)
-    come from one matrix product with ``A`` per block of 32 points or steps,
+    come from one matrix product with ``A`` per block of 128 points or steps,
     so they equal a product per vector up to roundoff; the last point's
     ``feas`` is the report's, bit for bit.  ``wall_time_ns`` does not include
     them.
@@ -260,8 +262,11 @@ class _Run:
     ``steps`` holds the trial steps and ``points`` the left points that rows
     refer to, and each turns into max-norm residuals, ``step_infeas`` and
     ``feas``, with one matrix product once it holds ``_RESIDUAL_BLOCK``
-    vectors.  :meth:`report` computes the current point's ``feas`` on its own
-    and builds the trace records.
+    vectors: the buffer is stacked row-major, one vector per row, and
+    multiplied by ``A`` transposed, so each vector is read contiguously.  The
+    two buffers hold at most ``2 * _RESIDUAL_BLOCK * n`` floats.
+    :meth:`report` computes the current point's ``feas`` on its own and
+    builds the trace records.
     """
 
     def __init__(self, problem: Any, cfg: SolverConfig) -> None:
@@ -327,13 +332,13 @@ class _Run:
     def flush(self, full: int) -> None:
         """Compute the waiting residuals of each buffer that holds at least
         ``full`` (at least 1) vectors."""
-        a = self.cs.a
+        a_t = self.cs.a.T
         if len(self.steps) >= full:
-            self.step_infeas += np.abs(a @ np.column_stack(self.steps)).max(axis=0).tolist()
+            self.step_infeas += np.abs(np.array(self.steps) @ a_t).max(axis=1).tolist()
             self.steps = []
         if len(self.points) >= full:
-            residuals = a @ np.column_stack(self.points) - self.cs.b[:, None]
-            self.point_feas += np.abs(residuals).max(axis=0).tolist()
+            residuals = np.array(self.points) @ a_t - self.cs.b
+            self.point_feas += np.abs(residuals).max(axis=1).tolist()
             self.points = []
 
     def report(

@@ -5,7 +5,13 @@ import dataclasses
 import numpy as np
 from hypothesis import strategies as st
 
-from eqflow import ConstraintSystem, factor, get_problem, project_gradient
+from eqflow import (
+    ConstraintSystem,
+    IterationRecord,
+    factor,
+    get_problem,
+    project_gradient,
+)
 
 
 def dense_projector(basis):
@@ -138,27 +144,32 @@ def rosenbrock_dense_hessian(x):
     return h
 
 
-def traces_equal(t1, t2):
-    """Bit-identical trace comparison, ignoring per-iteration wall time."""
+def traces_equal(t1, t2, ignore=()):
+    """Bit-identical trace comparison, ignoring per-iteration wall time and
+    the row fields named in ``ignore``."""
     if len(t1) != len(t2):
         return False
+    names = [
+        f.name
+        for f in dataclasses.fields(IterationRecord)
+        if f.name != "wall_time_ns" and f.name not in ignore
+    ]
     for r1, r2 in zip(t1, t2):
-        for name in (
-            "k",
-            "f",
-            "kkt",
-            "feas",
-            "dt",
-            "rho",
-            "accepted",
-            "phase",
-            "hessian_rebuilt",
-            "decrease",
-            "step_norm",
-            "pg_norm",
-            "step_infeas",
-        ):
+        for name in names:
             v1, v2 = getattr(r1, name), getattr(r2, name)
             if v1 != v2 and not (v1 != v1 and v2 != v2):  # NaN-safe
                 return False
     return True
+
+
+def assert_reports_equal(r1, r2, ignore_rows=()):
+    """Every field of two reports bit for bit, except the wall times and the
+    trace row fields named in ``ignore_rows``."""
+    for f in dataclasses.fields(r1):
+        v1, v2 = getattr(r1, f.name), getattr(r2, f.name)
+        if f.name == "trace":
+            assert traces_equal(v1, v2, ignore_rows)
+        elif f.name == "x_star":
+            assert np.array_equal(v1, v2)
+        elif f.name != "wall_time":
+            assert v1 == v2, f.name

@@ -21,11 +21,11 @@ from eqflow import (
     solve,
 )
 from helpers import (
+    assert_reports_equal,
     dense_projector,
     random_constraints,
     rank_deficient_constraints,
     svd_rank,
-    traces_equal,
 )
 
 
@@ -205,18 +205,6 @@ def qr_calls(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "qr", counted)
     return calls
-
-
-def assert_reports_equal(r1, r2):
-    """Every field of two reports bit for bit, except the wall times."""
-    for f in dataclasses.fields(r1):
-        v1, v2 = getattr(r1, f.name), getattr(r2, f.name)
-        if f.name == "trace":
-            assert traces_equal(v1, v2)
-        elif f.name == "x_star":
-            assert np.array_equal(v1, v2)
-        elif f.name != "wall_time":
-            assert v1 == v2, f.name
 
 
 class TestKeptFactorization:

@@ -31,7 +31,7 @@ import eqflow.solver as solver_module
 from eqflow.hessian import build_and_factor, solve_shifted
 from eqflow.problems import build_constraints
 from eqflow.solver import trial_ratio, update_timestep
-from helpers import planted_rank_system, problem_on, traces_equal
+from helpers import assert_reports_equal, planted_rank_system, problem_on, traces_equal
 
 
 class StubProblem:
@@ -439,23 +439,74 @@ def fresh_residuals(problem, x):
     )
 
 
-# Runs whose traces cross the 32-vector blocks of the trace's residual
-# products: rosenbrock writes more than 64 rows, and sum_squares ends in
-# StepFailure with more than 32 rejected rows after its last accepted step.
+# Runs whose traces cross blocks of the trace's residual products when they
+# run under ``small_block``: rosenbrock writes more than two blocks of rows,
+# and sum_squares ends in StepFailure with more than a block of rejected rows
+# after its last accepted step.  Neither crosses two full blocks at the
+# default size.
 _BLOCK_RUNS = [
     ("rosenbrock", 300, SolverConfig(reg_shift=1e-12)),
     ("sum_squares", 300, SolverConfig(reg_shift=1e-12)),
 ]
 
 
+@pytest.fixture
+def small_block(monkeypatch):
+    """Residual blocks of 32 vectors, so the traces of ``_BLOCK_RUNS`` and
+    of the drifting instance cross two full blocks and end in a partial one;
+    returns the block size."""
+    block = 32
+    monkeypatch.setattr(solver_module, "_RESIDUAL_BLOCK", block)
+    return block
+
+
 def _trailing_rejections(rows):
     return next((i for i, rec in enumerate(reversed(rows)) if rec.accepted), len(rows))
+
+
+def _drifting_run():
+    """A drifting instance from test_properties.py: feas climbs to 1.6e-6,
+    so neighbouring rows differ by up to 7e-8, far above the roundoff bound
+    (about 1e-13 on most rows)."""
+    cs = planted_rank_system(np.random.default_rng(85), 5, 4, 2)
+    return problem_on(cs, "rosenbrock", 27), SolverConfig(max_iter=200)
+
+
+def _solve_with_points(problem, cfg):
+    """``solve``, with every point at which it calls the objective."""
+    points = []
+
+    def spy_f(x, _inner=problem.f):
+        points.append(np.array(x))
+        return _inner(x)
+
+    report = solve(dataclasses.replace(problem, f=spy_f), cfg)
+    assert len(points) == len(report.trace) + 1
+    return report, points
+
+
+def _rows_with_fresh_residuals(cs, trace, points):
+    """Each row with ``max|A (x_trial - x)|`` and ``max|A x - b|`` computed
+    one vector at a time from the objective's arguments, and the roundoff
+    bound of either product at the row's two points."""
+    norm_a = float(np.max(np.sum(np.abs(cs.a), axis=1)))
+    norm_b = float(np.max(np.abs(cs.b)))
+    current = points[0]
+    for rec, x_trial in zip(trace, points[1:]):
+        x_scale = max(float(np.max(np.abs(x_trial))), float(np.max(np.abs(current))))
+        bound = 32 * np.finfo(float).eps * (norm_a * x_scale + norm_b)
+        step_infeas = float(np.max(np.abs(cs.a @ (x_trial - current))))
+        if rec.accepted:
+            current = x_trial
+        feas = float(np.max(np.abs(cs.a @ current - cs.b)))
+        yield rec, step_infeas, feas, bound
 
 
 class TestStoredResiduals:
     """``kkt``, ``feas`` and ``pg_norm`` are computed once per point; no stored
     value may outlive the point it belongs to."""
 
+    @pytest.mark.usefixtures("small_block")
     def test_rejected_rows_repeat_the_previous_residuals(self):
         for name, n, cfg in [("rosenbrock", 100, SolverConfig())] + _BLOCK_RUNS:
             rows = solve(get_problem(name, n=n), cfg).trace
@@ -470,7 +521,7 @@ class TestStoredResiduals:
                     assert rec.pg_norm == prev.pg_norm
 
     @pytest.mark.parametrize("method", [solve, baseline_sqp])
-    def test_report_residuals_match_the_final_point(self, method):
+    def test_report_residuals_match_the_final_point(self, method, small_block):
         # The cap keeps SQP short; solve stops on its own after 58 steps.
         runs = [("rosenbrock", 100, SolverConfig(max_iter=60))]
         if method is solve:
@@ -483,42 +534,49 @@ class TestStoredResiduals:
                 last = report.trace[-1]
                 assert (last.kkt, last.feas) == (report.kkt, report.feas)
             if (name, n, cfg) in _BLOCK_RUNS:
-                assert len(report.trace) > 64 or (
+                assert len(report.trace) > 2 * small_block or (
                     report.status == STEP_FAILURE
-                    and _trailing_rejections(report.trace) > 32
+                    and _trailing_rejections(report.trace) > small_block
                 )
 
-    def test_trace_residuals_measure_the_constraints(self):
-        # A drifting instance from test_properties.py: feas climbs to 1.6e-6,
-        # so neighbouring rows differ by up to 7e-8, far above the roundoff
-        # bound (about 1e-13 on most rows), and a value put on the wrong row
-        # fails.  Each row is checked against max|A x - b| and
-        # max|A (x_trial - x)| computed one vector at a time from the
-        # objective's arguments.
-        cs = planted_rank_system(np.random.default_rng(85), 5, 4, 2)
-        problem = problem_on(cs, "rosenbrock", 27)
-        points = []
-
-        def spy_f(x, _inner=problem.f):
-            points.append(np.array(x))
-            return _inner(x)
-
-        report = solve(dataclasses.replace(problem, f=spy_f), SolverConfig(max_iter=200))
-        assert len(report.trace) > 64 and report.feas > 1e-6
-        assert len(points) == len(report.trace) + 1
-        norm_a = float(np.max(np.sum(np.abs(cs.a), axis=1)))
-        norm_b = float(np.max(np.abs(cs.b)))
-        current = points[0]
-        for rec, x_trial in zip(report.trace, points[1:]):
-            # Roundoff of either product at these two points.
-            x_scale = max(float(np.max(np.abs(x_trial))), float(np.max(np.abs(current))))
-            bound = 32 * np.finfo(float).eps * (norm_a * x_scale + norm_b)
-            step_infeas = float(np.max(np.abs(cs.a @ (x_trial - current))))
-            if rec.accepted:
-                current = x_trial
-            feas = float(np.max(np.abs(cs.a @ current - cs.b)))
+    def test_trace_residuals_measure_the_constraints(self, small_block):
+        # Each row is checked against the products computed one vector at a
+        # time, so a value put on the wrong row fails.
+        problem, cfg = _drifting_run()
+        report, points = _solve_with_points(problem, cfg)
+        assert len(report.trace) > 2 * small_block and report.feas > 1e-6
+        for rec, step_infeas, feas, bound in _rows_with_fresh_residuals(
+            problem.cs, report.trace, points
+        ):
             assert abs(rec.step_infeas - step_infeas) <= bound, f"at k={rec.k}"
             assert abs(rec.feas - feas) <= bound, f"at k={rec.k}"
+
+    def test_output_does_not_depend_on_the_block_size(self, monkeypatch):
+        # Block size 1 computes each residual as soon as its vector waits, so
+        # both buffers are empty when the report is built.
+        waiting_at_report = []
+
+        def spy_report(run, *args, _inner=solver_module._Run.report):
+            waiting_at_report.append(len(run.steps) + len(run.points))
+            return _inner(run, *args)
+
+        monkeypatch.setattr(solver_module._Run, "report", spy_report)
+        runs = [(get_problem(name, n=n), cfg) for name, n, cfg in _BLOCK_RUNS]
+        for problem, cfg in runs + [_drifting_run()]:
+            results = []
+            for block in (1, 3, solver_module._RESIDUAL_BLOCK):
+                monkeypatch.setattr(solver_module, "_RESIDUAL_BLOCK", block)
+                results.append(_solve_with_points(problem, cfg))
+            assert waiting_at_report[-3] == 0
+            (first, first_points), *others = results
+            for report, points in others:
+                assert len(points) == len(first_points)
+                assert all(np.array_equal(p, q) for p, q in zip(points, first_points))
+                assert_reports_equal(first, report, ignore_rows=("step_infeas", "feas"))
+                checked = _rows_with_fresh_residuals(problem.cs, first.trace, first_points)
+                for rec, (rec_1, _, _, bound) in zip(report.trace, checked):
+                    assert abs(rec.step_infeas - rec_1.step_infeas) <= bound, f"at k={rec.k}"
+                    assert abs(rec.feas - rec_1.feas) <= bound, f"at k={rec.k}"
 
 
 class TestEvaluationAccounting:

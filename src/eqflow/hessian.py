@@ -8,8 +8,11 @@ coordinate direction,
     H[:, i] = (Pg(x + eps * P e_i) - Pg(x)) / eps,
 
 which costs exactly ``n + 1`` gradient evaluations and maps the tangent space
-into itself up to finite-difference noise.  The matrix is used as evaluated —
-deliberately not symmetrized, so the factorization sees the raw differences.
+into itself up to finite-difference noise.  The directions ``P e_i`` are the
+columns of the dense projector that :func:`~eqflow.projection.tangent_projector`
+keeps on the basis, so only the first probe of a basis forms them.  The
+matrix is used as evaluated — deliberately not symmetrized, so the
+factorization sees the raw differences.
 
 The shifted system solved each iteration is ``(shift/dt) I + H`` with a fixed
 base shift; since ``H`` is nearly singular in the normal directions, the shift
@@ -17,6 +20,8 @@ both regularizes and encodes the continuation step size.  It is factored by LU
 with partial pivoting rather than Cholesky: the unsymmetrized ``H`` may fail to
 be exactly symmetric, and an indefinite ``H`` leaves the system indefinite
 whenever ``shift/dt`` is below the magnitude of its most negative eigenvalue.
+LAPACK factors column-major matrices, so a Fortran-ordered ``H`` is copied
+into the factorization without a transpose.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 import scipy.linalg.lapack
 
 from .errors import NonFiniteGradient, SingularFactor
-from .projection import ProjectorBasis, project_gradient
+from .projection import ProjectorBasis, project_gradient, tangent_projector
 
 __all__ = [
     "RegularizedFactor",
@@ -63,36 +68,49 @@ def fd_projected_hessian(
     """Evaluate the projected finite-difference curvature matrix at ``x``.
 
     Probes the ``n`` projected coordinate directions in ascending index order;
-    together with the base point this is ``n + 1`` gradient evaluations.
+    together with the base point this is ``n + 1`` gradient evaluations.  The
+    directions are the rows of the basis's kept projector, read contiguously:
+    all ``n`` probe points are formed at once, and each probe gradient is
+    written into a row.  The first call on a basis builds the projector.
 
     Raises
     ------
     NonFiniteGradient
-        If any probe returns a non-finite gradient.
+        If any probe returns a non-finite gradient; no later probe is made.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     g0 = np.asarray(grad(x), dtype=float)
-    if not np.all(np.isfinite(g0)):
+    if not np.isfinite(g0).all():
         raise NonFiniteGradient("gradient at curvature base point is not finite")
 
-    directions = project_gradient(basis, np.eye(n))
+    # Row i of the column-major projector's transpose is P e_i.
+    points = x + fd_eps * tangent_projector(basis).T
     probes = np.empty((n, n))
     for i in range(n):
-        gi = np.asarray(grad(x + fd_eps * directions[:, i]), dtype=float)
-        if not np.all(np.isfinite(gi)):
+        gi = np.asarray(grad(points[i]), dtype=float)
+        if not np.isfinite(gi).all():
             raise NonFiniteGradient(f"gradient probe along direction {i} is not finite")
-        probes[:, i] = gi
+        probes[i] = gi
     # Subtract the raw gradients before projecting: the difference is O(fd_eps)
     # while the gradients themselves are O(||g||), so projecting afterwards
     # avoids amplifying projection roundoff by 1/fd_eps.  It also makes the
     # matrix exactly zero for linear objectives, where every probe returns the
     # same gradient.
-    return project_gradient(basis, (probes - g0[:, None]) / fd_eps)
+    probes -= g0
+    probes /= fd_eps
+    # Column i of the differences is row i of probes.  The projection gets a
+    # C-ordered copy: at small sizes BLAS rounds a product with a transposed
+    # operand differently.
+    return project_gradient(basis, np.ascontiguousarray(probes.T))
 
 
 def build_and_factor(hess: np.ndarray, shift: float, dt: float) -> RegularizedFactor:
     """Form ``(shift/dt) I + H`` and factor it by LU with partial pivoting.
+
+    ``hess`` is left unchanged.  Its copy is column-major, the order ``getrf``
+    factors in place, so a Fortran-ordered ``hess`` is copied as it lies in
+    memory; a C-ordered one is transposed into place and factors the same.
 
     Raises
     ------

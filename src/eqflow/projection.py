@@ -4,15 +4,17 @@ Everything downstream of this module works on the affine set ``{x : Ax = b}``.
 A single column-pivoted QR factorization of ``A^T`` yields an orthonormal basis
 ``Q1`` of the row space of ``A`` and its orthogonal complement ``Q2`` (the
 tangent space of the constraint set).  The orthogonal projector onto the
-tangent space is ``P = I - Q1 Q1^T = Q2 Q2^T``; it is never formed densely —
-callers apply it through :func:`project_gradient`.
+tangent space is ``P = I - Q1 Q1^T = Q2 Q2^T``; callers apply it through
+:func:`project_gradient`.  Only curvature probing needs it densely, and
+:func:`tangent_projector` forms it once per basis.
 
 The factorization also produces, once, the coefficient vector ``b_r`` with
 which any point can be snapped back onto the constraint set by the minimum-norm
 correction ``x - Q1 (Q1^T x - b_r)`` (see :func:`restore_feasibility`).
 
 A :class:`ConstraintSystem` is immutable, so :func:`factor` runs the QR once
-per system and keeps the basis on it for every later call.
+per system and keeps the basis on it for every later call; the basis keeps
+its dense projector the same way.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "factor",
     "project_gradient",
     "restore_feasibility",
+    "tangent_projector",
 ]
 
 
@@ -44,8 +47,10 @@ class ConstraintSystem:
 
     ``a`` and ``b`` are read-only copies of the arrays passed in, so the
     :class:`ProjectorBasis` that :func:`factor` keeps on the system, an n-by-n
-    array of floats, stays valid for as long as the system lives.  A system
-    made with :func:`dataclasses.replace` is a new system with no basis yet.
+    array of floats (two once curvature is probed, which keeps the dense
+    projector on the basis), stays valid for as long as the system lives.  A
+    system made with :func:`dataclasses.replace` is a new system with no
+    basis yet.
     """
 
     a: np.ndarray
@@ -96,6 +101,10 @@ class ProjectorBasis:
     b_r:
         (r,) coefficients of the feasible-set offset in the ``q1`` basis: any
         feasible x satisfies ``q1^T x = b_r``.
+
+    The first :func:`tangent_projector` call on a basis keeps the dense
+    n-by-n projector on it, read-only, for as long as the basis lives.  A
+    basis made with :func:`dataclasses.replace` has no projector yet.
     """
 
     rank: int
@@ -194,6 +203,25 @@ def project_gradient(basis: ProjectorBasis, g: np.ndarray) -> np.ndarray:
     if 2 * basis.rank < basis.n:
         return g - basis.q1 @ (basis.q1.T @ g)
     return basis.q2 @ (basis.q2.T @ g)
+
+
+def tangent_projector(basis: ProjectorBasis) -> np.ndarray:
+    """The dense tangent-space projector ``P``, read-only and column-major.
+
+    Column ``i`` is ``project_gradient(basis, I)[:, i]`` bit for bit, so row
+    ``i`` of ``P.T`` is the projected i-th coordinate direction, contiguous
+    in memory.  Built on the first call and kept on ``basis``: every later
+    call returns the same array.
+    """
+    # Not functools.cached_property, as in factor.  Threads that race here
+    # each build the same array bit for bit, and the last one stored is kept.
+    cached = getattr(basis, "_projector", None)
+    if cached is not None:
+        return cached
+    p = np.asfortranarray(project_gradient(basis, np.eye(basis.n)))
+    p.flags.writeable = False
+    object.__setattr__(basis, "_projector", p)
+    return p
 
 
 def restore_feasibility(basis: ProjectorBasis, x: np.ndarray) -> np.ndarray:

@@ -45,7 +45,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .errors import NonFiniteGradient, NonFiniteObjective, SingularFactor
+from .errors import DimensionError, NonFiniteGradient, NonFiniteObjective, SingularFactor
 from .hessian import build_and_factor, fd_projected_hessian, solve_shifted
 from .lbfgs import apply_inverse, make_pair, zero_pair
 from .projection import factor, project_gradient, restore_feasibility
@@ -406,6 +406,8 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
         If the gradient at the initial point or at an accepted point, or a
         curvature probe (differenced or analytic), is non-finite.  Probes are
         not retried: their points do not depend on ``dt``.
+    DimensionError
+        If the analytic Hessian callback returns an array that is not n by n.
     SingularFactor
         If the shifted curvature matrix is still singular after ``dt`` is
         halved once and the matrix factored again.
@@ -421,6 +423,11 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
         run.hessian_evals += 1
         if hess_cb is not None:
             raw = np.asarray(hess_cb(at), dtype=float)
+            n = run.cs.n
+            if raw.shape != (n, n):
+                raise DimensionError(
+                    f"Hessian callback returned shape {raw.shape}, expected ({n}, {n})"
+                )
             if not np.isfinite(raw).all():
                 raise NonFiniteGradient("analytic Hessian is not finite")
             return project_gradient(basis, project_gradient(basis, raw).T).T
@@ -453,7 +460,11 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
             hessian_rebuilt = hessian is None
             if hessian_rebuilt:
                 hessian = eval_hessian(run.x)
+                # The norm sums in memory order, so it is taken before the
+                # column-major copy that every factorization then copies
+                # without a transpose (the analytic result already is one).
                 hessian_norm = float(np.linalg.norm(hessian))
+                hessian = np.asfortranarray(hessian)
             if shifted is None:
                 try:
                     shifted = build_and_factor(hessian, cfg.reg_shift, dt)

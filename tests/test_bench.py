@@ -12,6 +12,7 @@ import scipy.linalg
 from eqflow import (
     CONVERGED,
     ConstraintSystem,
+    ILL_POSED,
     MAX_ITERATIONS,
     SINGLE_FEASIBLE_POINT,
     STEP_FAILURE,
@@ -416,15 +417,33 @@ class TestParallelism:
         assert len(qr_calls) == 1
         assert seen == [1, 1, 1]
 
-    def test_jobs_preserve_input_order_and_values(self, tmp_path):
-        names = ("booth", "matyas", "sphere", "beale")
+    @pytest.mark.parametrize(
+        "names,n,config,ill_posed",
+        [
+            (("booth", "matyas", "sphere", "beale"), None, SolverConfig(), False),
+            # One shared system, and so one kept projector, probed from
+            # three threads.
+            (
+                ("sum_squares", "rotated_hyper_ellipsoid", "rosenbrock"),
+                30,
+                SolverConfig(dt0=1e-4),
+                True,
+            ),
+        ],
+        ids=["catalog-defaults", "ill-posed-shared-system"],
+    )
+    def test_jobs_preserve_input_order_and_values(self, tmp_path, names, n, config, ill_posed):
         serial_out = tmp_path / "serial.csv"
         parallel_out = tmp_path / "parallel.csv"
-        assert run(RunSpec(problems=names, n=None, format="csv", out=str(serial_out))) == 0
-        assert (
-            run(RunSpec(problems=names, n=None, format="csv", out=str(parallel_out), jobs=3))
-            == 0
-        )
+        spec = RunSpec(problems=names, n=n, config=config, format="csv")
+        # Parallel first: unless an earlier test probed the shared system,
+        # its threads find no projector yet.
+        assert run(dataclasses.replace(spec, out=str(parallel_out), jobs=3)) == 0
+        assert run(dataclasses.replace(spec, out=str(serial_out))) == 0
+        if ill_posed:
+            for name in names:
+                trace = solve(get_problem(name, n=n), config).trace
+                assert any(rec.phase == ILL_POSED for rec in trace)
         serial = rows_from_csv(serial_out.read_text())
         parallel = rows_from_csv(parallel_out.read_text())
         assert [r.problem for r in parallel] == list(names)

@@ -1,9 +1,16 @@
 """Finite-difference tangent-space curvature and the shifted factorization."""
 
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import eqflow.hessian
+import eqflow.projection
 from eqflow import (
+    ConstraintSystem,
     NonFiniteGradient,
     SingularFactor,
     build_and_factor,
@@ -14,7 +21,8 @@ from eqflow import (
     solve_shifted,
 )
 from eqflow.problems import build_constraints
-from helpers import dense_projector, rosenbrock_dense_hessian
+from eqflow.projection import tangent_projector
+from helpers import dense_projector, planted_rank_system, rosenbrock_dense_hessian
 
 
 def quadratic_grad(q_mat, c):
@@ -146,6 +154,108 @@ class TestStructuralInvariants:
             fd_projected_hessian(grad, basis, np.ones(n))
 
 
+def fd_hessian_by_columns(grad, basis, x, fd_eps=1e-6):
+    """The curvature matrix as it was computed before the projector was kept:
+    directions projected on every call, probes stored by column."""
+    n = x.shape[0]
+    g0 = np.asarray(grad(x), dtype=float)
+    directions = project_gradient(basis, np.eye(n))
+    probes = np.empty((n, n))
+    for i in range(n):
+        probes[:, i] = grad(x + fd_eps * directions[:, i])
+    return project_gradient(basis, (probes - g0[:, None]) / fd_eps)
+
+
+def fresh_system(cs):
+    """A new system with the data of ``cs``, so nothing is kept on it yet."""
+    return ConstraintSystem(a=cs.a, b=cs.b)
+
+
+class TestKeptProjector:
+    @pytest.mark.parametrize(
+        "make_cs",
+        [
+            lambda: fresh_system(build_constraints(40, 8)),  # r < n/2
+            lambda: fresh_system(build_constraints(40, 30)),  # r >= n/2
+            lambda: planted_rank_system(np.random.default_rng(12), 40, 24, 15),
+        ],
+        ids=["thin-q1", "thin-q2", "rank-deficient"],
+    )
+    def test_built_once_per_basis_and_bit_identical(self, monkeypatch, make_cs):
+        cs = make_cs()
+        basis = factor(cs)
+        problem = get_problem("rosenbrock", n=cs.n)
+        rng = np.random.default_rng(13)
+        points = [rng.standard_normal(cs.n) for _ in range(3)]
+        expected = [fd_hessian_by_columns(problem.grad, basis, x) for x in points]
+
+        calls = []
+        original = project_gradient
+
+        def spy(*args):
+            calls.append(1)
+            return original(*args)
+
+        # The hessian module projects through its own name; the projector is
+        # built through the projection module's.
+        monkeypatch.setattr(eqflow.hessian, "project_gradient", spy)
+        monkeypatch.setattr(eqflow.projection, "project_gradient", spy)
+        counts = []
+        for x, want in zip(points, expected):
+            before = len(calls)
+            got = fd_projected_hessian(problem.grad, basis, x)
+            counts.append(len(calls) - before)
+            assert np.array_equal(got, want)
+            # solve's norm sums in memory order, so the layout must match too.
+            assert float(np.linalg.norm(got)) == float(np.linalg.norm(want))
+        assert counts == [2, 1, 1]
+
+    def test_kept_array_is_read_only_and_matches_projection(self):
+        basis = factor(fresh_system(build_constraints(12)))
+        p = tangent_projector(basis)
+        assert tangent_projector(basis) is p
+        assert p.flags.f_contiguous
+        assert np.array_equal(p, project_gradient(basis, np.eye(12)))
+        with pytest.raises(ValueError):
+            p[0, 0] = 1.0
+
+    def test_threads_racing_to_build_all_get_the_same_values(self):
+        # Threads that find no projector may each build one; the values are
+        # the same bit for bit, and the last one stored is kept.
+        basis = factor(fresh_system(build_constraints(60, 20)))
+        reference = project_gradient(basis, np.eye(60))
+        start = threading.Barrier(6)
+        results = []
+
+        def build():
+            start.wait(timeout=10)
+            results.append(tangent_projector(basis))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 6
+        assert all(np.array_equal(p, reference) for p in results)
+        assert any(tangent_projector(basis) is p for p in results)
+
+    def test_replaced_system_gets_its_own_projector(self):
+        cs = fresh_system(build_constraints(12))
+        p = tangent_projector(factor(cs))
+        other = dataclasses.replace(cs)
+        q = tangent_projector(factor(other))
+        assert q is not p
+        assert np.array_equal(q, p)
+        assert tangent_projector(factor(cs)) is p
+
+
 class TestShiftedFactorization:
     def test_zero_curvature_is_exact_scaling(self):
         n = 5
@@ -241,3 +351,16 @@ class TestShiftedFactorization:
             permuted[[i, p]] = permuted[[p, i]]
         assert np.allclose(lower @ upper, permuted, rtol=0.0, atol=1e-13)
         assert np.array_equal(mat, original)  # the input is left untouched
+
+    def test_memory_order_of_the_input_changes_nothing(self):
+        rng = np.random.default_rng(14)
+        for n in (3, 40, 300):
+            mat = rng.standard_normal((n, n))
+            fortran = np.asfortranarray(mat)
+            c_copy, f_copy = mat.copy(), fortran.copy(order="A")
+            from_c = build_and_factor(mat, shift=1e-4, dt=0.25)
+            from_f = build_and_factor(fortran, shift=1e-4, dt=0.25)
+            assert np.array_equal(from_c.lu, from_f.lu)
+            assert np.array_equal(from_c.piv, from_f.piv)
+            assert np.array_equal(mat, c_copy) and mat.flags.c_contiguous
+            assert np.array_equal(fortran, f_copy) and fortran.flags.f_contiguous

@@ -14,6 +14,7 @@ from eqflow import (
     STEP_FAILURE,
     WELL_POSED,
     ConstraintSystem,
+    DimensionError,
     NonFiniteGradient,
     NonFiniteObjective,
     SingularFactor,
@@ -673,6 +674,17 @@ class TestCurvatureCachePolicy:
         )
         cfg = SolverConfig(dt0=1e-4, use_exact_hessian=True)
         with pytest.raises(NonFiniteGradient, match="Hessian"):
+            solve(problem, cfg)
+
+    @pytest.mark.parametrize("shape", [(30,), (30, 29), (29, 30)])
+    def test_misshapen_analytic_hessian_raises(self, shape):
+        # A vector used to end in SingularFactor and the two near-square
+        # shapes in the projection's message about a vector.
+        problem = dataclasses.replace(
+            get_problem("sum_squares", n=30), hess=lambda x: np.ones(shape)
+        )
+        cfg = SolverConfig(dt0=1e-4, use_exact_hessian=True)
+        with pytest.raises(DimensionError, match=r"Hessian callback .* expected \(30, 30\)"):
             solve(problem, cfg)
 
 

@@ -121,9 +121,11 @@ def build_and_factor(hess: np.ndarray, shift: float, dt: float) -> RegularizedFa
     """
     if dt <= 0.0 or shift <= 0.0:
         raise ValueError(f"shift and dt must be positive, got shift={shift}, dt={dt}")
-    # A Fortran-ordered copy lets getrf factor it in place.
+    # A Fortran-ordered copy lets getrf factor it in place.  Read in that
+    # order its buffer is a view whose every (n+1)-th entry is diagonal, which
+    # numpy adds to in one strided pass (``b.flat`` takes a slower iterator).
     b = np.array(hess, dtype=float, order="F")
-    b.flat[:: b.shape[0] + 1] += shift / dt
+    b.reshape(-1, order="F")[:: b.shape[0] + 1] += shift / dt
     norm_b = float(np.linalg.norm(b))
     lu, piv, info = scipy.linalg.lapack.dgetrf(b, overwrite_a=True)
     if (

@@ -25,11 +25,14 @@ Every direction lies in the null space of the constraint matrix by
 construction, so feasibility established once by an initial orthogonal
 restoration is conserved for the whole run without correction steps.
 
-A run ends with ``StepFailure`` when ``dt`` falls below a floor, or earlier,
-in the ill-posed phase, at the first trial step that rounds to the current
-point while the shift dominates the curvature: every smaller ``dt`` then
-gives a shorter step, so no later trial could move the point.  The report's
-``stop_reason`` says which rule ended the run.
+A run ends with ``StepFailure`` when ``dt`` falls below a floor, or at one
+of two earlier points.  In the ill-posed phase it ends at the first trial
+step that rounds to the current point while the shift dominates the
+curvature: every smaller ``dt`` then gives a shorter step, so no later trial
+could move the point.  And it ends instead of switching phase when the last
+trial predicted a positive decrease below one ulp of ``f``: the ratios that
+shrank ``dt`` then measured rounding in ``f``, not stiff curvature.  The
+report's ``stop_reason`` says which rule ended the run.
 
 :func:`baseline_sqp`, the reference method of the benchmark, runs scipy's
 SQP through the same set-up, checks and report as :func:`solve`.
@@ -184,10 +187,10 @@ class SolverReport:
 
     ``stop_reason`` names the rule that ended the run, at finer grain than
     ``status``: ``"tolerance"`` (Converged), ``"iteration-cap"``
-    (MaxIterations), ``"dt-floor"``, ``"step-rounds-away"`` and, from
-    :func:`baseline_sqp`, ``"sqp-stopped"`` (StepFailure), ``"pinned"``
-    (SingleFeasiblePoint), and ``"feasibility-lost"`` for a converged run
-    whose point is not feasible to ``tol``.
+    (MaxIterations), ``"dt-floor"``, ``"step-rounds-away"``, ``"sub-ulp"``
+    and, from :func:`baseline_sqp`, ``"sqp-stopped"`` (StepFailure),
+    ``"pinned"`` (SingleFeasiblePoint), and ``"feasibility-lost"`` for a
+    converged run whose point is not feasible to ``tol``.
     """
 
     status: str
@@ -387,11 +390,15 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
     scored by :func:`trial_ratio`; acceptance requires both the ratio and the
     model-decrease floors; ``dt`` is updated by :func:`update_timestep`.
 
-    The run stops with ``StepFailure`` when ``dt`` falls below its floor, or
-    when an ill-posed trial point equals the current point bit for bit while
-    ``reg_shift/dt`` is at least the Frobenius norm of the curvature matrix.
-    That trial calls no ``f``, writes no trace row and is not counted in
-    ``iterations``.
+    The run stops with ``StepFailure`` when ``dt`` falls below its floor
+    (``"dt-floor"``); when an ill-posed trial point equals the current point
+    bit for bit while ``reg_shift/dt`` is at least the Frobenius norm of the
+    curvature matrix (``"step-rounds-away"``); or when ``dt`` falls below the
+    switch threshold in the well-posed phase and the last trial's predicted
+    decrease was positive but below ``math.ulp(f)`` (``"sub-ulp"``).  A
+    non-positive predicted decrease, or a ``dt0`` below the threshold, still
+    switches.  The two early stops call no ``f`` or curvature probe, write no
+    trace row and do not count the stopping iteration in ``iterations``.
 
     Each cache is dropped by the event that makes it stale: an accepted step
     drops the direction, and the curvature and its shifted factors too when
@@ -437,6 +444,7 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
     pair = zero_pair(run.cs.n)
     d = hessian = shifted = None
     hessian_norm = math.inf
+    decrease = 0.0  # the last trial's predicted decrease
     accepted_steps = 0
 
     while True:
@@ -447,7 +455,12 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
         k += 1
         t_iter = time.perf_counter_ns()
 
-        if dt < _PHASE_SWITCH_DT:
+        if dt < _PHASE_SWITCH_DT and phase == WELL_POSED:
+            if 0.0 < decrease < math.ulp(run.f):
+                # dt shrank because the decreases sank below the rounding of
+                # f, so the ratios that shrank it measured roundoff, not stiff
+                # curvature: curvature would only refine the noise.
+                return run.report(STEP_FAILURE, "sub-ulp", k - 1, accepted_steps)
             phase = ILL_POSED  # one-way: never reset
 
         hessian_rebuilt = False

@@ -261,6 +261,22 @@ class TestOutputFormats:
         assert (ours["solver"], sqp["solver"]) == ("continuation", "sqp")
         assert ours["trace"] != [] and sqp["trace"] == []
 
+    def test_sub_ulp_stop_reaches_csv_and_strict_json(self, tmp_path):
+        # rosenbrock at n=100 stops at its phase switch on sub-ulp decreases.
+        csv_out, json_out = tmp_path / "rows.csv", tmp_path / "rows.json"
+        args = ["--problem", "rosenbrock", "--n", "100"]
+        assert main(args + ["--format", "csv", "--out", str(csv_out)]) == 1
+        (row,) = rows_from_csv(csv_out.read_text())
+        assert (row.status, row.stop_reason) == (STEP_FAILURE, "sub-ulp")
+        assert main(args + ["--format", "json", "--trace", "--out", str(json_out)]) == 1
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        (entry,) = json.loads(json_out.read_text(), parse_constant=reject)
+        assert (entry["status"], entry["stop_reason"]) == (STEP_FAILURE, "sub-ulp")
+        assert len(entry["trace"]) == entry["steps"] == row.steps
+
     def test_table_format(self, capsys):
         code = run(RunSpec(problems=("booth",), format="table"))
         assert code == 0

@@ -6,6 +6,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
 import eqflow.hessian
 import eqflow.projection
@@ -362,5 +363,10 @@ class TestShiftedFactorization:
             from_f = build_and_factor(fortran, shift=1e-4, dt=0.25)
             assert np.array_equal(from_c.lu, from_f.lu)
             assert np.array_equal(from_c.piv, from_f.piv)
+            # Bit for bit the factors of the explicitly shifted matrix: adding
+            # zero off the diagonal is exact.
+            shifted = np.asfortranarray(mat + 4e-4 * np.eye(n))
+            lu, piv, _ = scipy.linalg.lapack.dgetrf(shifted)
+            assert np.array_equal(from_f.lu, lu) and np.array_equal(from_f.piv, piv)
             assert np.array_equal(mat, c_copy) and mat.flags.c_contiguous
             assert np.array_equal(fortran, f_copy) and fortran.flags.f_contiguous

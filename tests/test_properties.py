@@ -63,7 +63,9 @@ _PROPERTY = settings(
 _STOP_REASONS = {
     CONVERGED: {"tolerance"},
     MAX_ITERATIONS: {"iteration-cap", "feasibility-lost"},
-    STEP_FAILURE: {"dt-floor", "step-rounds-away", "feasibility-lost"},
+    STEP_FAILURE: {
+        "dt-floor", "step-rounds-away", "sub-ulp", "feasibility-lost"
+    },
     SINGLE_FEASIBLE_POINT: {"pinned"},
 }
 

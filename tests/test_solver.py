@@ -2,6 +2,7 @@
 its trace invariants."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -231,9 +232,11 @@ class TestTerminalStatuses:
         assert report.trace[-1].dt >= solver_module._DT_MIN
 
     def test_step_that_rounds_away_ends_the_ill_posed_phase(self):
+        # From the default dt0 the run stops sub-ulp at the phase switch, so
+        # it starts in the ill-posed phase, with a tolerance no point meets.
         n = 100
         problem = get_problem("rotated_hyper_ellipsoid", n=n)
-        cfg = SolverConfig(use_exact_hessian=True)
+        cfg = SolverConfig(use_exact_hessian=True, dt0=1e-4, tol=1e-9)
         report = solve(problem, cfg)
         assert report.status == STEP_FAILURE
         assert report.stop_reason == "step-rounds-away"
@@ -320,6 +323,66 @@ class TestTerminalStatuses:
         problem = StubProblem(cs, np.zeros(2), lambda x: float("nan"), lambda x: 2 * x)
         with pytest.raises(NonFiniteObjective):
             solve(problem)
+
+
+class TestSubUlpStop:
+    """At the phase switch a run stops if its last trial predicted a positive
+    decrease below one ulp of f: dt then shrank on ratios of roundoff."""
+
+    def test_switch_caused_by_rounding_stops_the_run(self):
+        report = solve(get_problem("rosenbrock", n=100))
+        assert report.status == STEP_FAILURE
+        assert report.stop_reason == "sub-ulp"
+        assert report.hessian_evals == 0
+        # The stopping iteration evaluated no f and wrote no row.
+        assert report.iterations == len(report.trace) == 41
+        assert report.objective_evals == report.iterations + 1
+        assert {rec.phase for rec in report.trace} == {WELL_POSED}
+        last = report.trace[-1]
+        assert 0.0 < last.decrease < math.ulp(report.f_star)
+        assert update_timestep(last.dt, last.rho) < solver_module._PHASE_SWITCH_DT
+
+    def test_non_positive_prediction_still_switches(self):
+        # A lying gradient of size 1e-170: every predicted decrease underflows
+        # to zero, so dt halves through the switch on a failed model, not on
+        # roundoff in f, and the curvature phase takes over.
+        cs = ConstraintSystem(a=np.array([[1.0, 1.0, 0.0, 0.0]]), b=np.array([0.0]))
+        g = 1e-170 * np.array([1.0, -2.0, 0.5, 3.0])
+        problem = StubProblem(cs, np.zeros(4), lambda x: 1.0, lambda x: g)
+        report = solve(problem, SolverConfig(tol=1e-200))
+        phases = [rec.phase for rec in report.trace]
+        first_ill = phases.index(ILL_POSED)
+        assert first_ill == 4
+        assert report.trace[first_ill - 1].decrease <= 0.0
+        assert report.trace[first_ill].dt < solver_module._PHASE_SWITCH_DT
+        assert report.hessian_evals == 1
+        assert report.stop_reason == "dt-floor"
+
+    def test_small_dt0_starts_in_the_curvature_phase(self):
+        # The instance that stops sub-ulp from the default dt0 converges
+        # when it starts below the switch level.
+        report = solve(get_problem("rosenbrock", n=100), SolverConfig(dt0=1e-4))
+        assert report.trace[0].phase == ILL_POSED
+        assert report.trace[0].hessian_rebuilt
+        assert report.status == CONVERGED
+
+    def test_sub_ulp_trials_in_the_curvature_phase_do_not_stop_the_run(self):
+        problem = get_problem("rotated_hyper_ellipsoid", n=100)
+        cfg = SolverConfig(use_exact_hessian=True, dt0=1e-4, tol=1e-9)
+        report = solve(problem, cfg)
+        assert report.stop_reason == "step-rounds-away"
+        sub_ulp = [
+            i
+            for i, rec in enumerate(report.trace)
+            if rec.phase == ILL_POSED and 0.0 < rec.decrease < math.ulp(rec.f)
+        ]
+        # The run accepts a step after its first sub-ulp trial, and keeps
+        # going past sub-ulp trials with dt below the switch level.
+        assert any(rec.accepted for rec in report.trace[sub_ulp[0] + 1:])
+        assert any(
+            report.trace[i].dt < solver_module._PHASE_SWITCH_DT
+            for i in sub_ulp[:-1]
+        )
 
 
 class TestTraceInvariants:
@@ -441,13 +504,14 @@ def fresh_residuals(problem, x):
 
 
 # Runs whose traces cross blocks of the trace's residual products when they
-# run under ``small_block``: rosenbrock writes more than two blocks of rows,
-# and sum_squares ends in StepFailure with more than a block of rejected rows
-# after its last accepted step.  Neither crosses two full blocks at the
-# default size.
+# run under ``small_block``: at n=40 dixon_price writes more than two blocks
+# of rows, and at n=100 it ends in StepFailure with more than a block of
+# rejected rows after its last accepted step.  Neither crosses two full
+# blocks at the default size.  Both reject trials in both phases: their
+# switches come from ratios, not from decreases below one ulp of f.
 _BLOCK_RUNS = [
-    ("rosenbrock", 300, SolverConfig(reg_shift=1e-12)),
-    ("sum_squares", 300, SolverConfig(reg_shift=1e-12)),
+    ("dixon_price", 40, SolverConfig(reg_shift=1e-12)),
+    ("dixon_price", 100, SolverConfig(reg_shift=1e-12)),
 ]
 
 
@@ -509,7 +573,7 @@ class TestStoredResiduals:
 
     @pytest.mark.usefixtures("small_block")
     def test_rejected_rows_repeat_the_previous_residuals(self):
-        for name, n, cfg in [("rosenbrock", 100, SolverConfig())] + _BLOCK_RUNS:
+        for name, n, cfg in [("dixon_price", 40, SolverConfig())] + _BLOCK_RUNS:
             rows = solve(get_problem(name, n=n), cfg).trace
             pairs = list(zip(rows, rows[1:]))
             rejected = [rec for _, rec in pairs if not rec.accepted]
@@ -523,7 +587,7 @@ class TestStoredResiduals:
 
     @pytest.mark.parametrize("method", [solve, baseline_sqp])
     def test_report_residuals_match_the_final_point(self, method, small_block):
-        # The cap keeps SQP short; solve stops on its own after 58 steps.
+        # The cap keeps SQP short; solve stops on its own after 41 steps.
         runs = [("rosenbrock", 100, SolverConfig(max_iter=60))]
         if method is solve:
             runs += _BLOCK_RUNS

@@ -1,11 +1,11 @@
 """Benchmark harness: run the solver over the problem catalog, with
-``--baseline`` also scipy's SQP, the paper's kind of comparator (about 100 s
-over the whole catalog), and emit rows as a table, CSV, or JSON.
+``--baseline`` also SQP with a BFGS Hessian, the paper's kind of comparator
+(about 20 s over the whole catalog), and emit rows as a table, CSV, or JSON.
 
 Exit codes: 0 when every selected solve converged, 1 when any run fell short
 (iteration cap, step failure, or an internal solver error, which is reported
-as that run's row), 2 on usage errors such as unknown problem names or invalid
-flag combinations.
+as that run's row), 2 on usage errors such as unknown problem names, invalid
+flag combinations or an output path that cannot be opened.
 """
 
 from __future__ import annotations
@@ -182,6 +182,11 @@ def run(spec: RunSpec) -> int:
     except (UnknownProblem, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        out = open(spec.out, "w") if spec.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        print(f"error: cannot write {spec.out}: {exc.strerror}", file=sys.stderr)
+        return 2
 
     # Factor each distinct system before any solve is timed, so that no row's
     # time_s depends on whether an earlier row shared its system, and before
@@ -221,11 +226,8 @@ def run(spec: RunSpec) -> int:
     else:
         text = _render_json(rows, traces, spec.trace)
 
-    if spec.out:
-        with open(spec.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with out as fh:
+        fh.write(text)
 
     converged = sum(1 for row in rows if row.status in _SUCCESS_STATUSES)
     print(f"{converged}/{len(rows)} runs converged", file=sys.stderr)
@@ -265,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--baseline",
         action="store_true",
-        help="also run scipy's SQP (trust-constr) on each problem",
+        help="also run SQP (scipy's BFGS on the null-space coordinates) on each problem",
     )
     parser.add_argument(
         "--trace",

@@ -34,8 +34,8 @@ trial predicted a positive decrease below one ulp of ``f``: the ratios that
 shrank ``dt`` then measured rounding in ``f``, not stiff curvature.  The
 report's ``stop_reason`` says which rule ended the run.
 
-:func:`baseline_sqp`, the reference method of the benchmark, runs scipy's
-SQP through the same set-up, checks and report as :func:`solve`.
+:func:`baseline_sqp`, the reference method of the benchmark, runs SQP with
+a BFGS Hessian through the same set-up, checks and report as :func:`solve`.
 """
 
 from __future__ import annotations
@@ -528,47 +528,39 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
 
 
 def baseline_sqp(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
-    """Reference method: scipy's equality-constrained SQP with BFGS,
-    ``minimize(method="trust-constr")`` (Byrd, Hribar & Nocedal, SIAM J.
-    Optim. 9, 1999), through the set-up, checks and report of :func:`solve`.
+    """Reference method: SQP with a BFGS Hessian, through the set-up, checks
+    and report of :func:`solve`.
 
-    SQP sees the constraints as ``Q1^T x = b_r``, the orthonormal full-rank
-    form :func:`factor` built.  ``iterations`` counts SQP's trial steps; the
-    trace is empty.  The status comes from the residuals at the returned
+    With linear constraints and a feasible start, that is BFGS on the
+    null-space coordinates of ``x = x0 + Q2 z`` (Nocedal & Wright, ch. 18):
+    scipy's ``minimize(method="BFGS")`` from ``z = 0``, whose point is then
+    restored onto ``Ax = b`` once more.  Every iteration is an accepted step;
+    the trace is empty.  The status comes from the residuals at the returned
     point: ``Converged`` when the projected gradient meets ``tol``, else
     ``MaxIterations`` at the cap, else ``StepFailure`` with stop reason
     ``"sqp-stopped"``.  Non-finite gradients anywhere, and a non-finite
     objective at the start or the end, raise.
     """
     # Imported here: scipy.optimize would add about 0.26 s to ``import eqflow``.
-    from scipy.optimize import LinearConstraint, minimize
+    from scipy.optimize import minimize
 
     cfg = config if config is not None else SolverConfig()
     run = _Run(problem, cfg)
     if run.pinned:
         return run.report(SINGLE_FEASIBLE_POINT, "pinned", 0, 0)
-    accepted, last = 0, run.x
-
-    def count_accepted(intermediate_result: Any) -> None:
-        nonlocal accepted, last
-        if not np.array_equal(intermediate_result.x, last):
-            accepted, last = accepted + 1, intermediate_result.x
-
-    q1, b_r = run.basis.q1, run.basis.b_r
+    x0, q2 = run.x, run.basis.q2
     res = minimize(
-        run.fval, run.x, method="trust-constr",
-        jac=lambda x: run.checked_gval(x, "an SQP point"),
-        constraints=LinearConstraint(q1.T, b_r, b_r), callback=count_accepted,
-        # scipy's nit counts the check at the start as an iteration.
-        options={"gtol": cfg.tol, "maxiter": cfg.max_iter + 1},
+        lambda z: run.fval(x0 + q2 @ z), np.zeros(q2.shape[1]), method="BFGS",
+        jac=lambda z: q2.T @ run.checked_gval(x0 + q2 @ z, "an SQP point"),
+        options={"gtol": cfg.tol, "maxiter": cfg.max_iter},
     )
-    f = run.fval(res.x)
+    x = restore_feasibility(run.basis, x0 + q2 @ res.x)
+    f = run.fval(x)
     if not math.isfinite(f):
         raise NonFiniteObjective("objective at the SQP point is not finite")
-    run.move_to(res.x, f)
-    steps = res.nit - 1
+    run.move_to(x, f)
     if run.kkt <= cfg.tol:
-        return run.report(CONVERGED, "tolerance", steps, accepted)
-    if steps >= cfg.max_iter:
-        return run.report(MAX_ITERATIONS, "iteration-cap", steps, accepted)
-    return run.report(STEP_FAILURE, "sqp-stopped", steps, accepted)
+        return run.report(CONVERGED, "tolerance", res.nit, res.nit)
+    if res.nit >= cfg.max_iter:
+        return run.report(MAX_ITERATIONS, "iteration-cap", res.nit, res.nit)
+    return run.report(STEP_FAILURE, "sqp-stopped", res.nit, res.nit)

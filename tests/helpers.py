@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from eqflow import (
     ConstraintSystem,
     IterationRecord,
+    build_constraints,
     factor,
     get_problem,
     project_gradient,
@@ -50,6 +51,15 @@ def problem_on(cs, name, seed):
     started from a point drawn uniformly from [-2, 2]^n."""
     start = np.random.default_rng(seed).uniform(-2.0, 2.0, size=cs.n)
     return dataclasses.replace(get_problem(name, n=cs.n, m=1), cs=cs, x0=start)
+
+
+def scaled_dependent_row_sphere():
+    """sphere at n=20 on ``build_constraints(20)`` plus the dependent row
+    ``1e6 (a0 + a1)``: a rank-deficient, badly scaled system."""
+    cs = build_constraints(20)
+    a = np.vstack([cs.a, 1e6 * (cs.a[0] + cs.a[1])])
+    b = np.append(cs.b, 1e6 * (cs.b[0] + cs.b[1]))
+    return dataclasses.replace(get_problem("sphere", n=20), cs=ConstraintSystem(a=a, b=b))
 
 
 _SEEDS = st.integers(0, 2**32 - 1)

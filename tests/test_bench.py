@@ -21,7 +21,6 @@ from eqflow import (
     SingularFactor,
     SolverConfig,
     baseline_sqp,
-    build_constraints,
     get_problem,
     solve,
 )
@@ -35,6 +34,7 @@ from eqflow.bench import (
     run,
 )
 from eqflow import quadratic_form, quadratic_oracle
+from helpers import scaled_dependent_row_sphere
 
 
 def oracle_fstar(problem):
@@ -79,20 +79,33 @@ class TestBaseline:
         assert report.status == CONVERGED
         assert report.feas <= 1e-8
 
-    def test_accepted_steps_leave_out_rejected_trials(self):
+    def test_every_iteration_is_an_accepted_step(self):
+        # Each BFGS iteration ends on a point its line search accepted.
         report = baseline_sqp(get_problem("sum_squares", n=40))
-        assert 0 < report.accepted_steps < report.iterations
+        assert 0 < report.accepted_steps == report.iterations
+
+    def test_factors_the_constraints_once(self, monkeypatch):
+        # The null-space coordinates need only the QR that factors a fresh
+        # system; an SQP that re-factors the constraint Jacobian at each step
+        # calls scipy.linalg.qr again each time.
+        calls = {"n": 0}
+        qr = scipy.linalg.qr
+
+        def counted_qr(*args, **kwargs):
+            calls["n"] += 1
+            return qr(*args, **kwargs)
+
+        problem = get_problem("sum_squares", n=40)
+        fresh = ConstraintSystem(a=problem.cs.a, b=problem.cs.b)
+        monkeypatch.setattr(scipy.linalg, "qr", counted_qr)
+        report = baseline_sqp(dataclasses.replace(problem, cs=fresh))
+        assert report.status == CONVERGED
+        assert calls["n"] == 1
 
     def test_rank_deficient_scaled_constraints(self):
-        # A dependent row scaled by 1e6: SQP sees the orthonormal rows that
-        # factor builds, so the system reaches it well posed.
-        cs = build_constraints(20)
-        a = np.vstack([cs.a, 1e6 * (cs.a[0] + cs.a[1])])
-        b = np.append(cs.b, 1e6 * (cs.b[0] + cs.b[1]))
-        problem = dataclasses.replace(
-            get_problem("sphere", n=20), cs=ConstraintSystem(a=a, b=b)
-        )
-        report = baseline_sqp(problem)
+        # A dependent row scaled by 1e6: SQP works on the null-space basis
+        # that factor builds, so the system reaches it well posed.
+        report = baseline_sqp(scaled_dependent_row_sphere())
         assert report.status == CONVERGED
         assert report.feas <= 1e-8
 
@@ -345,6 +358,17 @@ class TestExitCodes:
     def test_incompatible_dimension(self, capsys):
         assert run(RunSpec(problems=("booth",), n=10)) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_unwritable_out_is_a_usage_error_before_any_solve(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def no_solve(problem, config):
+            raise AssertionError("solved before the output was opened")
+
+        monkeypatch.setattr("eqflow.bench.solve", no_solve)
+        out = tmp_path / "missing" / "rows.csv"
+        assert main(["--problem", "booth", "--out", str(out)]) == 2
+        assert f"error: cannot write {out}: " in capsys.readouterr().err
 
 
 class TestFailedRuns:

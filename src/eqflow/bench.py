@@ -2,10 +2,19 @@
 ``--baseline`` also SQP with a BFGS Hessian, the paper's kind of comparator
 (about 20 s over the whole catalog), and emit rows as a table, CSV, or JSON.
 
+:func:`main` is the CLI and the programmatic entry point alike:
+``main(["--problem", "booth", "--format", "csv"])`` runs what
+``eqflow-bench --problem booth --format csv`` runs and returns its exit code.
+
 Exit codes: 0 when every selected solve converged, 1 when any run fell short
 (iteration cap, step failure, or an internal solver error, which is reported
-as that run's row), 2 on usage errors such as unknown problem names, invalid
-flag combinations or an output path that cannot be opened.
+as that run's row), 2 on usage errors.  argparse's own usage errors, such as
+``--format yaml``, exit 2 with a usage line (``main`` raises ``SystemExit(2)``).
+The bench's own checks, all made before any solve, exit 2 with an ``error:``
+line: an unknown problem or an empty ``--problem`` list, ``--n`` on a problem
+of fixed dimension, ``--jobs 0``, a setting that is not finite and positive,
+``--trace`` without ``--format json``, and an ``--out`` path that cannot be
+opened.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Any, Callable, Optional
 
 from .errors import DimensionError, EqflowError, UnknownProblem
@@ -41,7 +50,7 @@ from .solver import (
     solve,
 )
 
-__all__ = ["RunSpec", "BenchRow", "run", "main"]
+__all__ = ["BenchRow", "main"]
 
 # Any of these pins the BLAS thread pool that parallel solves share.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -53,20 +62,6 @@ _SETS = {
 }
 
 _SUCCESS_STATUSES = {CONVERGED, SINGLE_FEASIBLE_POINT}
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """Everything one benchmark invocation needs."""
-
-    problems: tuple[str, ...]
-    n: Optional[int] = None
-    config: SolverConfig = field(default_factory=SolverConfig)
-    format: str = "table"
-    out: Optional[str] = None
-    baseline: bool = False
-    trace: bool = False
-    jobs: int = 1
 
 
 @dataclass(frozen=True)
@@ -92,12 +87,6 @@ _CSV_HEADER = [f.name for f in fields(BenchRow)]
 _TABLE_FORMATS = {"time_s": ".3f", "f_star": ".6g", "kkt": ".3e", "feas": ".3e"}
 
 
-def _make_row(problem: ProblemInstance, solver_name: str, rep: SolverReport) -> BenchRow:
-    return BenchRow(problem.name, problem.n, problem.cs.m, solver_name, rep.iterations,
-                    rep.wall_time, rep.f_star, rep.kkt, rep.feas, rep.status,
-                    rep.stop_reason)
-
-
 def _run_one(
     problem: ProblemInstance,
     solver_name: str,
@@ -108,16 +97,18 @@ def _run_one(
     row whose status is the exception's class name, with stop reason
     ``"error"``, no steps and NaN results, so that it costs no other run its
     row."""
+    head = (problem.name, problem.n, problem.cs.m, solver_name)
     t_start = time.perf_counter()
     try:
         rep = method(problem, config)
     except EqflowError as exc:
         status, nan = type(exc).__name__, math.nan
         print(f"error: {status}: {exc}", file=sys.stderr)
-        row = BenchRow(problem.name, problem.n, problem.cs.m, solver_name, 0,
-                       time.perf_counter() - t_start, nan, nan, nan, status, "error")
-        return row, []
-    return _make_row(problem, solver_name, rep), rep.trace
+        elapsed = time.perf_counter() - t_start
+        return BenchRow(*head, 0, elapsed, nan, nan, nan, status, "error"), []
+    row = BenchRow(*head, rep.iterations, rep.wall_time, rep.f_star, rep.kkt, rep.feas,
+                   rep.status, rep.stop_reason)
+    return row, rep.trace
 
 
 def _render_table(rows: list[BenchRow]) -> str:
@@ -161,77 +152,6 @@ def _render_json(
             entry["trace"] = [_json_fields(rec) for rec in trace]
         payload.append(entry)
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
-
-
-def run(spec: RunSpec) -> int:
-    """Execute the runs described by ``spec``; returns the process exit code."""
-    if spec.format not in ("table", "json", "csv"):
-        print(f"error: unknown format {spec.format!r}", file=sys.stderr)
-        return 2
-    if spec.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return 2
-    if spec.trace and spec.format != "json":
-        print("error: --trace requires --format json", file=sys.stderr)
-        return 2
-    names: list[str] = []
-    for name in spec.problems:
-        names.extend(_SETS.get(name, (name,)))
-    try:
-        problems = [get_problem(name, n=spec.n) for name in names]
-    except (UnknownProblem, DimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        out = open(spec.out, "w") if spec.out else contextlib.nullcontext(sys.stdout)
-    except OSError as exc:
-        print(f"error: cannot write {spec.out}: {exc.strerror}", file=sys.stderr)
-        return 2
-
-    # Factor each distinct system before any solve is timed, so that no row's
-    # time_s depends on whether an earlier row shared its system, and before
-    # the threads share the kept factorizations.  A system that raises here
-    # raises again in the solves of its own rows.
-    for cs in {id(p.cs): p.cs for p in problems}.values():
-        with contextlib.suppress(EqflowError):
-            factor(cs)
-
-    methods = [("continuation", solve)]
-    if spec.baseline:
-        methods.append(("sqp", baseline_sqp))
-
-    def solve_one(problem: ProblemInstance) -> list[tuple[BenchRow, list[IterationRecord]]]:
-        return [_run_one(problem, name, method, spec.config) for name, method in methods]
-
-    if spec.jobs > 1:
-        if not any(os.environ.get(var) for var in _BLAS_THREAD_VARS):
-            print(
-                "warning: the --jobs solves share one BLAS thread pool, so they can run "
-                "slower than --jobs 1 unless BLAS is pinned to one thread: set "
-                f"{' or '.join(_BLAS_THREAD_VARS)} to 1",
-                file=sys.stderr,
-            )
-        with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-            nested = list(pool.map(solve_one, problems))
-    else:
-        nested = [solve_one(p) for p in problems]
-
-    rows = [row for group in nested for row, _ in group]
-    traces = [trace for group in nested for _, trace in group]
-
-    if spec.format == "table":
-        text = _render_table(rows)
-    elif spec.format == "csv":
-        text = _render_csv(rows)
-    else:
-        text = _render_json(rows, traces, spec.trace)
-
-    with out as fh:
-        fh.write(text)
-
-    converged = sum(1 for row in rows if row.status in _SUCCESS_STATUSES)
-    print(f"{converged}/{len(rows)} runs converged", file=sys.stderr)
-    return 0 if converged == len(rows) else 1
 
 
 # CLI flag (argparse dest) -> SolverConfig setting
@@ -279,6 +199,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run the benchmark on ``argv`` (default: ``sys.argv[1:]``) and return the
+    process exit code."""
     args = _build_parser().parse_args(argv)
     overrides = {
         setting: getattr(args, flag)
@@ -290,23 +212,72 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    problems = tuple(
-        part
+    names = [
+        name
         for chunk in (args.problem or ["all"])
         for part in chunk.split(",")
         if part
-    )
-    if not problems:
+        for name in _SETS.get(part, (part,))
+    ]
+    if not names:
         print("error: --problem expanded to an empty list", file=sys.stderr)
         return 2
-    spec = RunSpec(
-        problems=problems,
-        n=args.n,
-        config=config,
-        format=args.format,
-        out=args.out,
-        baseline=args.baseline,
-        trace=args.trace,
-        jobs=args.jobs,
-    )
-    return run(spec)
+    if args.jobs < 1:
+        print("error: --jobs must be at least 1", file=sys.stderr)
+        return 2
+    if args.trace and args.format != "json":
+        print("error: --trace requires --format json", file=sys.stderr)
+        return 2
+    try:
+        problems = [get_problem(name, n=args.n) for name in names]
+    except (UnknownProblem, DimensionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
+
+    # Factor each distinct system before any solve is timed, so that no row's
+    # time_s depends on whether an earlier row shared its system, and before
+    # the threads share the kept factorizations.  A system that raises here
+    # raises again in the solves of its own rows.
+    for cs in {id(p.cs): p.cs for p in problems}.values():
+        with contextlib.suppress(EqflowError):
+            factor(cs)
+
+    methods = [("continuation", solve)]
+    if args.baseline:
+        methods.append(("sqp", baseline_sqp))
+
+    def solve_one(problem: ProblemInstance) -> list[tuple[BenchRow, list[IterationRecord]]]:
+        return [_run_one(problem, name, method, config) for name, method in methods]
+
+    if args.jobs > 1:
+        if not any(os.environ.get(var) for var in _BLAS_THREAD_VARS):
+            print(
+                "warning: the --jobs solves share one BLAS thread pool, so they can run "
+                "slower than --jobs 1 unless BLAS is pinned to one thread: set "
+                f"{' or '.join(_BLAS_THREAD_VARS)} to 1",
+                file=sys.stderr,
+            )
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            nested = list(pool.map(solve_one, problems))
+    else:
+        nested = [solve_one(p) for p in problems]
+
+    rows = [row for group in nested for row, _ in group]
+    if args.format == "table":
+        text = _render_table(rows)
+    elif args.format == "csv":
+        text = _render_csv(rows)
+    else:
+        traces = [trace for group in nested for _, trace in group]
+        text = _render_json(rows, traces, args.trace)
+    with out as fh:
+        fh.write(text)
+
+    converged = sum(1 for row in rows if row.status in _SUCCESS_STATUSES)
+    print(f"{converged}/{len(rows)} runs converged", file=sys.stderr)
+    return 0 if converged == len(rows) else 1

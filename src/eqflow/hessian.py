@@ -26,7 +26,6 @@ into the factorization without a transpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -35,28 +34,11 @@ import scipy.linalg.lapack
 from .errors import NonFiniteGradient, SingularFactor
 from .projection import ProjectorBasis, project_gradient, tangent_projector
 
-__all__ = [
-    "RegularizedFactor",
-    "fd_projected_hessian",
-    "build_and_factor",
-    "solve_shifted",
-]
+__all__ = ["fd_projected_hessian", "build_and_factor", "solve_shifted"]
 
 #: Diagonal entries of the triangular factor below this fraction of the matrix
 #: norm flag the shifted matrix as numerically singular.
 _SINGULAR_RTOL = 1e-14
-
-
-@dataclass(frozen=True)
-class RegularizedFactor:
-    """LU factors of ``(shift/dt) I + H`` as LAPACK ``getrf`` leaves them.
-
-    ``lu`` holds the unit lower triangle ``L`` below its diagonal and ``U`` on
-    and above it; ``piv`` holds the zero-based row interchanges.
-    """
-
-    lu: np.ndarray
-    piv: np.ndarray
 
 
 def fd_projected_hessian(
@@ -105,8 +87,14 @@ def fd_projected_hessian(
     return project_gradient(basis, np.ascontiguousarray(probes.T))
 
 
-def build_and_factor(hess: np.ndarray, shift: float, dt: float) -> RegularizedFactor:
+def build_and_factor(
+    hess: np.ndarray, shift: float, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
     """Form ``(shift/dt) I + H`` and factor it by LU with partial pivoting.
+
+    Returns the pair ``(lu, piv)`` that :func:`scipy.linalg.lu_factor`
+    returns: ``lu`` holds the unit lower triangle ``L`` below its diagonal and
+    ``U`` on and above it, and ``piv`` the zero-based row interchanges.
 
     ``hess`` is left unchanged.  Its copy is column-major, the order ``getrf``
     factors in place, so a Fortran-ordered ``hess`` is copied as it lies in
@@ -136,10 +124,11 @@ def build_and_factor(hess: np.ndarray, shift: float, dt: float) -> RegularizedFa
         raise SingularFactor(
             f"shifted curvature matrix is numerically singular at dt={dt:.3e}"
         )
-    return RegularizedFactor(lu=lu, piv=piv)
+    return lu, piv
 
 
-def solve_shifted(factor: RegularizedFactor, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``((shift/dt) I + H) d = rhs`` using the stored LU factors."""
-    d, _ = scipy.linalg.lapack.dgetrs(factor.lu, factor.piv, rhs)
+def solve_shifted(factor: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """Solve ``((shift/dt) I + H) d = rhs`` with the ``(lu, piv)`` pair of
+    :func:`build_and_factor`."""
+    d, _ = scipy.linalg.lapack.dgetrs(*factor, rhs)
     return d

@@ -4,11 +4,16 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import eqflow
 from eqflow import (
     CONVERGED,
     ConstraintSystem,
@@ -24,15 +29,7 @@ from eqflow import (
     get_problem,
     solve,
 )
-from eqflow.bench import (
-    BenchRow,
-    RunSpec,
-    _BLAS_THREAD_VARS,
-    _render_csv,
-    _render_table,
-    main,
-    run,
-)
+from eqflow.bench import BenchRow, _BLAS_THREAD_VARS, _render_csv, _render_table, main
 from eqflow import quadratic_form, quadratic_oracle
 from helpers import scaled_dependent_row_sphere
 
@@ -208,9 +205,7 @@ def rows_from_csv(text):
 class TestOutputFormats:
     def test_csv_header_and_roundtrip(self, tmp_path):
         out = tmp_path / "rows.csv"
-        code = run(
-            RunSpec(problems=("booth", "matyas"), format="csv", out=str(out))
-        )
+        code = main(["--problem", "booth,matyas", "--format", "csv", "--out", str(out)])
         assert code == 0
         text = out.read_text()
         header, body = parse_csv(text)
@@ -224,7 +219,7 @@ class TestOutputFormats:
 
     def test_json_payload(self, tmp_path):
         out = tmp_path / "rows.json"
-        code = run(RunSpec(problems=("booth",), format="json", out=str(out)))
+        code = main(["--problem", "booth", "--format", "json", "--out", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
         assert len(payload) == 1
@@ -237,9 +232,7 @@ class TestOutputFormats:
 
     def test_json_trace_is_opt_in(self, tmp_path):
         out = tmp_path / "rows.json"
-        code = run(
-            RunSpec(problems=("booth",), format="json", out=str(out), trace=True)
-        )
+        code = main(["--problem", "booth", "--format", "json", "--trace", "--out", str(out)])
         assert code == 0
         entry = json.loads(out.read_text())[0]
         assert len(entry["trace"]) == entry["steps"]
@@ -291,7 +284,7 @@ class TestOutputFormats:
         assert len(entry["trace"]) == entry["steps"] == row.steps
 
     def test_table_format(self, capsys):
-        code = run(RunSpec(problems=("booth",), format="table"))
+        code = main(["--problem", "booth", "--format", "table"])
         assert code == 0
         captured = capsys.readouterr()
         assert "problem" in captured.out and "booth" in captured.out
@@ -319,35 +312,35 @@ class TestOutputFormats:
 
     def test_baseline_adds_rows(self, tmp_path):
         out = tmp_path / "rows.csv"
-        run(RunSpec(problems=("booth",), format="csv", out=str(out), baseline=True))
+        main(["--problem", "booth", "--format", "csv", "--out", str(out), "--baseline"])
         rows = rows_from_csv(out.read_text())
         assert [r.solver for r in rows] == ["continuation", "sqp"]
 
 
 class TestExitCodes:
     def test_success(self):
-        assert run(RunSpec(problems=("booth",), out="/dev/null")) == 0
+        assert main(["--problem", "booth", "--out", "/dev/null"]) == 0
 
     def test_unknown_problem(self, capsys):
-        assert run(RunSpec(problems=("nosuch",))) == 2
+        assert main(["--problem", "nosuch"]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_bad_format(self):
-        assert run(RunSpec(problems=("booth",), format="yaml")) == 2
+    def test_bad_format(self, capsys):
+        # argparse rejects it with a usage line, before any check of the bench.
+        with pytest.raises(SystemExit) as exc:
+            main(["--problem", "booth", "--format", "yaml"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: eqflow-bench") and "invalid choice: 'yaml'" in err
 
     def test_bad_jobs(self):
-        assert run(RunSpec(problems=("booth",), jobs=0)) == 2
+        assert main(["--problem", "booth", "--jobs", "0"]) == 2
 
     def test_unconverged_run(self, tmp_path):
         out = tmp_path / "rows.csv"
-        spec = RunSpec(
-            problems=("griewank",),
-            n=20,
-            config=SolverConfig(max_iter=5),
-            format="csv",
-            out=str(out),
-        )
-        assert run(spec) == 1
+        args = ["--problem", "griewank", "--n", "20", "--max-iter", "5", "--format", "csv",
+                "--out", str(out)]
+        assert main(args) == 1
         assert rows_from_csv(out.read_text())[0].status == MAX_ITERATIONS
 
     def test_trace_needs_json(self, capsys):
@@ -356,7 +349,7 @@ class TestExitCodes:
         assert "error: --trace requires --format json" in err
 
     def test_incompatible_dimension(self, capsys):
-        assert run(RunSpec(problems=("booth",), n=10)) == 2
+        assert main(["--problem", "booth", "--n", "10"]) == 2
         assert "error" in capsys.readouterr().err
 
     def test_unwritable_out_is_a_usage_error_before_any_solve(
@@ -385,8 +378,7 @@ class TestFailedRuns:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_error_is_a_row_and_others_keep_theirs(self, matyas_fails, jobs, capsys):
-        spec = RunSpec(problems=("booth", "matyas", "beale"), format="csv", jobs=jobs)
-        assert run(spec) == 1
+        assert main(["--problem", "booth,matyas,beale", "--format", "csv", "--jobs", str(jobs)]) == 1
         captured = capsys.readouterr()
         assert "error: SingularFactor: forced" in captured.err
         rows = rows_from_csv(captured.out)
@@ -409,9 +401,9 @@ class TestFailedRuns:
             return dataclasses.replace(problem, cs=zero) if name == "matyas" else problem
 
         monkeypatch.setattr(bench_mod, "get_problem", zero_constraints_for_matyas)
-        spec = RunSpec(problems=("booth", "matyas", "beale"), format="csv", baseline=True,
-                       jobs=jobs)
-        assert run(spec) == 1
+        args = ["--problem", "booth,matyas,beale", "--format", "csv", "--baseline",
+                "--jobs", str(jobs)]
+        assert main(args) == 1
         captured = capsys.readouterr()
         assert captured.err.count("error: RankZero: ") == 2
         rows = rows_from_csv(captured.out)
@@ -424,8 +416,7 @@ class TestFailedRuns:
         assert all(r.status == CONVERGED for r in rows[:2] + rows[4:])
 
     def test_error_row_in_json_is_null(self, matyas_fails, capsys):
-        spec = RunSpec(problems=("matyas",), format="json", baseline=True, trace=True)
-        assert run(spec) == 1
+        assert main(["--problem", "matyas", "--format", "json", "--baseline", "--trace"]) == 1
         failed, baseline = json.loads(capsys.readouterr().out)
         assert failed["status"] == "SingularFactor"
         assert failed["stop_reason"] == "error"
@@ -453,36 +444,34 @@ class TestParallelism:
         monkeypatch.setattr(scipy.linalg, "qr", counted_qr)
         monkeypatch.setattr(bench_mod, "solve", counting_solve)
         # The three instances share the one system build_constraints(26) hands out.
-        run(RunSpec(problems=("sphere", "trid", "griewank"), n=26, format="csv", jobs=jobs))
+        main(["--problem", "sphere,trid,griewank", "--n", "26", "--format", "csv",
+              "--jobs", str(jobs)])
         assert len(qr_calls) == 1
         assert seen == [1, 1, 1]
 
     @pytest.mark.parametrize(
-        "names,n,config,ill_posed",
+        "names,n,dt0,ill_posed",
         [
-            (("booth", "matyas", "sphere", "beale"), None, SolverConfig(), False),
+            (("booth", "matyas", "sphere", "beale"), None, None, False),
             # One shared system, and so one kept projector, probed from
             # three threads.
-            (
-                ("sum_squares", "rotated_hyper_ellipsoid", "rosenbrock"),
-                30,
-                SolverConfig(dt0=1e-4),
-                True,
-            ),
+            (("sum_squares", "rotated_hyper_ellipsoid", "rosenbrock"), 30, 1e-4, True),
         ],
         ids=["catalog-defaults", "ill-posed-shared-system"],
     )
-    def test_jobs_preserve_input_order_and_values(self, tmp_path, names, n, config, ill_posed):
+    def test_jobs_preserve_input_order_and_values(self, tmp_path, names, n, dt0, ill_posed):
         serial_out = tmp_path / "serial.csv"
         parallel_out = tmp_path / "parallel.csv"
-        spec = RunSpec(problems=names, n=n, config=config, format="csv")
+        args = ["--problem", ",".join(names), "--format", "csv"]
+        args += [] if n is None else ["--n", str(n)]
+        args += [] if dt0 is None else ["--dt0", str(dt0)]
         # Parallel first: unless an earlier test probed the shared system,
         # its threads find no projector yet.
-        assert run(dataclasses.replace(spec, out=str(parallel_out), jobs=3)) == 0
-        assert run(dataclasses.replace(spec, out=str(serial_out))) == 0
+        assert main(args + ["--out", str(parallel_out), "--jobs", "3"]) == 0
+        assert main(args + ["--out", str(serial_out)]) == 0
         if ill_posed:
             for name in names:
-                trace = solve(get_problem(name, n=n), config).trace
+                trace = solve(get_problem(name, n=n), SolverConfig(dt0=dt0)).trace
                 assert any(rec.phase == ILL_POSED for rec in trace)
         serial = rows_from_csv(serial_out.read_text())
         parallel = rows_from_csv(parallel_out.read_text())
@@ -499,7 +488,7 @@ class TestParallelism:
             monkeypatch.delenv(var, raising=False)
         if pinned is not None:
             monkeypatch.setenv(pinned, "1")
-        assert run(RunSpec(problems=("booth", "matyas"), format="csv", jobs=2)) == 0
+        assert main(["--problem", "booth,matyas", "--format", "csv", "--jobs", "2"]) == 0
         captured = capsys.readouterr()
         assert [r.problem for r in rows_from_csv(captured.out)] == ["booth", "matyas"]
         warnings = [line for line in captured.err.splitlines() if line.startswith("warning:")]
@@ -570,21 +559,65 @@ class TestMain:
         assert main(["--problem", "booth", flag, value]) == 2
         assert "must be finite and positive" in capsys.readouterr().err
 
-    def test_fully_determined_instance_counts_as_success(self):
-        # A square full-rank system leaves nothing to optimize; the row
-        # reports SingleFeasiblePoint, which still counts as a success.
+    def test_fully_determined_instance_counts_as_success(self, monkeypatch, capsys):
+        # A square full-rank system leaves nothing to optimize; the rows
+        # report SingleFeasiblePoint, which still counts as a success.
         import eqflow.bench as bench_mod
-        from eqflow import ConstraintSystem
 
-        class Stub:
-            name = "pinned"
-            n = 3
-            cs = ConstraintSystem(a=np.eye(3), b=np.ones(3))
-            x0 = np.zeros(3)
-            f = staticmethod(lambda x: float(x @ x))
-            grad = staticmethod(lambda x: 2.0 * x)
+        pinned = ConstraintSystem(a=np.eye(2), b=np.ones(2))
 
-        rep = solve(Stub())
-        assert rep.status == SINGLE_FEASIBLE_POINT
-        row = bench_mod._make_row(Stub(), "continuation", rep)
-        assert row.status in bench_mod._SUCCESS_STATUSES
+        def pinned_booth(name, n=None):
+            return dataclasses.replace(get_problem(name, n=n), cs=pinned)
+
+        monkeypatch.setattr(bench_mod, "get_problem", pinned_booth)
+        assert main(["--problem", "booth", "--format", "csv", "--baseline"]) == 0
+        captured = capsys.readouterr()
+        rows = rows_from_csv(captured.out)
+        assert [(r.solver, r.status) for r in rows] == [
+            ("continuation", SINGLE_FEASIBLE_POINT), ("sqp", SINGLE_FEASIBLE_POINT),
+        ]
+        assert captured.err.endswith("2/2 runs converged\n")
+
+    @pytest.mark.parametrize(
+        "flags,settings,code",
+        [([], {}, 0), (["--max-iter", "2", "--dt0", "0.05"], {"max_iter": 2, "dt0": 0.05}, 1)],
+        ids=["defaults", "max-iter-2-dt0-0.05"],
+    )
+    def test_rows_are_the_reports_of_direct_calls(self, flags, settings, code, capsys):
+        # Each method keeps its own rows, and the flags reach both methods as
+        # the config that direct calls get.
+        assert main(["--problem", "booth,matyas", "--baseline", "--format", "csv"] + flags) == code
+        header, body = parse_csv(capsys.readouterr().out)
+        config = SolverConfig(**settings)
+        expected = []
+        for name in ("booth", "matyas"):
+            for solver, method in (("continuation", solve), ("sqp", baseline_sqp)):
+                problem = get_problem(name)
+                rep = method(problem, config)
+                expected.append(BenchRow(problem.name, problem.n, problem.cs.m, solver,
+                                         rep.iterations, rep.wall_time, rep.f_star, rep.kkt,
+                                         rep.feas, rep.status, rep.stop_reason))
+        _, expected_body = parse_csv(_render_csv(expected))
+
+        def without_time(lines):
+            col = header.index("time_s")
+            return [line[:col] + line[col + 1:] for line in lines]
+
+        # The CSV writes floats by repr, so equal cells are equal reprs.
+        assert without_time(body) == without_time(expected_body)
+
+    def test_python_dash_m_runs_the_cli(self):
+        # A fresh interpreter runs the package's __main__ as ``python -m eqflow``.
+        src = str(Path(eqflow.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-m", "eqflow", "--problem", "booth,matyas", "--format", "csv"],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        header, body = parse_csv(proc.stdout)
+        assert header == [f.name for f in dataclasses.fields(BenchRow)]
+        assert [line[0] for line in body] == ["booth", "matyas"]
+        assert proc.stderr.endswith("2/2 runs converged\n")

@@ -344,11 +344,11 @@ class TestShiftedFactorization:
         n = 6
         mat = rng.standard_normal((n, n))
         original = mat.copy()
-        fac = build_and_factor(mat, shift=1e-4, dt=0.25)
-        lower = np.tril(fac.lu, -1) + np.eye(n)
-        upper = np.triu(fac.lu)
+        lu, piv = build_and_factor(mat, shift=1e-4, dt=0.25)
+        lower = np.tril(lu, -1) + np.eye(n)
+        upper = np.triu(lu)
         permuted = mat + 4e-4 * np.eye(n)
-        for i, p in enumerate(fac.piv):  # LAPACK row interchanges, in order
+        for i, p in enumerate(piv):  # LAPACK row interchanges, in order
             permuted[[i, p]] = permuted[[p, i]]
         assert np.allclose(lower @ upper, permuted, rtol=0.0, atol=1e-13)
         assert np.array_equal(mat, original)  # the input is left untouched
@@ -359,14 +359,14 @@ class TestShiftedFactorization:
             mat = rng.standard_normal((n, n))
             fortran = np.asfortranarray(mat)
             c_copy, f_copy = mat.copy(), fortran.copy(order="A")
-            from_c = build_and_factor(mat, shift=1e-4, dt=0.25)
-            from_f = build_and_factor(fortran, shift=1e-4, dt=0.25)
-            assert np.array_equal(from_c.lu, from_f.lu)
-            assert np.array_equal(from_c.piv, from_f.piv)
+            c_lu, c_piv = build_and_factor(mat, shift=1e-4, dt=0.25)
+            f_lu, f_piv = build_and_factor(fortran, shift=1e-4, dt=0.25)
+            assert np.array_equal(c_lu, f_lu)
+            assert np.array_equal(c_piv, f_piv)
             # Bit for bit the factors of the explicitly shifted matrix: adding
             # zero off the diagonal is exact.
             shifted = np.asfortranarray(mat + 4e-4 * np.eye(n))
             lu, piv, _ = scipy.linalg.lapack.dgetrf(shifted)
-            assert np.array_equal(from_f.lu, lu) and np.array_equal(from_f.piv, piv)
+            assert np.array_equal(f_lu, lu) and np.array_equal(f_piv, piv)
             assert np.array_equal(mat, c_copy) and mat.flags.c_contiguous
             assert np.array_equal(fortran, f_copy) and fortran.flags.f_contiguous

@@ -26,8 +26,6 @@ from .projection import (
     project_gradient,
     restore_feasibility,
 )
-from .lbfgs import apply_inverse, make_pair
-from .hessian import build_and_factor, fd_projected_hessian, solve_shifted
 from .solver import (
     CONVERGED,
     ILL_POSED,
@@ -76,18 +74,13 @@ __all__ = [
     "SolverReport",
     "UnknownProblem",
     "WELL_POSED",
-    "apply_inverse",
     "baseline_sqp",
-    "build_and_factor",
     "build_constraints",
     "factor",
-    "fd_projected_hessian",
     "get_problem",
-    "make_pair",
     "project_gradient",
     "quadratic_form",
     "quadratic_oracle",
     "restore_feasibility",
     "solve",
-    "solve_shifted",
 ]

@@ -47,7 +47,9 @@ HessianFn = Callable[[Vector], np.ndarray]
 @dataclass(frozen=True)
 class ProblemInstance:
     """One constrained benchmark instance; ``known_fstar`` is an optional
-    reference optimum."""
+    reference optimum, and ``hess`` an optional analytic Hessian, which
+    :func:`~eqflow.solve` projects in place of finite differences.  No catalog
+    instance has one."""
 
     name: str
     n: int
@@ -100,9 +102,7 @@ def build_constraints(n: int, m: Optional[int] = None) -> ConstraintSystem:
 
 # --- objective definitions -------------------------------------------------
 #
-# Each _mk_* returns (f, grad, hess-or-None) closures for dimension n.  The
-# exactly-quadratic entries leave hess to get_problem, which reads it from
-# quadratic_form.
+# Each _mk_* returns (f, grad) closures for dimension n.
 
 
 def _mk_sphere(n):
@@ -112,11 +112,11 @@ def _mk_sphere(n):
     def grad(x):
         return 2.0 * x
 
-    return f, grad, None
+    return f, grad
 
 
-def _mk_sum_squares(n):
-    w = np.arange(1.0, n + 1.0)
+def _weighted_squares(w):
+    """``f(x) = sum_i w_i x_i^2`` for a fixed weight vector ``w``."""
 
     def f(x):
         return float(w @ (x * x))
@@ -124,7 +124,11 @@ def _mk_sum_squares(n):
     def grad(x):
         return 2.0 * w * x
 
-    return f, grad, None
+    return f, grad
+
+
+def _mk_sum_squares(n):
+    return _weighted_squares(np.arange(1.0, n + 1.0))
 
 
 def _mk_trid(n):
@@ -137,20 +141,12 @@ def _mk_trid(n):
         g[1:] -= x[:-1]
         return g
 
-    return f, grad, None
+    return f, grad
 
 
 def _mk_rotated_hyper_ellipsoid(n):
     # sum of leading partial sums of squares == descending integer weights
-    w = np.arange(n, 0.0, -1.0)
-
-    def f(x):
-        return float(w @ (x * x))
-
-    def grad(x):
-        return 2.0 * w * x
-
-    return f, grad, None
+    return _weighted_squares(np.arange(n, 0.0, -1.0))
 
 
 def _mk_booth(n):
@@ -162,7 +158,7 @@ def _mk_booth(n):
         t2 = 2 * x[0] + x[1] - 5
         return np.array([2 * t1 + 4 * t2, 4 * t1 + 2 * t2])
 
-    return f, grad, None
+    return f, grad
 
 
 def _mk_matyas(n):
@@ -174,7 +170,7 @@ def _mk_matyas(n):
             [0.52 * x[0] - 0.48 * x[1], 0.52 * x[1] - 0.48 * x[0]]
         )
 
-    return f, grad, None
+    return f, grad
 
 
 def _mk_zakharov(n):
@@ -188,11 +184,7 @@ def _mk_zakharov(n):
         t = 0.5 * float(w @ x)
         return 2.0 * x + (2.0 * t + 4.0 * t**3) * 0.5 * w
 
-    def hess(x):
-        t = 0.5 * float(w @ x)
-        return 2.0 * np.eye(n) + 0.25 * (2.0 + 12.0 * t**2) * np.outer(w, w)
-
-    return f, grad, hess
+    return f, grad
 
 
 def _mk_quartic(n):
@@ -208,10 +200,7 @@ def _mk_quartic(n):
     def grad(x):
         return 4.0 * w * x**3 + 2.0 * xi * x
 
-    def hess(x):
-        return np.diag(12.0 * w * x**2 + 2.0 * xi)
-
-    return f, grad, hess
+    return f, grad
 
 
 def _mk_rosenbrock(n):
@@ -227,7 +216,7 @@ def _mk_rosenbrock(n):
         g[1:] += 200.0 * t
         return g
 
-    return f, grad, None
+    return f, grad
 
 
 def _mk_dixon_price(n):
@@ -245,7 +234,7 @@ def _mk_dixon_price(n):
         g[:-1] -= 2.0 * idx * t
         return g
 
-    return f, grad, None
+    return f, grad
 
 
 def _mk_griewank(n):
@@ -261,7 +250,7 @@ def _mk_griewank(n):
         right = np.concatenate((np.cumprod(c[::-1])[-2::-1], [1.0]))
         return x / 2000.0 + np.sin(x / root) / root * left * right
 
-    return f, grad, None
+    return f, grad
 
 
 def _mk_levy(n):
@@ -291,7 +280,7 @@ def _mk_levy(n):
         ) ** 2 * 2.0 * np.pi * np.sin(4.0 * np.pi * wl)
         return 0.25 * g
 
-    return f, grad, None
+    return f, grad
 
 
 def _mk_rastrigin(n):
@@ -301,7 +290,7 @@ def _mk_rastrigin(n):
     def grad(x):
         return 2.0 * x + 20.0 * np.pi * np.sin(2.0 * np.pi * x)
 
-    return f, grad, None
+    return f, grad
 
 
 def _mk_ackley(n):
@@ -318,7 +307,7 @@ def _mk_ackley(n):
             radial = 4.0 * np.exp(-0.2 * r) * x / (n * r)
         return radial + (2.0 * np.pi / n) * np.exp(s) * np.sin(2.0 * np.pi * x)
 
-    return f, grad, None
+    return f, grad
 
 
 def _mk_powell(n):
@@ -347,7 +336,7 @@ def _mk_powell(n):
         g[3::4] = -10.0 * t2 - 40.0 * t4**3
         return g
 
-    return f, grad, None
+    return f, grad
 
 
 def _mk_styblinski_tang(n):
@@ -357,7 +346,7 @@ def _mk_styblinski_tang(n):
     def grad(x):
         return 2.0 * x**3 - 16.0 * x + 2.5
 
-    return f, grad, None
+    return f, grad
 
 
 def _mk_schwefel(n):
@@ -368,7 +357,7 @@ def _mk_schwefel(n):
         r = np.sqrt(np.abs(x))
         return -np.sin(r) - 0.5 * r * np.cos(r)
 
-    return f, grad, None
+    return f, grad
 
 
 def _mk_three_hump_camel(n):
@@ -389,7 +378,7 @@ def _mk_three_hump_camel(n):
             ]
         )
 
-    return f, grad, None
+    return f, grad
 
 
 def _mk_six_hump_camel(n):
@@ -408,7 +397,7 @@ def _mk_six_hump_camel(n):
             ]
         )
 
-    return f, grad, None
+    return f, grad
 
 
 def _mk_beale(n):
@@ -428,7 +417,7 @@ def _mk_beale(n):
         g2 = 2.0 * x[0] * (t1 + 2.0 * t2 * x[1] + 3.0 * t3 * x[1] ** 2)
         return np.array([g1, g2])
 
-    return f, grad, None
+    return f, grad
 
 
 # name -> (maker, default n, fixed-dimension flag, known_fstar)
@@ -499,7 +488,7 @@ def get_problem(
         n = default_n
     elif fixed_dim and n != default_n:
         raise DimensionError(f"{name} is fixed at n={default_n}, got n={n}")
-    f, grad, hess = maker(n)
+    f, grad = maker(n)
     cs = build_constraints(n, m)
     return ProblemInstance(
         name=name,
@@ -508,7 +497,6 @@ def get_problem(
         x0=np.ones(n),
         f=f,
         grad=grad,
-        hess=(lambda x: quadratic_form(name, n)[0]) if name in _QUADRATIC else hess,
         known_fstar=fstar,
     )
 

@@ -152,9 +152,8 @@ def factor(cs: ConstraintSystem) -> ProjectorBasis:
     if cached is not None:
         return cached
     q, r_full, perm = scipy.linalg.qr(cs.a.T, pivoting=True)
+    # Rank 0 when R's largest diagonal entry is zero or overflowed to inf.
     diag = np.abs(np.diag(r_full))
-    if diag.size == 0 or diag[0] <= 0.0:
-        raise RankZero("constraint matrix is numerically zero")
     rank = int(np.count_nonzero(diag > _RANK_TOL * diag[0]))
     if rank == 0:
         raise RankZero("constraint matrix is numerically zero")

@@ -17,9 +17,10 @@ The preconditioner runs in two one-way phases:
 * well-posed phase — while ``dt`` stays above a switch threshold, ``B`` is a
   memory-one quasi-Newton matrix applied in closed form (O(n) per iteration);
 * ill-posed phase — once ``dt`` falls below the threshold (a sign of stiff,
-  badly conditioned curvature), ``B`` becomes the shifted finite-difference
-  tangent-space Hessian ``(shift/dt) I + H``, factored by LU and cached under
-  a rebuild policy driven by step acceptance and ratio quality.
+  badly conditioned curvature), ``B`` becomes the shifted tangent-space
+  Hessian ``(shift/dt) I + H`` (projected from the problem's ``hess`` if it
+  has one, else finite-differenced), factored by LU and cached under a
+  rebuild policy driven by step acceptance and ratio quality.
 
 Every direction lies in the null space of the constraint matrix by
 construction, so feasibility established once by an initial orthogonal
@@ -101,8 +102,7 @@ class SolverConfig:
     """The settings that vary between runs, with their standard defaults.
 
     Every float setting must be a finite and positive real number (a Python
-    or numpy number, not a bool), and ``use_exact_hessian`` a bool (Python
-    or numpy); anything else raises ``ValueError``.
+    or numpy number, not a bool); anything else raises ``ValueError``.
 
     Attributes
     ----------
@@ -117,16 +117,12 @@ class SolverConfig:
         matrix by ``reg_shift / dt``.
     dt0:
         Initial pseudo-time step.
-    use_exact_hessian:
-        When True and the problem supplies an analytic Hessian callback, the
-        ill-posed phase projects that instead of finite differencing.
     """
 
     tol: float = 1e-6
     max_iter: int = 300
     reg_shift: float = 1e-4
     dt0: float = 1e-2
-    use_exact_hessian: bool = False
 
     def __post_init__(self) -> None:
         for name in ("tol", "reg_shift", "dt0"):
@@ -142,10 +138,6 @@ class SolverConfig:
             or max_iter < 1
         ):
             raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
-        if not isinstance(self.use_exact_hessian, (bool, np.bool_)):
-            raise ValueError(
-                f"use_exact_hessian must be a bool, got {self.use_exact_hessian!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -380,7 +372,9 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
     """Minimize ``problem.f`` over ``{x : Ax = b}`` from ``problem.x0``.
 
     ``problem`` must provide ``cs`` (the constraint system), ``x0``, ``f`` and
-    ``grad`` callbacks (pure functions), and may provide ``hess``.
+    ``grad`` callbacks (pure functions), and may provide ``hess``: whenever
+    it is not ``None``, the ill-posed phase projects its n-by-n matrix instead
+    of probing the curvature by finite differences of ``grad``.
 
     The iteration follows the scheme in the module docstring; per iteration:
     the phase is switched (permanently) if ``dt`` has fallen below the
@@ -424,7 +418,7 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
     if run.pinned:
         return run.report(SINGLE_FEASIBLE_POINT, "pinned", 0, 0)
     basis = run.basis
-    hess_cb = getattr(problem, "hess", None) if cfg.use_exact_hessian else None
+    hess_cb = getattr(problem, "hess", None)
 
     def eval_hessian(at: np.ndarray) -> np.ndarray:
         run.hessian_evals += 1

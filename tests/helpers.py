@@ -12,6 +12,7 @@ from eqflow import (
     factor,
     get_problem,
     project_gradient,
+    quadratic_form,
 )
 
 
@@ -51,6 +52,14 @@ def problem_on(cs, name, seed):
     started from a point drawn uniformly from [-2, 2]^n."""
     start = np.random.default_rng(seed).uniform(-2.0, 2.0, size=cs.n)
     return dataclasses.replace(get_problem(name, n=cs.n, m=1), cs=cs, x0=start)
+
+
+def with_exact_hessian(problem):
+    """The quadratic catalog instance ``problem`` with its matrix
+    ``quadratic_form(name, n)[0]`` attached as ``hess``, which ``solve`` then
+    projects instead of probing."""
+    q = quadratic_form(problem.name, problem.n)[0]
+    return dataclasses.replace(problem, hess=lambda x: q)
 
 
 def scaled_dependent_row_sphere():
@@ -131,7 +140,7 @@ def random_usable_pair(rng, n, min_cos=0.0):
     """A random usable (step, gradient-change) pair; ``min_cos`` bounds the
     angle between s and y away from 90 degrees so the model stays
     well-conditioned for tight oracle comparisons."""
-    from eqflow import make_pair
+    from eqflow.lbfgs import make_pair
 
     while True:
         s = rng.standard_normal(n)

@@ -16,14 +16,14 @@ from eqflow import (
     SINGLE_FEASIBLE_POINT,
     STEP_FAILURE,
     SolverConfig,
-    apply_inverse,
     factor,
-    fd_projected_hessian,
     get_problem,
     quadratic_form,
     quadratic_oracle,
     solve,
 )
+from eqflow.hessian import fd_projected_hessian
+from eqflow.lbfgs import apply_inverse
 from eqflow.problems import NONCONVEX_PROBLEMS, build_constraints
 from eqflow.solver import update_timestep
 from helpers import (

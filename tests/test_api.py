@@ -22,8 +22,6 @@ DOCUMENTED = {
     "CONVEX_PROBLEMS", "NONCONVEX_PROBLEMS", "quadratic_form", "quadratic_oracle",
     # Lower-level pieces.
     "factor", "project_gradient", "restore_feasibility",
-    "make_pair", "apply_inverse",
-    "fd_projected_hessian", "build_and_factor", "solve_shifted",
     # Errors.
     "EqflowError", "DimensionError", "RankZero", "InconsistentConstraints",
     "NonFiniteGradient", "NonFiniteObjective", "SingularFactor", "SingularKkt",
@@ -50,7 +48,7 @@ def test_solver_config_has_the_documented_settings():
     # The method's constants live in eqflow/solver.py; only the settings that
     # vary between runs are fields, and the README names each one.
     names = [f.name for f in dataclasses.fields(eqflow.SolverConfig)]
-    assert names == ["tol", "max_iter", "reg_shift", "dt0", "use_exact_hessian"]
+    assert names == ["tol", "max_iter", "reg_shift", "dt0"]
     readme = README.read_text()
     assert [name for name in names if f"`{name}`" not in readme] == []
 

@@ -14,13 +14,11 @@ from eqflow import (
     ConstraintSystem,
     NonFiniteGradient,
     SingularFactor,
-    build_and_factor,
     factor,
-    fd_projected_hessian,
     get_problem,
     project_gradient,
-    solve_shifted,
 )
+from eqflow.hessian import build_and_factor, fd_projected_hessian, solve_shifted
 from eqflow.problems import build_constraints
 from eqflow.projection import tangent_projector
 from helpers import dense_projector, planted_rank_system, rosenbrock_dense_hessian

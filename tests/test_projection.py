@@ -175,6 +175,10 @@ class TestErrors:
     def test_rank_zero(self):
         with pytest.raises(RankZero):
             factor(ConstraintSystem(a=np.zeros((2, 4)), b=np.zeros(2)))
+        # Finite entries whose row norm overflows: R's diagonal starts with
+        # inf, and no entry is above inf times the rank tolerance.
+        with pytest.raises(RankZero):
+            factor(ConstraintSystem(a=np.full((1, 2), 1.7e308), b=np.ones(1)))
 
     def test_inconsistent_right_hand_side(self):
         a = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])

@@ -39,6 +39,7 @@ from helpers import (
     problem_on,
     scaled_dependent_row_sphere,
     traces_equal,
+    with_exact_hessian,
 )
 
 
@@ -136,15 +137,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{name} must be a real number, not a bool"):
             SolverConfig(**{name: value})
 
-    @pytest.mark.parametrize("value", ["no", "", 1, 0, None, 1.0])
-    def test_rejects_use_exact_hessian_that_is_not_a_bool(self, value):
-        with pytest.raises(ValueError, match="use_exact_hessian must be a bool"):
-            SolverConfig(use_exact_hessian=value)
-
     def test_bool_settings_cannot_loosen_the_tolerance(self):
         # tol=True once read as 1.0: booth then stopped "Converged" at kkt 0.37.
         with pytest.raises(ValueError):
-            SolverConfig(tol=True, dt0=True, use_exact_hessian="no")
+            SolverConfig(tol=True, dt0=True)
 
     def test_accepts_numpy_numbers_and_bools(self):
         plain = solve(get_problem("booth"))
@@ -152,7 +148,6 @@ class TestConfigValidation:
             tol=np.float64(1e-6),
             reg_shift=np.float32(1e-4),
             dt0=np.float64(1e-2),
-            use_exact_hessian=np.bool_(False),
         )
         report = solve(get_problem("booth"), numpy_cfg)
         assert report.status == CONVERGED
@@ -241,8 +236,8 @@ class TestTerminalStatuses:
         # From the default dt0 the run stops sub-ulp at the phase switch, so
         # it starts in the ill-posed phase, with a tolerance no point meets.
         n = 100
-        problem = get_problem("rotated_hyper_ellipsoid", n=n)
-        cfg = SolverConfig(use_exact_hessian=True, dt0=1e-4, tol=1e-9)
+        problem = with_exact_hessian(get_problem("rotated_hyper_ellipsoid", n=n))
+        cfg = SolverConfig(dt0=1e-4, tol=1e-9)
         report = solve(problem, cfg)
         assert report.status == STEP_FAILURE
         assert report.stop_reason == "step-rounds-away"
@@ -373,8 +368,8 @@ class TestSubUlpStop:
         assert report.status == CONVERGED
 
     def test_sub_ulp_trials_in_the_curvature_phase_do_not_stop_the_run(self):
-        problem = get_problem("rotated_hyper_ellipsoid", n=100)
-        cfg = SolverConfig(use_exact_hessian=True, dt0=1e-4, tol=1e-9)
+        problem = with_exact_hessian(get_problem("rotated_hyper_ellipsoid", n=100))
+        cfg = SolverConfig(dt0=1e-4, tol=1e-9)
         report = solve(problem, cfg)
         assert report.stop_reason == "step-rounds-away"
         sub_ulp = [
@@ -667,8 +662,8 @@ class TestEvaluationAccounting:
 
     def test_exact_hessian_skips_probing(self):
         n = 30
-        cfg = SolverConfig(dt0=1e-4, use_exact_hessian=True)
-        report = solve(get_problem("sum_squares", n=n), cfg)
+        cfg = SolverConfig(dt0=1e-4)
+        report = solve(with_exact_hessian(get_problem("sum_squares", n=n)), cfg)
         assert report.status == CONVERGED
         assert report.hessian_evals >= 1
         assert report.gradient_evals == report.accepted_steps + 1
@@ -742,7 +737,7 @@ class TestCurvatureCachePolicy:
         problem = dataclasses.replace(
             get_problem("sum_squares", n=n), hess=lambda x: np.full((n, n), np.nan)
         )
-        cfg = SolverConfig(dt0=1e-4, use_exact_hessian=True)
+        cfg = SolverConfig(dt0=1e-4)
         with pytest.raises(NonFiniteGradient, match="Hessian"):
             solve(problem, cfg)
 
@@ -753,7 +748,7 @@ class TestCurvatureCachePolicy:
         problem = dataclasses.replace(
             get_problem("sum_squares", n=30), hess=lambda x: np.ones(shape)
         )
-        cfg = SolverConfig(dt0=1e-4, use_exact_hessian=True)
+        cfg = SolverConfig(dt0=1e-4)
         with pytest.raises(DimensionError, match=r"Hessian callback .* expected \(30, 30\)"):
             solve(problem, cfg)
 

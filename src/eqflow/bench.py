@@ -154,10 +154,6 @@ def _render_json(
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-# CLI flag (argparse dest) -> SolverConfig setting
-_FLAG_SETTINGS = {"max_iter": "max_iter", "tol": "tol", "sigma0": "reg_shift", "dt0": "dt0"}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eqflow-bench",
@@ -178,7 +174,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n", type=int, default=None, help="dimension override")
     parser.add_argument("--max-iter", type=int, default=None, help="iteration cap")
     parser.add_argument("--tol", type=float, default=None, help="stopping tolerance")
-    parser.add_argument("--sigma0", type=float, default=None, help="regularization shift scale")
+    parser.add_argument(
+        "--sigma0", type=float, default=None, dest="reg_shift", metavar="SIGMA0",
+        help="regularization shift scale",
+    )
     parser.add_argument("--dt0", type=float, default=None, help="initial time step")
     parser.add_argument(
         "--format", choices=("table", "json", "csv"), default="table", help="output format"
@@ -202,10 +201,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     """Run the benchmark on ``argv`` (default: ``sys.argv[1:]``) and return the
     process exit code."""
     args = _build_parser().parse_args(argv)
+    # Each SolverConfig setting is the dest of its flag.
     overrides = {
-        setting: getattr(args, flag)
-        for flag, setting in _FLAG_SETTINGS.items()
-        if getattr(args, flag) is not None
+        f.name: getattr(args, f.name)
+        for f in fields(SolverConfig)
+        if getattr(args, f.name) is not None
     }
     try:
         config = SolverConfig(**overrides)

@@ -7,12 +7,13 @@ coordinate direction,
 
     H[:, i] = (Pg(x + eps * P e_i) - Pg(x)) / eps,
 
-which costs exactly ``n + 1`` gradient evaluations and maps the tangent space
-into itself up to finite-difference noise.  The directions ``P e_i`` are the
-columns of the dense projector that :func:`~eqflow.projection.tangent_projector`
-keeps on the basis, so only the first probe of a basis forms them.  The
-matrix is used as evaluated — deliberately not symmetrized, so the
-factorization sees the raw differences.
+which costs exactly ``n`` gradient evaluations, one per probe (the caller
+passes the gradient at ``x``), and maps the tangent space into itself up to
+finite-difference noise.  The directions ``P e_i`` are the columns of the
+dense projector that :func:`~eqflow.projection.tangent_projector` keeps on
+the basis, so only the first probe of a basis forms them.  The matrix is
+used as evaluated — deliberately not symmetrized, so the factorization
+sees the raw differences.
 
 The shifted system solved each iteration is ``(shift/dt) I + H`` with a fixed
 base shift; since ``H`` is nearly singular in the normal directions, the shift
@@ -45,12 +46,14 @@ def fd_projected_hessian(
     grad: Callable[[np.ndarray], np.ndarray],
     basis: ProjectorBasis,
     x: np.ndarray,
+    g: np.ndarray,
     fd_eps: float = 1e-6,
 ) -> np.ndarray:
-    """Evaluate the projected finite-difference curvature matrix at ``x``.
+    """Evaluate the projected finite-difference curvature matrix at the float
+    array ``x``, whose gradient ``g`` the caller has evaluated and checked.
 
-    Probes the ``n`` projected coordinate directions in ascending index order;
-    together with the base point this is ``n + 1`` gradient evaluations.  The
+    Probes the ``n`` projected coordinate directions in ascending index order:
+    ``n`` gradient evaluations, each differenced against ``g``.  The
     directions are the rows of the basis's kept projector, read contiguously:
     all ``n`` probe points are formed at once, and each probe gradient is
     written into a row.  The first call on a basis builds the projector.
@@ -60,12 +63,7 @@ def fd_projected_hessian(
     NonFiniteGradient
         If any probe returns a non-finite gradient; no later probe is made.
     """
-    x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    g0 = np.asarray(grad(x), dtype=float)
-    if not np.isfinite(g0).all():
-        raise NonFiniteGradient("gradient at curvature base point is not finite")
-
     # Row i of the column-major projector's transpose is P e_i.
     points = x + fd_eps * tangent_projector(basis).T
     probes = np.empty((n, n))
@@ -79,7 +77,7 @@ def fd_projected_hessian(
     # avoids amplifying projection roundoff by 1/fd_eps.  It also makes the
     # matrix exactly zero for linear objectives, where every probe returns the
     # same gradient.
-    probes -= g0
+    probes -= g
     probes /= fd_eps
     # Column i of the differences is row i of probes.  The projection gets a
     # C-ordered copy: at small sizes BLAS rounds a product with a transposed

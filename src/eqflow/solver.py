@@ -24,7 +24,8 @@ The preconditioner runs in two one-way phases:
 
 Every direction lies in the null space of the constraint matrix by
 construction, so feasibility established once by an initial orthogonal
-restoration is conserved for the whole run without correction steps.
+restoration is conserved, up to roundoff, for the whole run without
+correction steps.
 
 A run ends with ``StepFailure`` when ``dt`` falls below a floor, or at one
 of two earlier points.  In the ill-posed phase it ends at the first trial
@@ -347,8 +348,10 @@ class _Run:
             for (row, point), step_infeas in zip(self.rows, self.step_infeas)
         ]
         if status == CONVERGED and feas > self.cfg.tol:
-            # Unreachable when restoration succeeded (steps conserve Ax = b),
-            # but Converged is only ever reported with both residuals small.
+            # Steps conserve Ax = b only up to roundoff, and an ill-posed
+            # step keeps the LU solve's roundoff in the normal space scaled by
+            # dt/reg_shift, so with a tight tol the point can drift off it.
+            # Converged is only ever reported with both residuals small.
             status = MAX_ITERATIONS if iterations >= self.cfg.max_iter else STEP_FAILURE
             stop_reason = "feasibility-lost"
         return SolverReport(
@@ -378,11 +381,11 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
 
     The iteration follows the scheme in the module docstring; per iteration:
     the phase is switched (permanently) if ``dt`` has fallen below the
-    threshold; a direction is computed — fresh after an accepted step, reused
-    after a rejected one in the well-posed phase, or obtained from the cached
-    or rebuilt factorization in the ill-posed phase; the trial point is
-    scored by :func:`trial_ratio`; acceptance requires both the ratio and the
-    model-decrease floors; ``dt`` is updated by :func:`update_timestep`.
+    threshold; a direction is computed — from the memory-one pair in the
+    well-posed phase, or from the cached or rebuilt factorization in the
+    ill-posed phase; the trial point is scored by :func:`trial_ratio`;
+    acceptance requires both the ratio and the model-decrease floors; ``dt``
+    is updated by :func:`update_timestep`.
 
     The run stops with ``StepFailure`` when ``dt`` falls below its floor
     (``"dt-floor"``); when an ill-posed trial point equals the current point
@@ -395,9 +398,9 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
     trace row and do not count the stopping iteration in ``iterations``.
 
     Each cache is dropped by the event that makes it stale: an accepted step
-    drops the direction, and the curvature and its shifted factors too when
-    its ratio left the inner band; a rejected step drops only the factors.
-    The ill-posed phase probes or factors whatever is missing.
+    whose ratio left the inner band drops the curvature and its shifted
+    factors; a rejected step drops only the factors.  The ill-posed phase
+    probes or factors whatever is missing.
 
     Raises
     ------
@@ -420,10 +423,10 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
     basis = run.basis
     hess_cb = getattr(problem, "hess", None)
 
-    def eval_hessian(at: np.ndarray) -> np.ndarray:
+    def eval_hessian() -> np.ndarray:
         run.hessian_evals += 1
         if hess_cb is not None:
-            raw = np.asarray(hess_cb(at), dtype=float)
+            raw = np.asarray(hess_cb(run.x), dtype=float)
             n = run.cs.n
             if raw.shape != (n, n):
                 raise DimensionError(
@@ -432,11 +435,11 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
             if not np.isfinite(raw).all():
                 raise NonFiniteGradient("analytic Hessian is not finite")
             return project_gradient(basis, project_gradient(basis, raw).T).T
-        return fd_projected_hessian(run.gval, basis, at)
+        return fd_projected_hessian(run.gval, basis, run.x, run.g)
 
     k, dt, phase = 0, cfg.dt0, WELL_POSED
     pair = zero_pair(run.cs.n)
-    d = hessian = shifted = None
+    hessian = shifted = None
     hessian_norm = math.inf
     decrease = 0.0  # the last trial's predicted decrease
     accepted_steps = 0
@@ -459,14 +462,11 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
 
         hessian_rebuilt = False
         if phase == WELL_POSED:
-            if d is None:
-                d = -apply_inverse(pair, run.pg)
-            # After a rejection the previous direction is reused as-is; only
-            # the dt-dependent scaling below changes.
+            d = -apply_inverse(pair, run.pg)
         else:
             hessian_rebuilt = hessian is None
             if hessian_rebuilt:
-                hessian = eval_hessian(run.x)
+                hessian = eval_hessian()
                 # The norm sums in memory order, so it is taken before the
                 # column-major copy that every factorization then copies
                 # without a transpose (the analytic result already is one).
@@ -505,7 +505,6 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
             run.move_to(x_trial, f_trial)
             pair = make_pair(s, run.pg - pg_old)
             accepted_steps += 1
-            d = None
             if abs(1.0 - rho) > _RATIO_BAND_INNER:
                 hessian = shifted = None
         else:

@@ -232,7 +232,7 @@ def test_criterion_7_differenced_curvature_quality():
             q_mat = raw + raw.T
             c = rng.standard_normal(n)
             x = rng.standard_normal(n)
-            hess = fd_projected_hessian(lambda z: q_mat @ z + c, basis, x)
+            hess = fd_projected_hessian(lambda z: q_mat @ z + c, basis, x, q_mat @ x + c)
             p = dense_projector(basis)
             target = p @ q_mat @ p
             assert np.linalg.norm(hess - target) <= 1e-6 * max(
@@ -248,7 +248,7 @@ def test_criterion_7_differenced_curvature_quality():
         target = p @ rosenbrock_dense_hessian(x) @ p
         errs = [
             np.linalg.norm(
-                fd_projected_hessian(problem.grad, basis, x, fd_eps=eps)
+                fd_projected_hessian(problem.grad, basis, x, problem.grad(x), fd_eps=eps)
                 - target
             )
             for eps in (1e-4, 5e-5)

@@ -42,7 +42,8 @@ class TestExactOnQuadratics:
             q_mat = q_raw + q_raw.T
             c = rng.standard_normal(n)
             x = rng.standard_normal(n)
-            hess = fd_projected_hessian(quadratic_grad(q_mat, c), basis, x)
+            grad = quadratic_grad(q_mat, c)
+            hess = fd_projected_hessian(grad, basis, x, grad(x))
             p = dense_projector(basis)
             target = p @ q_mat @ p
             err = np.linalg.norm(hess - target)
@@ -53,7 +54,8 @@ class TestExactOnQuadratics:
         # [[10, 8], [8, 10]]; the evaluated matrix is its two-sided projection.
         problem = get_problem("booth")
         basis = factor(problem.cs)
-        hess = fd_projected_hessian(problem.grad, basis, problem.x0)
+        x = problem.x0
+        hess = fd_projected_hessian(problem.grad, basis, x, problem.grad(x))
         p = dense_projector(basis)
         target = p @ np.array([[10.0, 8.0], [8.0, 10.0]]) @ p
         assert np.linalg.norm(hess - target) < 1e-6
@@ -61,7 +63,7 @@ class TestExactOnQuadratics:
     def test_linear_objective_gives_zero_matrix(self):
         _, basis = make_basis(8)
         c = np.arange(1.0, 9.0)
-        hess = fd_projected_hessian(lambda x: c, basis, np.ones(8))
+        hess = fd_projected_hessian(lambda x: c, basis, np.ones(8), c)
         assert np.max(np.abs(hess)) <= 1e-12
 
 
@@ -72,7 +74,7 @@ class TestStructuralInvariants:
             cs, basis = make_basis(n)
             problem = get_problem("rosenbrock", n=n)
             x = rng.standard_normal(n)
-            hess = fd_projected_hessian(problem.grad, basis, x, fd_eps=1e-6)
+            hess = fd_projected_hessian(problem.grad, basis, x, problem.grad(x), fd_eps=1e-6)
             scale = max(1.0, float(np.linalg.norm(hess)))
             assert np.linalg.norm(hess - hess.T) <= 10 * 1e-6 * scale
 
@@ -83,7 +85,8 @@ class TestStructuralInvariants:
         n = 12
         cs, basis = make_basis(n)
         problem = get_problem("levy", n=n)
-        hess = fd_projected_hessian(problem.grad, basis, problem.x0)
+        x = problem.x0
+        hess = fd_projected_hessian(problem.grad, basis, x, problem.grad(x))
         v = np.random.default_rng(7).standard_normal(n)
         assert np.max(np.abs(cs.a @ (hess @ v))) < 1e-9 * max(
             1.0, float(np.linalg.norm(hess @ v))
@@ -98,9 +101,9 @@ class TestStructuralInvariants:
         rng = np.random.default_rng(17)
         raw = rng.standard_normal((n, n))
         q_mat = raw + raw.T
-        hess = fd_projected_hessian(
-            quadratic_grad(q_mat, rng.standard_normal(n)), basis, rng.standard_normal(n)
-        )
+        grad = quadratic_grad(q_mat, rng.standard_normal(n))
+        x = rng.standard_normal(n)
+        hess = fd_projected_hessian(grad, basis, x, grad(x))
         scale = max(1.0, float(np.linalg.norm(hess)))
         assert np.max(np.abs(hess @ cs.a.T)) < 1e-8 * scale
 
@@ -114,12 +117,14 @@ class TestStructuralInvariants:
             return 2.0 * x
 
         x0 = np.ones(n)
-        fd_projected_hessian(grad, basis, x0, fd_eps=1e-6)
-        assert len(seen) == n + 1
+        fd_projected_hessian(grad, basis, x0, 2.0 * x0, fd_eps=1e-6)
+        # Exactly the n probe points, in order: the base point's gradient is
+        # given, so it is not evaluated.  (Directions 0 and 2 are normal to
+        # this system, so their probe points round to x0 itself.)
+        assert len(seen) == n
         directions = project_gradient(basis, np.eye(n))
-        assert np.array_equal(seen[0], x0)
         for i in range(n):
-            assert np.allclose(seen[i + 1], x0 + 1e-6 * directions[:, i], atol=0.0)
+            assert np.array_equal(seen[i], x0 + 1e-6 * directions[:, i])
 
     def test_halving_step_halves_error(self):
         # Second-order objective curvature error of one-sided differences
@@ -132,7 +137,7 @@ class TestStructuralInvariants:
         target = p @ rosenbrock_dense_hessian(x) @ p
         errs = []
         for eps in (1e-4, 5e-5):
-            hess = fd_projected_hessian(problem.grad, basis, x, fd_eps=eps)
+            hess = fd_projected_hessian(problem.grad, basis, x, problem.grad(x), fd_eps=eps)
             errs.append(np.linalg.norm(hess - target))
         ratio = errs[0] / errs[1]
         assert 1.4 <= ratio <= 2.6
@@ -150,7 +155,7 @@ class TestStructuralInvariants:
             return g
 
         with pytest.raises(NonFiniteGradient):
-            fd_projected_hessian(grad, basis, np.ones(n))
+            fd_projected_hessian(grad, basis, np.ones(n), 2.0 * np.ones(n))
 
 
 def fd_hessian_by_columns(grad, basis, x, fd_eps=1e-6):
@@ -202,7 +207,7 @@ class TestKeptProjector:
         counts = []
         for x, want in zip(points, expected):
             before = len(calls)
-            got = fd_projected_hessian(problem.grad, basis, x)
+            got = fd_projected_hessian(problem.grad, basis, x, problem.grad(x))
             counts.append(len(calls) - before)
             assert np.array_equal(got, want)
             # solve's norm sums in memory order, so the layout must match too.

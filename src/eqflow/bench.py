@@ -254,18 +254,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     def solve_one(problem: ProblemInstance) -> list[tuple[BenchRow, list[IterationRecord]]]:
         return [_run_one(problem, name, method, config) for name, method in methods]
 
-    if args.jobs > 1:
-        if not any(os.environ.get(var) for var in _BLAS_THREAD_VARS):
-            print(
-                "warning: the --jobs solves share one BLAS thread pool, so they can run "
-                "slower than --jobs 1 unless BLAS is pinned to one thread: set "
-                f"{' or '.join(_BLAS_THREAD_VARS)} to 1",
-                file=sys.stderr,
-            )
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            nested = list(pool.map(solve_one, problems))
-    else:
-        nested = [solve_one(p) for p in problems]
+    if args.jobs > 1 and not any(os.environ.get(var) for var in _BLAS_THREAD_VARS):
+        print(
+            "warning: the --jobs solves share one BLAS thread pool, so they can run "
+            "slower than --jobs 1 unless BLAS is pinned to one thread: set "
+            f"{' or '.join(_BLAS_THREAD_VARS)} to 1",
+            file=sys.stderr,
+        )
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        nested = list(pool.map(solve_one, problems))
 
     rows = [row for group in nested for row, _ in group]
     if args.format == "table":

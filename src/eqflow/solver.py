@@ -233,7 +233,17 @@ def update_timestep(dt: float, rho: float) -> float:
 
 
 def _max_abs(v: np.ndarray) -> float:
-    return float(np.abs(v).max()) if v.size else 0.0
+    return float(np.abs(v).max())
+
+
+def _checked(value: Any, shape: tuple[int, ...], what: str, where: str) -> np.ndarray:
+    """A callback's result as a float array, checked for ``shape`` and finiteness."""
+    result = np.asarray(value, dtype=float)
+    if result.shape != shape:
+        raise DimensionError(f"{what} at {where} has shape {result.shape}, expected {shape}")
+    if not np.isfinite(result).all():
+        raise NonFiniteGradient(f"{what} at {where} is not finite")
+    return result
 
 
 def _norm(v: np.ndarray) -> float:
@@ -247,7 +257,9 @@ class _Run:
     """Set-up and bookkeeping shared by :func:`solve` and the baseline.
 
     Owns the counted callbacks, the constraint factorization, the restored
-    and checked start, the trace rows and the final report.  ``x``, ``f``,
+    and checked start, the trace rows and the final report.  Every callback
+    result is checked by :meth:`fval` or by :func:`_checked`, which
+    :meth:`gval` and the analytic Hessian call.  ``x``, ``f``,
     ``g`` and ``pg`` hold the current accepted point, and ``kkt`` (max-norm
     of ``pg``) and ``pg_norm`` (its 2-norm) its residuals, computed once when
     the point is set.  ``factor``, ``restore_feasibility`` and
@@ -279,11 +291,7 @@ class _Run:
         self.point_feas: list[float] = []
         self.x_has_rows = False
         self.basis = factor(self.cs)
-        x = restore_feasibility(self.basis, np.asarray(problem.x0, dtype=float))
-        f = self.fval(x)
-        if not np.isfinite(f):
-            raise NonFiniteObjective("objective at the initial point is not finite")
-        self.move_to(x, f, "the initial point")
+        self.restore_to(np.asarray(problem.x0, dtype=float), "the initial point")
 
     @property
     def pinned(self) -> bool:
@@ -291,23 +299,33 @@ class _Run:
         return self.basis.rank == self.cs.n
 
     def fval(self, x: np.ndarray) -> float:
+        """``f`` at ``x``, counted; returned even if not finite, raised if not a scalar."""
         self.objective_evals += 1
-        return float(self.problem.f(x))
+        value = self.problem.f(x)
+        try:
+            return float(value)
+        except TypeError:
+            if np.ndim(value) == 0:
+                raise
+        raise DimensionError(f"objective has shape {np.shape(value)}, expected ()")
 
-    def gval(self, x: np.ndarray) -> np.ndarray:
+    def gval(self, x: np.ndarray, where: str) -> np.ndarray:
+        """The gradient at ``x``, counted and checked; ``where`` names ``x``."""
         self.gradient_evals += 1
-        return np.asarray(self.problem.grad(x), dtype=float)
+        return _checked(self.problem.grad(x), x.shape, "gradient", where)
 
-    def checked_gval(self, x: np.ndarray, where: str) -> np.ndarray:
-        g = self.gval(x)
-        if not np.isfinite(g).all():
-            raise NonFiniteGradient(f"gradient at {where} is not finite")
-        return g
+    def restore_to(self, x: np.ndarray, where: str) -> None:
+        """Restore ``x`` onto ``Ax = b``, check ``f`` there and make it the current point."""
+        x = restore_feasibility(self.basis, x)
+        f = self.fval(x)
+        if not math.isfinite(f):
+            raise NonFiniteObjective(f"objective at {where} is not finite")
+        self.move_to(x, f, where)
 
     def move_to(self, x: np.ndarray, f: float, where: str = "an accepted point") -> None:
         """Make ``x``, with objective ``f``, the current point; evaluates its
         gradient and residuals."""
-        g = self.checked_gval(x, where)
+        g = self.gval(x, where)
         pg = project_gradient(self.basis, g)
         if self.x_has_rows:
             self.points.append(self.x)
@@ -411,7 +429,8 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
         curvature probe (differenced or analytic), is non-finite.  Probes are
         not retried: their points do not depend on ``dt``.
     DimensionError
-        If the analytic Hessian callback returns an array that is not n by n.
+        If ``f`` returns a non-scalar, ``grad`` an array whose shape is not
+        ``(n,)``, or ``hess`` one whose shape is not ``(n, n)``.
     SingularFactor
         If the shifted curvature matrix is still singular after ``dt`` is
         halved once and the matrix factored again.
@@ -426,16 +445,12 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
     def eval_hessian() -> np.ndarray:
         run.hessian_evals += 1
         if hess_cb is not None:
-            raw = np.asarray(hess_cb(run.x), dtype=float)
             n = run.cs.n
-            if raw.shape != (n, n):
-                raise DimensionError(
-                    f"Hessian callback returned shape {raw.shape}, expected ({n}, {n})"
-                )
-            if not np.isfinite(raw).all():
-                raise NonFiniteGradient("analytic Hessian is not finite")
+            raw = _checked(hess_cb(run.x), (n, n), "Hessian callback", "the current point")
             return project_gradient(basis, project_gradient(basis, raw).T).T
-        return fd_projected_hessian(run.gval, basis, run.x, run.g)
+        return fd_projected_hessian(
+            lambda p: run.gval(p, "a curvature probe"), basis, run.x, run.g
+        )
 
     k, dt, phase = 0, cfg.dt0, WELL_POSED
     pair = zero_pair(run.cs.n)
@@ -531,8 +546,9 @@ def baseline_sqp(problem: Any, config: Optional[SolverConfig] = None) -> SolverR
     the trace is empty.  The status comes from the residuals at the returned
     point: ``Converged`` when the projected gradient meets ``tol``, else
     ``MaxIterations`` at the cap, else ``StepFailure`` with stop reason
-    ``"sqp-stopped"``.  Non-finite gradients anywhere, and a non-finite
-    objective at the start or the end, raise.
+    ``"sqp-stopped"``.  Non-finite or misshapen gradients anywhere, a
+    non-scalar objective, and a non-finite objective at the start or the
+    end, raise.
     """
     # Imported here: scipy.optimize would add about 0.26 s to ``import eqflow``.
     from scipy.optimize import minimize
@@ -544,14 +560,10 @@ def baseline_sqp(problem: Any, config: Optional[SolverConfig] = None) -> SolverR
     x0, q2 = run.x, run.basis.q2
     res = minimize(
         lambda z: run.fval(x0 + q2 @ z), np.zeros(q2.shape[1]), method="BFGS",
-        jac=lambda z: q2.T @ run.checked_gval(x0 + q2 @ z, "an SQP point"),
+        jac=lambda z: q2.T @ run.gval(x0 + q2 @ z, "an SQP point"),
         options={"gtol": cfg.tol, "maxiter": cfg.max_iter},
     )
-    x = restore_feasibility(run.basis, x0 + q2 @ res.x)
-    f = run.fval(x)
-    if not math.isfinite(f):
-        raise NonFiniteObjective("objective at the SQP point is not finite")
-    run.move_to(x, f)
+    run.restore_to(x0 + q2 @ res.x, "the SQP point")
     if run.kkt <= cfg.tol:
         return run.report(CONVERGED, "tolerance", res.nit, res.nit)
     if res.nit >= cfg.max_iter:

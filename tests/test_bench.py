@@ -21,6 +21,7 @@ from eqflow import (
     MAX_ITERATIONS,
     SINGLE_FEASIBLE_POINT,
     STEP_FAILURE,
+    DimensionError,
     NonFiniteGradient,
     NonFiniteObjective,
     SingularFactor,
@@ -156,6 +157,41 @@ class TestBaseline:
         problem = dataclasses.replace(booth, grad=grad)
         with pytest.raises(NonFiniteGradient, match="at an SQP point"):
             baseline_sqp(problem)
+
+    def test_misshapen_gradient_mid_run_raises(self):
+        booth = get_problem("booth")
+        calls = {"n": 0}
+
+        def grad(x):
+            calls["n"] += 1
+            g = booth.grad(x)
+            return g if calls["n"] <= 3 else g.reshape(-1, 1)
+
+        problem = dataclasses.replace(booth, grad=grad)
+        with pytest.raises(DimensionError, match="gradient at an SQP point has shape"):
+            baseline_sqp(problem)
+
+    @pytest.mark.parametrize(
+        "bad, error", [(np.full(2, np.nan), NonFiniteGradient), (np.zeros((2, 1)), DimensionError)]
+    )
+    def test_bad_gradient_at_the_returned_point_raises(self, bad, error):
+        # The last gradient call is the one at the restored SQP point.
+        booth = get_problem("booth")
+        calls = {"n": 0}
+
+        def counted(x):
+            calls["n"] += 1
+            return booth.grad(x)
+
+        baseline_sqp(dataclasses.replace(booth, grad=counted))
+        last, calls["n"] = calls["n"], 0
+
+        def grad(x):
+            calls["n"] += 1
+            return bad if calls["n"] == last else booth.grad(x)
+
+        with pytest.raises(error, match="gradient at the SQP point"):
+            baseline_sqp(dataclasses.replace(booth, grad=grad))
 
     def test_non_finite_objective_at_start_raises(self):
         problem = dataclasses.replace(get_problem("booth"), f=lambda x: float("nan"))
@@ -413,6 +449,30 @@ class TestFailedRuns:
         ]
         assert [r.status for r in rows[2:4]] == ["RankZero"] * 2
         assert [r.stop_reason for r in rows[2:4]] == ["error"] * 2
+        assert all(r.status == CONVERGED for r in rows[:2] + rows[4:])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_misshapen_gradient_is_an_error_row(self, monkeypatch, jobs, capsys):
+        import eqflow.bench as bench_mod
+
+        def column_gradient_for_matyas(name, n=None):
+            problem = get_problem(name, n=n)
+            if name != "matyas":
+                return problem
+            return dataclasses.replace(problem, grad=lambda x: problem.grad(x).reshape(-1, 1))
+
+        monkeypatch.setattr(bench_mod, "get_problem", column_gradient_for_matyas)
+        args = ["--problem", "booth,matyas,beale", "--format", "csv", "--baseline",
+                "--jobs", str(jobs)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("error: DimensionError: gradient at the initial point") == 2
+        rows = rows_from_csv(captured.out)
+        assert [(r.problem, r.solver) for r in rows] == [
+            (name, solver) for name in ("booth", "matyas", "beale")
+            for solver in ("continuation", "sqp")
+        ]
+        assert [(r.status, r.stop_reason) for r in rows[2:4]] == [("DimensionError", "error")] * 2
         assert all(r.status == CONVERGED for r in rows[:2] + rows[4:])
 
     def test_error_row_in_json_is_null(self, matyas_fails, capsys):

@@ -12,7 +12,6 @@ import eqflow.hessian
 import eqflow.projection
 from eqflow import (
     ConstraintSystem,
-    NonFiniteGradient,
     SingularFactor,
     factor,
     get_problem,
@@ -141,21 +140,6 @@ class TestStructuralInvariants:
             errs.append(np.linalg.norm(hess - target))
         ratio = errs[0] / errs[1]
         assert 1.4 <= ratio <= 2.6
-
-    def test_non_finite_probe_raises(self):
-        n = 4
-        _, basis = make_basis(n)
-        calls = {"count": 0}
-
-        def grad(x):
-            calls["count"] += 1
-            g = 2.0 * x
-            if calls["count"] > 2:
-                g[0] = np.nan
-            return g
-
-        with pytest.raises(NonFiniteGradient):
-            fd_projected_hessian(grad, basis, np.ones(n), 2.0 * np.ones(n))
 
 
 def fd_hessian_by_columns(grad, basis, x, fd_eps=1e-6):
@@ -295,12 +279,6 @@ class TestShiftedFactorization:
         mat = -np.eye(3)
         with pytest.raises(SingularFactor):
             build_and_factor(mat, shift=1.0, dt=1.0)  # B = 0
-
-    def test_nonpositive_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            build_and_factor(np.eye(2), shift=0.0, dt=1.0)
-        with pytest.raises(ValueError):
-            build_and_factor(np.eye(2), shift=1.0, dt=-0.5)
 
     def test_zero_rhs_gives_zero_direction(self):
         mat = np.array([[2.0, 1.0], [1.0, 2.0]])

@@ -768,6 +768,54 @@ class TestCurvatureCachePolicy:
             solve(problem, cfg)
 
 
+def _column(g):
+    return np.asarray(g).reshape(-1, 1)
+
+
+def _first_entry(g):
+    return float(g[0])
+
+
+class TestMisshapenCallbacks:
+    @pytest.mark.parametrize("method", [solve, baseline_sqp])
+    @pytest.mark.parametrize(
+        "misshape, shape",
+        [(_column, r"\(4, 1\)"), (_first_entry, r"\(\)")],
+        ids=["column", "scalar"],
+    )
+    def test_misshapen_gradient_at_start_raises(self, method, misshape, shape):
+        cs = build_constraints(4)
+        problem = StubProblem(
+            cs, np.ones(4), lambda x: float(x @ x), lambda x: misshape(2.0 * x)
+        )
+        message = rf"gradient at the initial point has shape {shape}, expected \(4,\)"
+        with pytest.raises(DimensionError, match=message):
+            method(problem)
+
+    def test_misshapen_probe_gradient_raises(self):
+        # The gradient has shape (4,) at the (restored) start and (4, 1) off
+        # it, so the run gets as far as the first curvature probe.
+        cs = build_constraints(4)
+        start = []
+
+        def grad(x):
+            if not start:
+                start.append(np.array(x))
+            return 2.0 * x if np.array_equal(x, start[0]) else _column(2.0 * x)
+
+        x0 = np.array([1.0, 0.0, 2.0, -1.0])
+        problem = StubProblem(cs, x0, lambda x: float(x @ x), grad)
+        with pytest.raises(DimensionError, match="gradient at a curvature probe has shape"):
+            solve(problem, SolverConfig(dt0=1e-4))
+
+    @pytest.mark.parametrize("method", [solve, baseline_sqp])
+    def test_objective_that_is_not_a_scalar_raises(self, method):
+        booth = get_problem("booth")
+        problem = dataclasses.replace(booth, f=lambda x: np.array([booth.f(x)]))
+        with pytest.raises(DimensionError, match=r"objective has shape \(1,\), expected \(\)"):
+            method(problem)
+
+
 def _wide_zakharov():
     # A start drawn from [-3, 3]^10 (four numbers are drawn first); the
     # gradient there is about 3e5.

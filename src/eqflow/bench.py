@@ -12,9 +12,8 @@ as that run's row), 2 on usage errors.  argparse's own usage errors, such as
 ``--format yaml``, exit 2 with a usage line (``main`` raises ``SystemExit(2)``).
 The bench's own checks, all made before any solve, exit 2 with an ``error:``
 line: an unknown problem or an empty ``--problem`` list, ``--n`` on a problem
-of fixed dimension, ``--jobs 0``, a setting that is not finite and positive,
-``--trace`` without ``--format json``, and an ``--out`` path that cannot be
-opened.
+of fixed dimension, a setting that is not finite and positive, ``--trace``
+without ``--format json``, and an ``--out`` path that cannot be opened.
 """
 
 from __future__ import annotations
@@ -25,10 +24,8 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields
 from typing import Any, Callable, Optional
 
@@ -51,9 +48,6 @@ from .solver import (
 )
 
 __all__ = ["BenchRow", "main"]
-
-# Any of these pins the BLAS thread pool that parallel solves share.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 _SETS = {
     "all-convex": CONVEX_PROBLEMS,
@@ -193,7 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="include per-iteration traces (JSON format only)",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="parallel solves")
     return parser
 
 
@@ -222,9 +215,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     if not names:
         print("error: --problem expanded to an empty list", file=sys.stderr)
         return 2
-    if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return 2
     if args.trace and args.format != "json":
         print("error: --trace requires --format json", file=sys.stderr)
         return 2
@@ -240,9 +230,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
 
     # Factor each distinct system before any solve is timed, so that no row's
-    # time_s depends on whether an earlier row shared its system, and before
-    # the threads share the kept factorizations.  A system that raises here
-    # raises again in the solves of its own rows.
+    # time_s depends on whether an earlier row shared its system.  A system
+    # that raises here raises again in the solves of its own rows.
     for cs in {id(p.cs): p.cs for p in problems}.values():
         with contextlib.suppress(EqflowError):
             factor(cs)
@@ -250,28 +239,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     methods = [("continuation", solve)]
     if args.baseline:
         methods.append(("sqp", baseline_sqp))
+    results = [
+        _run_one(problem, name, method, config)
+        for problem in problems
+        for name, method in methods
+    ]
 
-    def solve_one(problem: ProblemInstance) -> list[tuple[BenchRow, list[IterationRecord]]]:
-        return [_run_one(problem, name, method, config) for name, method in methods]
-
-    if args.jobs > 1 and not any(os.environ.get(var) for var in _BLAS_THREAD_VARS):
-        print(
-            "warning: the --jobs solves share one BLAS thread pool, so they can run "
-            "slower than --jobs 1 unless BLAS is pinned to one thread: set "
-            f"{' or '.join(_BLAS_THREAD_VARS)} to 1",
-            file=sys.stderr,
-        )
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        nested = list(pool.map(solve_one, problems))
-
-    rows = [row for group in nested for row, _ in group]
+    rows = [row for row, _ in results]
     if args.format == "table":
         text = _render_table(rows)
     elif args.format == "csv":
         text = _render_csv(rows)
     else:
-        traces = [trace for group in nested for _, trace in group]
-        text = _render_json(rows, traces, args.trace)
+        text = _render_json(rows, [trace for _, trace in results], args.trace)
     with out as fh:
         fh.write(text)
 

@@ -54,29 +54,27 @@ def fd_projected_hessian(
 
     Probes the ``n`` projected coordinate directions in ascending index order:
     ``n`` gradient evaluations, each differenced against ``g``.  The
-    directions are the rows of the basis's kept projector, read contiguously:
-    all ``n`` probe points are formed at once, and each probe gradient is
-    written into a row.  The first call on a basis builds the projector.
-    ``grad`` checks its own results: the solver passes one that raises on a
-    misshapen or non-finite gradient, so no later probe is made.
+    directions are the rows of the basis's kept projector, read contiguously;
+    each probe point is formed only when it is probed, and its gradient is
+    written straight into column ``i`` of the C-ordered matrix that is then
+    projected.  The first call on a basis builds the projector.  ``grad``
+    checks its own results: the solver passes one that raises on a misshapen
+    or non-finite gradient, so no later probe is made.
     """
     n = x.shape[0]
     # Row i of the column-major projector's transpose is P e_i.
-    points = x + fd_eps * tangent_projector(basis).T
-    probes = np.empty((n, n))
+    directions = tangent_projector(basis).T
+    diffs = np.empty((n, n))
     for i in range(n):
-        probes[i] = grad(points[i])
+        diffs[:, i] = grad(x + fd_eps * directions[i])
     # Subtract the raw gradients before projecting: the difference is O(fd_eps)
     # while the gradients themselves are O(||g||), so projecting afterwards
     # avoids amplifying projection roundoff by 1/fd_eps.  It also makes the
     # matrix exactly zero for linear objectives, where every probe returns the
     # same gradient.
-    probes -= g
-    probes /= fd_eps
-    # Column i of the differences is row i of probes.  The projection gets a
-    # C-ordered copy: at small sizes BLAS rounds a product with a transposed
-    # operand differently.
-    return project_gradient(basis, np.ascontiguousarray(probes.T))
+    diffs -= g[:, None]
+    diffs /= fd_eps
+    return project_gradient(basis, diffs)
 
 
 def build_and_factor(

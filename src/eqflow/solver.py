@@ -299,15 +299,16 @@ class _Run:
         return self.basis.rank == self.cs.n
 
     def fval(self, x: np.ndarray) -> float:
-        """``f`` at ``x``, counted; returned even if not finite, raised if not a scalar."""
+        """``f`` at ``x``, counted; returned even if not finite, raised if not a real scalar."""
         self.objective_evals += 1
         value = self.problem.f(x)
         try:
             return float(value)
-        except TypeError:
-            if np.ndim(value) == 0:
-                raise
-        raise DimensionError(f"objective has shape {np.shape(value)}, expected ()")
+        except (TypeError, ValueError, OverflowError):
+            shape = np.shape(value)
+        if shape:
+            raise DimensionError(f"objective has shape {shape}, expected ()")
+        raise DimensionError(f"objective is {type(value).__name__}, expected a real scalar")
 
     def gval(self, x: np.ndarray, where: str) -> np.ndarray:
         """The gradient at ``x``, counted and checked; ``where`` names ``x``."""
@@ -429,8 +430,8 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
         curvature probe (differenced or analytic), is non-finite.  Probes are
         not retried: their points do not depend on ``dt``.
     DimensionError
-        If ``f`` returns a non-scalar, ``grad`` an array whose shape is not
-        ``(n,)``, or ``hess`` one whose shape is not ``(n, n)``.
+        If ``f`` returns anything but a real scalar, ``grad`` an array whose
+        shape is not ``(n,)``, or ``hess`` one whose shape is not ``(n, n)``.
     SingularFactor
         If the shifted curvature matrix is still singular after ``dt`` is
         halved once and the matrix factored again.
@@ -546,9 +547,9 @@ def baseline_sqp(problem: Any, config: Optional[SolverConfig] = None) -> SolverR
     the trace is empty.  The status comes from the residuals at the returned
     point: ``Converged`` when the projected gradient meets ``tol``, else
     ``MaxIterations`` at the cap, else ``StepFailure`` with stop reason
-    ``"sqp-stopped"``.  Non-finite or misshapen gradients anywhere, a
-    non-scalar objective, and a non-finite objective at the start or the
-    end, raise.
+    ``"sqp-stopped"``.  Non-finite or misshapen gradients anywhere, an
+    objective that is not a real scalar, and a non-finite objective at the
+    start or the end, raise.
     """
     # Imported here: scipy.optimize would add about 0.26 s to ``import eqflow``.
     from scipy.optimize import minimize

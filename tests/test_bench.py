@@ -1,4 +1,4 @@
-"""Benchmark CLI: baseline method, output formats, exit codes, parallel runs."""
+"""Benchmark CLI: baseline method, output formats, exit codes; solves from threads."""
 
 import csv
 import dataclasses
@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,6 @@ import eqflow
 from eqflow import (
     CONVERGED,
     ConstraintSystem,
-    ILL_POSED,
     MAX_ITERATIONS,
     SINGLE_FEASIBLE_POINT,
     STEP_FAILURE,
@@ -27,10 +27,11 @@ from eqflow import (
     SingularFactor,
     SolverConfig,
     baseline_sqp,
+    build_constraints,
     get_problem,
     solve,
 )
-from eqflow.bench import BenchRow, _BLAS_THREAD_VARS, _render_csv, _render_table, main
+from eqflow.bench import BenchRow, _render_csv, _render_table, main
 from eqflow import quadratic_form, quadratic_oracle
 from helpers import scaled_dependent_row_sphere
 
@@ -369,8 +370,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage: eqflow-bench") and "invalid choice: 'yaml'" in err
 
-    def test_bad_jobs(self):
-        assert main(["--problem", "booth", "--jobs", "0"]) == 2
+    def test_bad_jobs(self, capsys):
+        # The bench solves in input order on one thread, so argparse rejects
+        # a thread count as an unknown option.
+        with pytest.raises(SystemExit) as exc:
+            main(["--problem", "booth", "--jobs", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: eqflow-bench") and "unrecognized arguments: --jobs 2" in err
 
     def test_unconverged_run(self, tmp_path):
         out = tmp_path / "rows.csv"
@@ -412,68 +419,77 @@ class TestFailedRuns:
 
         monkeypatch.setattr(bench_mod, "solve", failing_solve)
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_error_is_a_row_and_others_keep_theirs(self, matyas_fails, jobs, capsys):
-        assert main(["--problem", "booth,matyas,beale", "--format", "csv", "--jobs", str(jobs)]) == 1
-        captured = capsys.readouterr()
-        assert "error: SingularFactor: forced" in captured.err
-        rows = rows_from_csv(captured.out)
-        assert [r.problem for r in rows] == ["booth", "matyas", "beale"]
-        assert rows[0].status == rows[2].status == CONVERGED
-        assert rows[0].stop_reason == rows[2].stop_reason == "tolerance"
-        failed = rows[1]
-        assert (failed.status, failed.steps, failed.n, failed.m) == ("SingularFactor", 0, 2, 1)
-        assert failed.stop_reason == "error"
-        assert all(np.isnan(v) for v in (failed.f_star, failed.kkt, failed.feas))
+    # ``runs`` consecutive ``main`` calls in one process: each must give the
+    # same rows, whatever an earlier call left kept on shared systems.
+    @pytest.mark.parametrize("runs", [1, 2])
+    def test_error_is_a_row_and_others_keep_theirs(self, matyas_fails, runs, capsys):
+        for _ in range(runs):
+            assert main(["--problem", "booth,matyas,beale", "--format", "csv"]) == 1
+            captured = capsys.readouterr()
+            assert "error: SingularFactor: forced" in captured.err
+            rows = rows_from_csv(captured.out)
+            assert [r.problem for r in rows] == ["booth", "matyas", "beale"]
+            assert rows[0].status == rows[2].status == CONVERGED
+            assert rows[0].stop_reason == rows[2].stop_reason == "tolerance"
+            failed = rows[1]
+            assert (failed.status, failed.steps, failed.n, failed.m) == ("SingularFactor", 0, 2, 1)
+            assert failed.stop_reason == "error"
+            assert all(np.isnan(v) for v in (failed.f_star, failed.kkt, failed.feas))
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_system_that_cannot_be_factored_is_an_error_row(self, monkeypatch, jobs, capsys):
+    @staticmethod
+    def error_rows_for_matyas(monkeypatch, capsys, change, runs=1):
+        """Run booth, matyas and beale with ``--baseline``, matyas's instance
+        replaced by ``change(matyas)``, ``runs`` times in a row.  Checks each
+        run's exit code, row order, that matyas's two rows are error rows and
+        that the others converge; returns the last run's stderr and matyas's
+        rows."""
         import eqflow.bench as bench_mod
 
+        def changed_matyas(name, n=None):
+            problem = get_problem(name, n=n)
+            return change(problem) if name == "matyas" else problem
+
+        monkeypatch.setattr(bench_mod, "get_problem", changed_matyas)
+        for _ in range(runs):
+            assert main(["--problem", "booth,matyas,beale", "--format", "csv", "--baseline"]) == 1
+            captured = capsys.readouterr()
+            rows = rows_from_csv(captured.out)
+            assert [(r.problem, r.solver) for r in rows] == [
+                (name, solver) for name in ("booth", "matyas", "beale")
+                for solver in ("continuation", "sqp")
+            ]
+            assert [r.stop_reason for r in rows[2:4]] == ["error"] * 2
+            assert all(r.status == CONVERGED for r in rows[:2] + rows[4:])
+        return captured.err, rows[2:4]
+
+    @pytest.mark.parametrize("runs", [1, 2])
+    def test_system_that_cannot_be_factored_is_an_error_row(self, monkeypatch, runs, capsys):
+        # One system object for every run: a system that raised keeps nothing,
+        # so the second run raises again rather than reading a stale result.
         zero = ConstraintSystem(a=np.zeros((1, 2)), b=np.zeros(1))
+        err, failed = self.error_rows_for_matyas(
+            monkeypatch, capsys, lambda p: dataclasses.replace(p, cs=zero), runs
+        )
+        assert err.count("error: RankZero: ") == 2
+        assert [r.status for r in failed] == ["RankZero"] * 2
 
-        def zero_constraints_for_matyas(name, n=None):
-            problem = get_problem(name, n=n)
-            return dataclasses.replace(problem, cs=zero) if name == "matyas" else problem
+    @pytest.mark.parametrize("runs", [1, 2])
+    def test_misshapen_gradient_is_an_error_row(self, monkeypatch, runs, capsys):
+        err, failed = self.error_rows_for_matyas(
+            monkeypatch, capsys,
+            lambda p: dataclasses.replace(p, grad=lambda x: p.grad(x).reshape(-1, 1)),
+            runs,
+        )
+        assert err.count("error: DimensionError: gradient at the initial point") == 2
+        assert [r.status for r in failed] == ["DimensionError"] * 2
 
-        monkeypatch.setattr(bench_mod, "get_problem", zero_constraints_for_matyas)
-        args = ["--problem", "booth,matyas,beale", "--format", "csv", "--baseline",
-                "--jobs", str(jobs)]
-        assert main(args) == 1
-        captured = capsys.readouterr()
-        assert captured.err.count("error: RankZero: ") == 2
-        rows = rows_from_csv(captured.out)
-        assert [(r.problem, r.solver) for r in rows] == [
-            (name, solver) for name in ("booth", "matyas", "beale")
-            for solver in ("continuation", "sqp")
-        ]
-        assert [r.status for r in rows[2:4]] == ["RankZero"] * 2
-        assert [r.stop_reason for r in rows[2:4]] == ["error"] * 2
-        assert all(r.status == CONVERGED for r in rows[:2] + rows[4:])
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_misshapen_gradient_is_an_error_row(self, monkeypatch, jobs, capsys):
-        import eqflow.bench as bench_mod
-
-        def column_gradient_for_matyas(name, n=None):
-            problem = get_problem(name, n=n)
-            if name != "matyas":
-                return problem
-            return dataclasses.replace(problem, grad=lambda x: problem.grad(x).reshape(-1, 1))
-
-        monkeypatch.setattr(bench_mod, "get_problem", column_gradient_for_matyas)
-        args = ["--problem", "booth,matyas,beale", "--format", "csv", "--baseline",
-                "--jobs", str(jobs)]
-        assert main(args) == 1
-        captured = capsys.readouterr()
-        assert captured.err.count("error: DimensionError: gradient at the initial point") == 2
-        rows = rows_from_csv(captured.out)
-        assert [(r.problem, r.solver) for r in rows] == [
-            (name, solver) for name in ("booth", "matyas", "beale")
-            for solver in ("continuation", "sqp")
-        ]
-        assert [(r.status, r.stop_reason) for r in rows[2:4]] == [("DimensionError", "error")] * 2
-        assert all(r.status == CONVERGED for r in rows[:2] + rows[4:])
+    def test_objective_that_is_not_a_real_scalar_is_an_error_row(self, monkeypatch, capsys):
+        err, failed = self.error_rows_for_matyas(
+            monkeypatch, capsys, lambda p: dataclasses.replace(p, f=lambda x: None)
+        )
+        message = "error: DimensionError: objective is NoneType, expected a real scalar"
+        assert err.count(message) == 2
+        assert [r.status for r in failed] == ["DimensionError"] * 2
 
     def test_error_row_in_json_is_null(self, matyas_fails, capsys):
         assert main(["--problem", "matyas", "--format", "json", "--baseline", "--trace"]) == 1
@@ -486,8 +502,8 @@ class TestFailedRuns:
 
 
 class TestParallelism:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_each_system_is_factored_before_the_solves(self, monkeypatch, jobs):
+    @pytest.mark.parametrize("runs", [1, 2])
+    def test_each_system_is_factored_before_the_solves(self, monkeypatch, runs):
         import eqflow.bench as bench_mod
 
         qr_calls, seen = [], []
@@ -503,61 +519,44 @@ class TestParallelism:
 
         monkeypatch.setattr(scipy.linalg, "qr", counted_qr)
         monkeypatch.setattr(bench_mod, "solve", counting_solve)
-        # The three instances share the one system build_constraints(26) hands out.
-        main(["--problem", "sphere,trid,griewank", "--n", "26", "--format", "csv",
-              "--jobs", str(jobs)])
+        # The three instances share the one system build_constraints(26) hands
+        # out; holding it here keeps its factorization for a second run.
+        shared = build_constraints(26)
+        for _ in range(runs):
+            main(["--problem", "sphere,trid,griewank", "--n", "26", "--format", "csv"])
         assert len(qr_calls) == 1
-        assert seen == [1, 1, 1]
+        assert seen == [1, 1, 1] * runs
+        assert get_problem("sphere", n=26).cs is shared
 
-    @pytest.mark.parametrize(
-        "names,n,dt0,ill_posed",
-        [
-            (("booth", "matyas", "sphere", "beale"), None, None, False),
-            # One shared system, and so one kept projector, probed from
-            # three threads.
-            (("sum_squares", "rotated_hyper_ellipsoid", "rosenbrock"), 30, 1e-4, True),
-        ],
-        ids=["catalog-defaults", "ill-posed-shared-system"],
-    )
-    def test_jobs_preserve_input_order_and_values(self, tmp_path, names, n, dt0, ill_posed):
-        serial_out = tmp_path / "serial.csv"
-        parallel_out = tmp_path / "parallel.csv"
-        args = ["--problem", ",".join(names), "--format", "csv"]
-        args += [] if n is None else ["--n", str(n)]
-        args += [] if dt0 is None else ["--dt0", str(dt0)]
-        # Parallel first: unless an earlier test probed the shared system,
-        # its threads find no projector yet.
-        assert main(args + ["--out", str(parallel_out), "--jobs", "3"]) == 0
-        assert main(args + ["--out", str(serial_out)]) == 0
-        if ill_posed:
-            for name in names:
-                trace = solve(get_problem(name, n=n), SolverConfig(dt0=dt0)).trace
-                assert any(rec.phase == ILL_POSED for rec in trace)
-        serial = rows_from_csv(serial_out.read_text())
-        parallel = rows_from_csv(parallel_out.read_text())
-        assert [r.problem for r in parallel] == list(names)
-        for a, b in zip(serial, parallel):
-            assert a.problem == b.problem
-            assert a.steps == b.steps
-            assert a.f_star == b.f_star  # bit-identical despite threading
-            assert a.status == b.status
+    def test_threads_sharing_a_system_match_serial_solves(self):
+        # The library may be called from several threads: three solves on one
+        # shared system, each of which probes curvature, race for its
+        # factorization and its kept projector.  Threads first: unless an
+        # earlier test probed the shared system, they find no projector yet.
+        names = ("sum_squares", "rotated_hyper_ellipsoid", "rosenbrock")
+        config = SolverConfig(dt0=1e-4)
 
-    @pytest.mark.parametrize("pinned", (None,) + _BLAS_THREAD_VARS)
-    def test_jobs_warn_unless_blas_threads_are_pinned(self, monkeypatch, capsys, pinned):
-        for var in _BLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
-        if pinned is not None:
-            monkeypatch.setenv(pinned, "1")
-        assert main(["--problem", "booth,matyas", "--format", "csv", "--jobs", "2"]) == 0
-        captured = capsys.readouterr()
-        assert [r.problem for r in rows_from_csv(captured.out)] == ["booth", "matyas"]
-        warnings = [line for line in captured.err.splitlines() if line.startswith("warning:")]
-        if pinned is None:
-            assert len(warnings) == 1
-            assert all(var in warnings[0] for var in _BLAS_THREAD_VARS)
-        else:
-            assert warnings == []
-        assert captured.err.endswith("2/2 runs converged\n")
+        def fresh_problems():
+            problems = [get_problem(name, n=30) for name in names]
+            assert len({id(p.cs) for p in problems}) == 1
+            return problems
+
+        with ThreadPoolExecutor(3) as pool:
+            threaded = list(pool.map(lambda p: solve(p, config), fresh_problems(), timeout=120))
+        serial = [solve(p, config) for p in fresh_problems()]
+        assert all(rep.hessian_evals > 0 for rep in serial)
+
+        def without_wall_times(report):
+            fields = dataclasses.asdict(report)
+            del fields["wall_time"]
+            for record in fields["trace"]:
+                del record["wall_time_ns"]
+            fields["x_star"] = fields["x_star"].tolist()
+            # Float reprs round-trip, so equal reprs are equal bits.
+            return repr(fields)
+
+        for a, b in zip(threaded, serial):
+            assert without_wall_times(a) == without_wall_times(b)
 
 
 class TestMain:

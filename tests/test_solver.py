@@ -815,6 +815,17 @@ class TestMisshapenCallbacks:
         with pytest.raises(DimensionError, match=r"objective has shape \(1,\), expected \(\)"):
             method(problem)
 
+    @pytest.mark.parametrize("method", [solve, baseline_sqp])
+    @pytest.mark.parametrize(
+        "value, kind",
+        [(None, "NoneType"), (1j, "complex"), ("booth", "str"), (10**400, "int")],
+        ids=["none", "complex", "string", "int-beyond-float"],
+    )
+    def test_objective_that_is_not_a_real_scalar_raises(self, method, value, kind):
+        problem = dataclasses.replace(get_problem("booth"), f=lambda x: value)
+        with pytest.raises(DimensionError, match=f"objective is {kind}, expected a real scalar"):
+            method(problem)
+
 
 def _wide_zakharov():
     # A start drawn from [-3, 3]^10 (four numbers are drawn first); the

@@ -3,7 +3,9 @@
 The model matrix is ``B = I - s s^T/(s^T s) + y y^T/(y^T y)`` when the stored
 (step, gradient-change) pair carries usable curvature, and the identity
 otherwise.  The solver needs only ``B^{-1} v``, a rank-two update applied in
-O(n); no matrix is formed.
+O(n); no matrix is formed.  :func:`apply_inverse` keeps this, the paper's
+formula; the solver lengthens its result by the pair's ``scale``, which
+divides the model's eigenvalues, all in (0, 2], by a factor of at least one.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ class LbfgsPair:
 
     The pair is usable only when ``|s^T y| > _CURVATURE_FLOOR * ||s||^2``;
     otherwise the model silently falls back to the identity.
+
+    ``scale`` is the Shanno-Phua factor ``gamma = s^T y / y^T y`` when the
+    pair is usable and ``gamma > 1``, else exactly 1.0.  The floor and
+    Cauchy-Schwarz bound it: ``gamma <= s^T s / s^T y < 1/_CURVATURE_FLOOR``.
     """
 
     s: np.ndarray
@@ -31,14 +37,16 @@ class LbfgsPair:
     sy: float = field(init=False)
     yy: float = field(init=False)
     usable: bool = field(init=False)
+    scale: float = field(init=False)
 
     def __post_init__(self) -> None:
         sy = float(self.s @ self.y)
+        yy = float(self.y @ self.y)
+        usable = abs(sy) > _CURVATURE_FLOOR * float(self.s @ self.s)
         object.__setattr__(self, "sy", sy)
-        object.__setattr__(self, "yy", float(self.y @ self.y))
-        object.__setattr__(
-            self, "usable", abs(sy) > _CURVATURE_FLOOR * float(self.s @ self.s)
-        )
+        object.__setattr__(self, "yy", yy)
+        object.__setattr__(self, "usable", usable)
+        object.__setattr__(self, "scale", sy / yy if usable and sy > yy else 1.0)
 
 
 def make_pair(s: np.ndarray, y: np.ndarray) -> LbfgsPair:

@@ -15,7 +15,11 @@ search is performed, and rejected trial points are simply discarded.
 The preconditioner runs in two one-way phases:
 
 * well-posed phase — while ``dt`` stays above a switch threshold, ``B`` is a
-  memory-one quasi-Newton matrix applied in closed form (O(n) per iteration);
+  memory-one quasi-Newton matrix applied in closed form (O(n) per iteration),
+  divided by the pair's ``scale``: ``gamma = s^T y / y^T y`` where that
+  exceeds one, else exactly one (the paper's model).  The step ``s`` is never
+  longer than ``d``, so without the scale no ``dt`` reaches the minimizer of
+  a model flatter than the identity;
 * ill-posed phase — once ``dt`` falls below the threshold (a sign of stiff,
   badly conditioned curvature), ``B`` becomes the shifted tangent-space
   Hessian ``(shift/dt) I + H`` (projected from the problem's ``hess`` if it
@@ -478,7 +482,7 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
 
         hessian_rebuilt = False
         if phase == WELL_POSED:
-            d = -apply_inverse(pair, run.pg)
+            d = -pair.scale * apply_inverse(pair, run.pg)
         else:
             hessian_rebuilt = hessian is None
             if hessian_rebuilt:

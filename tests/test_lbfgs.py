@@ -53,6 +53,8 @@ class TestDirectConstruction:
             LbfgsPair(np.ones(2), np.ones(2), sy=0.0, yy=0.0)
         with pytest.raises(TypeError):
             LbfgsPair(np.ones(2), np.ones(2), usable=True)
+        with pytest.raises(TypeError):
+            LbfgsPair(np.ones(2), np.ones(2), scale=2.0)
 
 
 class TestHandWorkedPair:
@@ -75,6 +77,47 @@ class TestHandWorkedPair:
             ]
         )
         assert np.allclose(inv_cols, [[3.0, -1.0], [-1.0, 1.0]], atol=1e-14)
+
+
+class TestScale:
+    def test_hand_worked_scales(self):
+        s = np.array([1.0, 0.0])
+        assert make_pair(s, np.array([0.25, 0.0])).scale == 4.0  # gamma = 4
+        assert make_pair(s, np.array([1.0, 0.0])).scale == 1.0  # gamma = 1
+        assert make_pair(s, np.array([2.0, 0.0])).scale == 1.0  # gamma = 1/2
+        assert make_pair(s, np.array([-0.25, 0.0])).scale == 1.0  # gamma < 0
+        assert make_pair(s, np.array([5e-7, 1e-9])).scale == 1.0  # not usable
+        assert zero_pair(3).scale == 1.0
+
+    def test_scale_is_gamma_above_one_else_one_and_below_the_floor_bound(self):
+        # Steps of every length against gradient changes of every length and
+        # angle, so gamma = s^T y / y^T y spans both sides of one and reaches
+        # the bound 1/_CURVATURE_FLOOR that the curvature floor sets.
+        rng = np.random.default_rng(48)
+        seen_scaled = seen_unscaled = 0
+        for _ in range(4000):
+            n = int(rng.integers(1, 12))
+            s = rng.standard_normal(n) * 10.0 ** rng.uniform(-4, 4)
+            y = rng.standard_normal(n)
+            y = y * (np.linalg.norm(s) / np.linalg.norm(y)) * 10.0 ** rng.uniform(-7, 2)
+            if rng.random() < 0.5:
+                # Turn y toward s, so that the usable pairs with gamma near
+                # its bound come up.
+                y = y + s * (float(s @ y) / float(s @ s)) * 10.0 ** rng.uniform(0, 6)
+            pair = make_pair(s, y)
+            if pair.usable and pair.sy > pair.yy:
+                assert pair.scale == pair.sy / pair.yy
+                assert 1.0 < pair.scale < 1e6
+                seen_scaled += 1
+            else:
+                assert pair.scale == 1.0
+                seen_unscaled += 1
+        assert seen_scaled > 100 and seen_unscaled > 100
+
+    def test_barely_usable_pair_gives_gamma_just_below_the_bound(self):
+        pair = make_pair(np.array([1.0, 0.0]), np.array([1.0000001e-6, 0.0]))
+        assert pair.usable
+        assert 9.99e5 < pair.scale < 1e6
 
 
 class TestSpectrumAndInverse:

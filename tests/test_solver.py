@@ -165,6 +165,16 @@ class TestTerminalStatuses:
         assert report.feas <= 1e-8
         assert report.iterations <= 50
 
+    def test_flat_objective_converges_in_the_well_posed_phase(self):
+        # griewank's curvature is far below one: a step never longer than the
+        # paper's direction creeps to the iteration cap, so only the direction
+        # lengthened by gamma reaches the tolerance without probing.
+        report = solve(get_problem("griewank", n=100))
+        assert report.status == CONVERGED
+        assert report.iterations <= 20
+        assert report.hessian_evals == 0
+        assert {rec.phase for rec in report.trace} == {WELL_POSED}
+
     def test_stationary_start_needs_no_iterations(self):
         problem = get_problem("sphere", n=12)
         q, c, _ = quadratic_form("sphere", 12)
@@ -406,6 +416,7 @@ class TestTraceInvariants:
             solve(get_problem("zakharov", n=10)),
             solve(get_problem("trid", n=50), SolverConfig(max_iter=500)),
             solve(get_problem("sum_squares", n=60), SolverConfig(dt0=1e-4)),
+            solve(get_problem("griewank", n=100)),  # steps lengthened by gamma
         ]
 
     def test_objective_decreases_on_accepted_steps(self):
@@ -437,7 +448,8 @@ class TestTraceInvariants:
 
     def test_model_decrease_lower_bound_in_identity_phase(self):
         # With preconditioner eigenvalues in (0, 2], the predicted decrease is
-        # at least dt/(4 (1+dt)) ||pg||^2.
+        # at least dt/(4 (1+dt)) ||pg||^2; a scale gamma > 1 divides them, so
+        # the bound holds for lengthened steps too.
         for report in self.run_reports():
             for rec in report.trace:
                 if rec.phase != WELL_POSED:

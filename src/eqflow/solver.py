@@ -36,7 +36,7 @@ of two earlier points.  In the ill-posed phase it ends at the first trial
 step that rounds to the current point while the shift dominates the
 curvature: every smaller ``dt`` then gives a shorter step, so no later trial
 could move the point.  And it ends instead of switching phase when the last
-trial predicted a positive decrease below one ulp of ``f``: the ratios that
+trial predicted a positive decrease below 16 ulps of ``f``: the ratios that
 shrank ``dt`` then measured rounding in ``f``, not stiff curvature.  The
 report's ``stop_reason`` says which rule ended the run.
 
@@ -94,6 +94,7 @@ _DT_GROW = 2.0
 _DT_SHRINK = 0.5
 _PHASE_SWITCH_DT = 1e-3  # dt below this starts the ill-posed phase for good
 _DT_MIN = 1e-16  # dt below this ends the run with StepFailure
+_ULP_BAND = 16  # ulps of f within which f - f_trial cannot score a trial
 
 # Trace vectors per product with A: one matrix product reads A once for a
 # block, where a matrix-vector product per vector reads it once per vector.
@@ -415,7 +416,7 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
     bit for bit while ``reg_shift/dt`` is at least the Frobenius norm of the
     curvature matrix (``"step-rounds-away"``); or when ``dt`` falls below the
     switch threshold in the well-posed phase and the last trial's predicted
-    decrease was positive but below ``math.ulp(f)`` (``"sub-ulp"``).  A
+    decrease was positive but below 16 ulps of ``f`` (``"sub-ulp"``).  A
     non-positive predicted decrease, or a ``dt0`` below the threshold, still
     switches.  The two early stops call no ``f`` or curvature probe, write no
     trace row and do not count the stopping iteration in ``iterations``.
@@ -473,8 +474,8 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
         t_iter = time.perf_counter_ns()
 
         if dt < _PHASE_SWITCH_DT and phase == WELL_POSED:
-            if 0.0 < decrease < math.ulp(run.f):
-                # dt shrank because the decreases sank below the rounding of
+            if 0.0 < decrease < _ULP_BAND * math.ulp(run.f):
+                # dt shrank because the decreases sank into the rounding of
                 # f, so the ratios that shrank it measured roundoff, not stiff
                 # curvature: curvature would only refine the noise.
                 return run.report(STEP_FAILURE, "sub-ulp", k - 1, accepted_steps)

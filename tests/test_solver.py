@@ -351,7 +351,9 @@ class TestTerminalStatuses:
 
 class TestSubUlpStop:
     """At the phase switch a run stops if its last trial predicted a positive
-    decrease below one ulp of f: dt then shrank on ratios of roundoff."""
+    decrease below ``_ULP_BAND`` (16) ulps of f: dt then shrank on ratios of
+    roundoff, since f - f_trial moves in whole ulps and f carries a few ulps
+    of summation error of its own."""
 
     def test_switch_caused_by_rounding_stops_the_run(self):
         report = solve(get_problem("rosenbrock", n=100))
@@ -365,6 +367,36 @@ class TestSubUlpStop:
         last = report.trace[-1]
         assert 0.0 < last.decrease < math.ulp(report.f_star)
         assert update_timestep(last.dt, last.rho) < solver_module._PHASE_SWITCH_DT
+
+    def test_switch_inside_the_ulp_band_stops_the_run(self):
+        # A stiff-workload start whose last trial predicted about one ulp,
+        # so the ratios that shrank dt were noise: switching would buy a
+        # 300-gradient probe and end StepFailure at the same f.
+        base = get_problem("sum_squares", n=300)
+        noise = np.random.default_rng([0, 1]).standard_normal(base.n)
+        report = solve(dataclasses.replace(base, x0=base.x0 + 1e-2 * noise))
+        assert report.status == STEP_FAILURE
+        assert report.stop_reason == "sub-ulp"
+        assert report.iterations == 18
+        assert report.gradient_evals == 16
+        assert report.hessian_evals == 0
+        ulps = report.trace[-1].decrease / math.ulp(report.f_star)
+        assert 1.0 <= ulps < solver_module._ULP_BAND
+
+    def test_catalog_rosenbrock_stops_at_the_switch(self):
+        # The last decrease is 0.85 ulp on one BLAS thread and 1.9 on two;
+        # both are rounding, so both stop at the same iteration.
+        report = solve(get_problem("rosenbrock"))
+        assert report.stop_reason == "sub-ulp"
+        assert report.iterations == 69
+        assert report.hessian_evals == 0
+
+    def test_switch_above_the_ulp_band_still_probes(self):
+        # The band must not swallow a switch that the ratio can resolve.
+        report = solve(get_problem("rotated_hyper_ellipsoid"))
+        assert report.hessian_evals == 1
+        assert report.status == CONVERGED
+        assert report.iterations == 22
 
     def test_non_positive_prediction_still_switches(self):
         # A lying gradient of size 1e-170: every predicted decrease underflows

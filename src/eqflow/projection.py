@@ -10,16 +10,21 @@ tangent space is ``P = I - Q1 Q1^T = Q2 Q2^T``; callers apply it through
 
 The factorization also produces, once, the coefficient vector ``b_r`` with
 which any point can be snapped back onto the constraint set by the minimum-norm
-correction ``x - Q1 (Q1^T x - b_r)`` (see :func:`restore_feasibility`).
+correction ``x - Q1 (Q1^T x - b_r)``, or ``P x + x_p`` with the feasible point
+``x_p = Q1 b_r`` (see :func:`restore_feasibility`).
 
-A :class:`ConstraintSystem` is immutable, so :func:`factor` runs the QR once
-per system and keeps the basis on it for every later call; the basis keeps
-its dense projector the same way.
+Projection and restoration read only the thinner block, ``Q1`` when the rank
+r is below n/2 and ``Q2`` (with ``x_p``) when it is above, so a basis holds
+only that block; at the tie r = n/2 it holds all of ``Q``, formed exactly as
+``scipy.linalg.qr`` forms it.  A :class:`ConstraintSystem` is immutable, so
+:func:`factor` runs the QR once per system and keeps the basis on it for
+every later call; the basis keeps its dense projector the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -46,11 +51,12 @@ class ConstraintSystem:
     than silently treated as least squares).
 
     ``a`` and ``b`` are read-only copies of the arrays passed in, so the
-    :class:`ProjectorBasis` that :func:`factor` keeps on the system, an n-by-n
-    array of floats (two once curvature is probed, which keeps the dense
-    projector on the basis), stays valid for as long as the system lives.  A
-    system made with :func:`dataclasses.replace` is a new system with no
-    basis yet.
+    :class:`ProjectorBasis` that :func:`factor` keeps on the system stays
+    valid for as long as the system lives.  With r the rank of ``A``, the
+    basis holds n * min(r, n - r) floats and n more for ``x_p`` when
+    r > n/2, or n * n floats at the tie r = n/2; once curvature is probed it
+    keeps the dense n-by-n projector too.  A system made with
+    :func:`dataclasses.replace` is a new system with no basis yet.
     """
 
     a: np.ndarray
@@ -89,18 +95,29 @@ class ConstraintSystem:
 class ProjectorBasis:
     """Frozen output of :func:`factor`, with read-only arrays.
 
+    A basis holds only the blocks that :func:`project_gradient` and
+    :func:`restore_feasibility` read, and ``None`` marks a block it does not
+    hold: ``q2`` and ``x_p`` when 2r < n, ``q1`` when 2r > n, and ``x_p`` at
+    the tie 2r = n, where ``q1`` and ``q2`` are the two blocks of one n-by-n
+    ``Q``.
+
     Attributes
     ----------
     rank:
         Numerical rank ``r`` of the constraint matrix.
     q1:
-        (n, r) orthonormal basis of the row space of ``A`` (normal directions).
+        (n, r) orthonormal basis of the row space of ``A`` (normal
+        directions), or ``None`` when 2r > n.
     q2:
-        (n, n - r) orthonormal basis of the tangent space.  Empty second axis
-        when the constraints determine the point completely (r = n).
+        (n, n - r) orthonormal basis of the tangent space, or ``None`` when
+        2r < n.  Empty second axis when the constraints determine the point
+        completely (r = n).
     b_r:
-        (r,) coefficients of the feasible-set offset in the ``q1`` basis: any
-        feasible x satisfies ``q1^T x = b_r``.
+        (r,) coefficients of the feasible-set offset in the ``Q1`` basis: any
+        feasible x satisfies ``Q1^T x = b_r``.
+    x_p:
+        (n,) the least-norm feasible point ``Q1 b_r`` when 2r > n, else
+        ``None``.
 
     The first :func:`tangent_projector` call on a basis keeps the dense
     n-by-n projector on it, read-only, for as long as the basis lives.  A
@@ -108,13 +125,14 @@ class ProjectorBasis:
     """
 
     rank: int
-    q1: np.ndarray
-    q2: np.ndarray
+    q1: Optional[np.ndarray]
+    q2: Optional[np.ndarray]
     b_r: np.ndarray
+    x_p: Optional[np.ndarray]
 
     @property
     def n(self) -> int:
-        return self.q1.shape[0]
+        return (self.q1 if self.q2 is None else self.q2).shape[0]
 
 
 #: Relative residual threshold above which a rank-deficient system is declared
@@ -124,15 +142,32 @@ _CONSISTENCY_RTOL = 1e-8
 _RANK_TOL = 1e-10
 
 
+def _lapack(routine, *args, **kwargs):
+    """Call a LAPACK routine with the workspace its query asks for, and
+    return its outputs without the workspace and the info flag."""
+    lwork = int(routine(*args, lwork=-1, **kwargs)[-2][0])
+    *out, _, info = routine(*args, lwork=lwork, **kwargs)
+    if info < 0:
+        raise ValueError(f"illegal argument {-info} to {routine.__name__}")
+    return out
+
+
 def factor(cs: ConstraintSystem) -> ProjectorBasis:
     """Factor the constraint system once, for reuse by every later projection.
 
-    Computes the column-pivoted QR factorization ``A^T[:, perm] = Q R``,
-    detects the numerical rank ``r`` as the number of diagonal entries of
-    ``R`` above ``_RANK_TOL`` relative to the largest one, splits ``Q`` into
-    normal-space and tangent-space blocks, and solves the small positive
-    definite system ``(R1 R1^T) b_r = R1 b[perm]`` that anchors the feasible
-    set.
+    Computes the column-pivoted QR factorization ``A^T[:, perm] = Q R`` with
+    LAPACK's ``dgeqp3``, detects the numerical rank ``r`` as the number of
+    diagonal entries of ``R`` above ``_RANK_TOL`` relative to the largest
+    one, and solves the small positive definite system
+    ``(R1 R1^T) b_r = R1 b[perm]`` that anchors the feasible set.  Of ``Q``
+    it forms only the blocks that projection and restoration read:
+
+    * ``2r < n``: ``Q1``, by ``dorgqr`` at width r;
+    * ``2r > n``: ``Q2`` and ``x_p = Q1 b_r``, by one ``dormqr`` on
+      ``[[0, b_r], [I, 0]]``;
+    * ``2r = n``: all of ``Q``, by ``dorgqr`` at width n, exactly as
+      ``scipy.linalg.qr(A^T, pivoting=True)`` forms it, so ``Q1`` and ``Q2``
+      are its two blocks bit for bit.
 
     The basis is kept on ``cs`` and returned as it is by every later call on
     the same system.  A system that raises keeps nothing and raises again on
@@ -151,29 +186,44 @@ def factor(cs: ConstraintSystem) -> ProjectorBasis:
     cached = getattr(cs, "_basis", None)
     if cached is not None:
         return cached
-    q, r_full, perm = scipy.linalg.qr(cs.a.T, pivoting=True)
+    n = cs.n
+    qr, jpvt, tau = _lapack(scipy.linalg.lapack.dgeqp3, cs.a.T)
     # Rank 0 when R's largest diagonal entry is zero or overflowed to inf.
-    diag = np.abs(np.diag(r_full))
+    diag = np.abs(np.diag(qr))
     rank = int(np.count_nonzero(diag > _RANK_TOL * diag[0]))
     if rank == 0:
         raise RankZero("constraint matrix is numerically zero")
 
-    # Views taken from here on are read-only too.
-    q.flags.writeable = False
-    q1 = q[:, :rank]
-    q2 = q[:, rank:]
-    r1 = r_full[:rank, :]
-    b_perm = cs.b[perm]
-    gram = r1 @ r1.T
-    b_r = scipy.linalg.solve(gram, r1 @ b_perm, assume_a="pos")
+    r1 = np.triu(qr[:rank])
+    b_r = scipy.linalg.solve(r1 @ r1.T, r1 @ cs.b[jpvt - 1], assume_a="pos")
+    q1 = q2 = x_p = None
+    if 2 * rank < n:
+        q1, = _lapack(scipy.linalg.lapack.dorgqr, qr[:, :rank], tau[:rank])
+        q1.flags.writeable = False
+    elif 2 * rank > n:
+        c = np.zeros((n, n - rank + 1), order="F")
+        c[rank:, :-1] = np.eye(n - rank)
+        c[:rank, -1] = b_r
+        c, = _lapack(
+            scipy.linalg.lapack.dormqr, "L", "N", qr, tau, c, overwrite_c=True
+        )
+        c.flags.writeable = False
+        q2, x_p = c[:, :-1], c[:, -1]
+    else:
+        q = np.empty((n, n), order="F")
+        q[:, : cs.m] = qr
+        q, = _lapack(scipy.linalg.lapack.dorgqr, q, tau, overwrite_a=True)
+        # Views taken from here on are read-only too.
+        q.flags.writeable = False
+        q1, q2 = q[:, :rank], q[:, rank:]
     b_r.flags.writeable = False
 
-    basis = ProjectorBasis(rank=rank, q1=q1, q2=q2, b_r=b_r)
+    basis = ProjectorBasis(rank=rank, q1=q1, q2=q2, b_r=b_r, x_p=x_p)
     if rank < cs.m:
         # Deficient rank: b may have a component outside range(A).  The
         # restored origin is the least-squares feasible point; if it misses
         # b, no point satisfies the system.
-        x_probe = restore_feasibility(basis, np.zeros(cs.n))
+        x_probe = restore_feasibility(basis, np.zeros(n))
         gap = float(np.max(np.abs(cs.a @ x_probe - cs.b)))
         if gap > _CONSISTENCY_RTOL * max(1.0, float(np.max(np.abs(cs.b)))):
             raise InconsistentConstraints(
@@ -225,9 +275,15 @@ def tangent_projector(basis: ProjectorBasis) -> np.ndarray:
 
 def restore_feasibility(basis: ProjectorBasis, x: np.ndarray) -> np.ndarray:
     """Project ``x`` onto the feasible set: the unique closest point with
-    ``Q1^T x = b_r``.  Feasible inputs are returned unchanged up to roundoff."""
+    ``Q1^T x = b_r``.  Feasible inputs are returned unchanged up to roundoff.
+
+    Computed as ``x - Q1 (Q1^T x - b_r)`` when the basis holds ``Q1``
+    (2r <= n), and as ``P x + x_p`` from ``Q2`` and ``x_p = Q1 b_r`` when it
+    does not (2r > n)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (basis.n,):
         raise DimensionError(f"point has shape {x.shape}, expected ({basis.n},)")
+    if basis.x_p is not None:
+        return project_gradient(basis, x) + basis.x_p
     return x - basis.q1 @ (basis.q1.T @ x - basis.b_r)
 

@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DimensionError, NonFiniteGradient, NonFiniteObjective, SingularFactor
 from .hessian import build_and_factor, fd_projected_hessian, solve_shifted
@@ -564,6 +565,10 @@ def baseline_sqp(problem: Any, config: Optional[SolverConfig] = None) -> SolverR
     if run.pinned:
         return run.report(SINGLE_FEASIBLE_POINT, "pinned", 0, 0)
     x0, q2 = run.x, run.basis.q2
+    if q2 is None:
+        # The basis holds Q1 alone (2r < n).  Any orthonormal tangent basis
+        # will do: BFGS from the identity takes the same steps in each.
+        q2 = scipy.linalg.qr(run.basis.q1)[0][:, run.basis.rank:]
     res = minimize(
         lambda z: run.fval(x0 + q2 @ z), np.zeros(q2.shape[1]), method="BFGS",
         jac=lambda z: q2.T @ run.gval(x0 + q2 @ z, "an SQP point"),

@@ -3,6 +3,7 @@
 import dataclasses
 
 import numpy as np
+import scipy.linalg
 from hypothesis import strategies as st
 
 from eqflow import (
@@ -20,6 +21,22 @@ def dense_projector(basis):
     """Materialize the tangent-space projector by applying the projection
     operation to the canonical basis vectors."""
     return project_gradient(basis, np.eye(basis.n))
+
+
+def count_factorizations(monkeypatch):
+    """Counts the runs of LAPACK's ``dgeqp3``, which :func:`factor` makes once
+    per factorization; its workspace queries (``lwork=-1``) do not count.
+    Returns the list that grows by one entry per run."""
+    calls = []
+    original = scipy.linalg.lapack.dgeqp3
+
+    def counted(*args, **kwargs):
+        if kwargs.get("lwork") != -1:
+            calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgeqp3", counted)
+    return calls
 
 
 def random_constraints(rng, n_max=40):

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import eqflow
 from eqflow import (
@@ -33,7 +32,7 @@ from eqflow import (
 )
 from eqflow.bench import BenchRow, _render_csv, _render_table, main
 from eqflow import quadratic_form, quadratic_oracle
-from helpers import scaled_dependent_row_sphere
+from helpers import count_factorizations, scaled_dependent_row_sphere
 
 
 def oracle_fstar(problem):
@@ -61,6 +60,20 @@ class TestBaseline:
         assert abs(report.f_star - f_ref) <= 1e-6 * max(1.0, abs(f_ref))
         assert report.trace == []
 
+    @pytest.mark.parametrize("m", [5, 25], ids=["2r<n", "2r>n"])
+    def test_off_the_tie_matches_solve_and_oracle(self, m):
+        # factor holds Q1 alone at 2r < n and Q2 alone at 2r > n; SQP needs a
+        # tangent basis either way.
+        problem = get_problem("sum_squares", n=30, m=m)
+        report = baseline_sqp(problem)
+        reference = solve(problem)
+        assert report.status == reference.status == CONVERGED
+        assert report.iterations > 0
+        f_ref = oracle_fstar(problem)
+        for f_star in (report.f_star, reference.f_star):
+            assert abs(f_star - f_ref) <= 1e-6 * max(1.0, abs(f_ref))
+        assert abs(report.f_star - reference.f_star) <= 1e-6 * max(1.0, abs(f_ref))
+
     def test_stationary_start_takes_no_steps(self):
         problem = get_problem("sphere", n=12)
         q, c, _ = quadratic_form("sphere", 12)
@@ -86,20 +99,13 @@ class TestBaseline:
     def test_factors_the_constraints_once(self, monkeypatch):
         # The null-space coordinates need only the QR that factors a fresh
         # system; an SQP that re-factors the constraint Jacobian at each step
-        # calls scipy.linalg.qr again each time.
-        calls = {"n": 0}
-        qr = scipy.linalg.qr
-
-        def counted_qr(*args, **kwargs):
-            calls["n"] += 1
-            return qr(*args, **kwargs)
-
+        # runs dgeqp3 again each time.
         problem = get_problem("sum_squares", n=40)
         fresh = ConstraintSystem(a=problem.cs.a, b=problem.cs.b)
-        monkeypatch.setattr(scipy.linalg, "qr", counted_qr)
+        calls = count_factorizations(monkeypatch)
         report = baseline_sqp(dataclasses.replace(problem, cs=fresh))
         assert report.status == CONVERGED
-        assert calls["n"] == 1
+        assert len(calls) == 1
 
     def test_rank_deficient_scaled_constraints(self):
         # A dependent row scaled by 1e6: SQP works on the null-space basis
@@ -506,18 +512,13 @@ class TestParallelism:
     def test_each_system_is_factored_before_the_solves(self, monkeypatch, runs):
         import eqflow.bench as bench_mod
 
-        qr_calls, seen = [], []
-        original = scipy.linalg.qr
-
-        def counted_qr(*args, **kwargs):
-            qr_calls.append(1)
-            return original(*args, **kwargs)
+        seen = []
+        qr_calls = count_factorizations(monkeypatch)
 
         def counting_solve(problem, config=None):
             seen.append(len(qr_calls))
             return solve(problem, config)
 
-        monkeypatch.setattr(scipy.linalg, "qr", counted_qr)
         monkeypatch.setattr(bench_mod, "solve", counting_solve)
         # The three instances share the one system build_constraints(26) hands
         # out; holding it here keeps its factorization for a second run.

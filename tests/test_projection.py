@@ -22,7 +22,9 @@ from eqflow import (
 )
 from helpers import (
     assert_reports_equal,
+    count_factorizations,
     dense_projector,
+    planted_rank_system,
     random_constraints,
     rank_deficient_constraints,
     svd_rank,
@@ -198,17 +200,7 @@ class TestErrors:
 
 @pytest.fixture
 def qr_calls(monkeypatch):
-    """Counts the calls of ``scipy.linalg.qr``, which :func:`factor` makes
-    once per factorization."""
-    calls = []
-    original = scipy.linalg.qr
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "qr", counted)
-    return calls
+    return count_factorizations(monkeypatch)
 
 
 class TestKeptFactorization:
@@ -248,15 +240,102 @@ class TestKeptFactorization:
             assert len(qr_calls) == calls
 
 
+def held_arrays(basis):
+    """The arrays a basis holds: ``None`` marks a block it does not."""
+    return [a for a in (basis.q1, basis.q2, basis.b_r, basis.x_p) if a is not None]
+
+
+def held_floats(basis):
+    """Floats in the memory behind the arrays a basis holds, each buffer once."""
+    owners = [a if a.base is None else a.base for a in held_arrays(basis)]
+    return sum({id(o): o.size for o in owners}.values())
+
+
+# (n, m, rank) of a generated system A = U V, so of rank r (almost surely).
+REGIMES = {
+    "2r<n": (30, 5, 5),
+    "2r=n": (30, 15, 15),
+    "2r>n": (30, 22, 22),
+    "pinned": (12, 12, 12),
+    "deficient-2r<n": (30, 14, 6),
+    "deficient-2r=n": (30, 24, 15),
+    "deficient-2r>n": (30, 24, 19),
+}
+
+
+def regime_system(regime):
+    n, m, r = REGIMES[regime]
+    cs = planted_rank_system(np.random.default_rng([44, n, m, r]), n, m, r)
+    assert factor(cs).rank == r
+    return cs
+
+
+class TestRegimes:
+    """One basis per regime of ``2r`` against ``n``, each holding only the
+    blocks that projection and restoration read."""
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_projection_and_restoration_match_svd(self, regime):
+        cs = regime_system(regime)
+        basis = factor(cs)
+        null = np.linalg.svd(cs.a)[2][basis.rank:].T
+        x_min_norm = np.linalg.pinv(cs.a) @ cs.b
+        rng = np.random.default_rng(45)
+        for _ in range(3):
+            v = rng.standard_normal(cs.n)
+            assert np.linalg.norm(project_gradient(basis, v) - null @ (null.T @ v)) <= (
+                1e-10 * np.linalg.norm(v)
+            )
+            want = null @ (null.T @ v) + x_min_norm
+            got = restore_feasibility(basis, v)
+            assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(want))
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_holds_no_more_than_a_solve_reads(self, regime):
+        basis = factor(regime_system(regime))
+        n, r = basis.n, basis.rank
+        if 2 * r == n:
+            assert basis.x_p is None
+            assert basis.q1.base is basis.q2.base
+            assert held_floats(basis) == n * n + r
+            return
+        assert (basis.q1 is None) == (2 * r > n)
+        assert (basis.q2 is None) == (basis.x_p is None) == (2 * r < n)
+        # The thinner block, x_p beside Q2, and b_r: off the tie that is
+        # within n * max(r, n - r) + n floats, and no n-by-n array.
+        assert held_floats(basis) <= n * min(r, n - r) + n + r
+
+
+class TestTie:
+    """At ``2r = n`` (every catalog system, and the ``stiff`` and ``tiny``
+    benchmark systems), ``factor`` gives what ``scipy.linalg.qr`` and the
+    normal equations gave, so no trajectory on those systems moves."""
+
+    @pytest.mark.parametrize("n", [2, 10, 300, 1000])
+    def test_blocks_match_scipy_qr_bit_for_bit(self, n):
+        shared = build_constraints(n)
+        cs = ConstraintSystem(a=shared.a, b=shared.b)
+        basis = factor(cs)
+        q, r_full, perm = scipy.linalg.qr(cs.a.T, pivoting=True)
+        rank = basis.rank
+        assert 2 * rank == n
+        r1 = r_full[:rank, :]
+        b_r = scipy.linalg.solve(r1 @ r1.T, r1 @ cs.b[perm], assume_a="pos")
+        assert np.array_equal(basis.q1, q[:, :rank])
+        assert np.array_equal(basis.q2, q[:, rank:])
+        assert np.array_equal(basis.b_r, b_r)
+
+
 class TestImmutability:
     def test_system_and_basis_arrays_are_read_only(self):
-        cs = random_constraints(np.random.default_rng(43))
-        basis = factor(cs)
-        for array in (cs.a, cs.b, basis.q1, basis.q2, basis.b_r):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 1.0
-            with pytest.raises(ValueError, match="read-only"):
-                array += 1.0
+        systems = [random_constraints(np.random.default_rng(43))]
+        systems += [regime_system(regime) for regime in REGIMES]
+        for cs in systems:
+            for array in (cs.a, cs.b, *held_arrays(factor(cs))):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 1.0
+                with pytest.raises(ValueError, match="read-only"):
+                    array += 1.0
 
     def test_callers_arrays_stay_writable_and_unchanged(self):
         a = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 1.0]])

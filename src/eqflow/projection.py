@@ -11,7 +11,14 @@ tangent space is ``P = I - Q1 Q1^T = Q2 Q2^T``; callers apply it through
 The factorization also produces, once, the coefficient vector ``b_r`` with
 which any point can be snapped back onto the constraint set by the minimum-norm
 correction ``x - Q1 (Q1^T x - b_r)``, or ``P x + x_p`` with the feasible point
-``x_p = Q1 b_r`` (see :func:`restore_feasibility`).
+``x_p = Q1 b_r`` (see :func:`restore_feasibility`).  Steps keep ``Ax = b``, so
+this one anchor carries the feasibility of a whole run.  A full-rank system
+off the tie r = n/2 takes it from one triangular solve ``R11^T b_r = b[perm]``
+on the triangle of ``R`` where LAPACK left it.  A rank-deficient system takes
+the least-squares anchor of the normal equations ``(R1 R1^T) b_r = R1 b[perm]``,
+which fits all m rows rather than the r pivot rows alone.  Ties take it too:
+every catalog system is a tie, and the catalog's trajectories are pinned to
+its rounding.
 
 Projection and restoration read only the thinner block, ``Q1`` when the rank
 r is below n/2 and ``Q2`` (with ``x_p``) when it is above, so a basis holds
@@ -55,8 +62,11 @@ class ConstraintSystem:
     valid for as long as the system lives.  With r the rank of ``A``, the
     basis holds n * min(r, n - r) floats and n more for ``x_p`` when
     r > n/2, or n * n floats at the tie r = n/2; once curvature is probed it
-    keeps the dense n-by-n projector too.  A system made with
-    :func:`dataclasses.replace` is a new system with no basis yet.
+    keeps the dense n-by-n projector too.  Its anchor ``b_r`` comes from a
+    triangular solve when ``A`` has full row rank off the tie, and from the
+    least-squares normal equations at the tie or when rows are dependent
+    (see :func:`factor`).  A system made with :func:`dataclasses.replace` is
+    a new system with no basis yet.
     """
 
     a: np.ndarray
@@ -114,7 +124,10 @@ class ProjectorBasis:
         completely (r = n).
     b_r:
         (r,) coefficients of the feasible-set offset in the ``Q1`` basis: any
-        feasible x satisfies ``Q1^T x = b_r``.
+        feasible x satisfies ``Q1^T x = b_r``.  From the triangular solve
+        ``R11^T b_r = b[perm]`` when the rank is m and 2r != n; from the
+        least-squares normal equations ``(R1 R1^T) b_r = R1 b[perm]`` at the
+        tie and when the rank is below m.
     x_p:
         (n,) the least-norm feasible point ``Q1 b_r`` when 2r > n, else
         ``None``.
@@ -158,9 +171,19 @@ def factor(cs: ConstraintSystem) -> ProjectorBasis:
     Computes the column-pivoted QR factorization ``A^T[:, perm] = Q R`` with
     LAPACK's ``dgeqp3``, detects the numerical rank ``r`` as the number of
     diagonal entries of ``R`` above ``_RANK_TOL`` relative to the largest
-    one, and solves the small positive definite system
-    ``(R1 R1^T) b_r = R1 b[perm]`` that anchors the feasible set.  Of ``Q``
-    it forms only the blocks that projection and restoration read:
+    one, and anchors the feasible set by ``b_r``:
+
+    * full row rank (r = m) and ``2r != n``: ``R11^T b_r = b[perm]``, one
+      ``dtrtrs`` that reads the leading r-by-r triangle of the ``dgeqp3``
+      output in place.  Unlike the normal equations it does not square the
+      condition number of ``R11``, and it allocates nothing r-by-r;
+    * rank below m: the least-squares anchor ``(R1 R1^T) b_r = R1 b[perm]``,
+      with ``R1`` the first r rows of ``R``, which fits the rows the rank
+      dropped as well as the r it kept;
+    * the tie ``2r = n``: the same normal equations, whose rounding the
+      catalog's trajectories (all on ties) are pinned to.
+
+    Of ``Q`` it forms only the blocks that projection and restoration read:
 
     * ``2r < n``: ``Q1``, by ``dorgqr`` at width r;
     * ``2r > n``: ``Q2`` and ``x_p = Q1 b_r``, by one ``dormqr`` on
@@ -194,8 +217,19 @@ def factor(cs: ConstraintSystem) -> ProjectorBasis:
     if rank == 0:
         raise RankZero("constraint matrix is numerically zero")
 
-    r1 = np.triu(qr[:rank])
-    b_r = scipy.linalg.solve(r1 @ r1.T, r1 @ cs.b[jpvt - 1], assume_a="pos")
+    rhs = cs.b[jpvt - 1]
+    if rank == cs.m and 2 * rank != n:
+        # R11^T b_r = b[perm], with R11 read where dgeqp3 left it (lda = n).
+        b_r, info = scipy.linalg.lapack.dtrtrs(
+            qr[:, :rank], rhs, trans=1, overwrite_b=True
+        )
+        if info != 0:
+            raise ValueError(f"dtrtrs returned info={info}")
+    else:
+        r1 = np.triu(qr[:rank])
+        b_r = scipy.linalg.solve(r1 @ r1.T, r1 @ rhs, assume_a="pos")
+        # Freed before Q is formed, which at the tie is n-by-n.
+        del r1
     q1 = q2 = x_p = None
     if 2 * rank < n:
         q1, = _lapack(scipy.linalg.lapack.dorgqr, qr[:, :rank], tau[:rank])

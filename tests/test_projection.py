@@ -2,6 +2,7 @@
 restoration."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -141,17 +142,28 @@ class TestRankDetection:
         x = restore_feasibility(basis, np.zeros(3))
         assert np.linalg.norm(a @ x - b) < 1e-12
 
-    @pytest.mark.xfail(strict=True, raises=scipy.linalg.LinAlgWarning, reason=(
-        "factor anchors b_r by the normal equations R1 R1^T b_r = R1 b, which "
-        "square the condition number (rcond 1.7e-19 here); a triangular solve "
-        "with R1 avoids that but moves most catalog trajectories"
-    ))
-    def test_badly_scaled_rows_factor_without_warning(self):
-        cs = build_constraints(20)
-        scale = np.where(np.arange(cs.m) % 2 == 0, 1e4, 1e-4)
+    @pytest.mark.parametrize("n, m", [
+        (20, 7),
+        (20, 13),
+        (100, 30),
+        pytest.param(20, 10, marks=pytest.mark.xfail(
+            strict=True, raises=scipy.linalg.LinAlgWarning, reason=(
+                "only ties 2r = n still anchor b_r by the normal equations "
+                "R1 R1^T b_r = R1 b, which square the condition number "
+                "(rcond 1.7e-19 here); the triangular solve that full-rank "
+                "systems off the tie use moves most catalog trajectories"
+            ),
+        )),
+    ])
+    def test_badly_scaled_rows_factor_without_warning(self, n, m):
+        shared = build_constraints(n, m)
+        scale = np.where(np.arange(m) % 2 == 0, 1e4, 1e-4)
+        cs = ConstraintSystem(a=scale[:, None] * shared.a, b=scale * shared.b)
         with warnings.catch_warnings():
             warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-            factor(ConstraintSystem(a=scale[:, None] * cs.a, b=scale * cs.b))
+            basis = factor(cs)
+        x = restore_feasibility(basis, np.ones(n))
+        assert np.linalg.norm(cs.a @ x - cs.b) <= 1e-13 * np.linalg.norm(cs.b)
 
 
 class TestRestoration:
@@ -304,6 +316,44 @@ class TestRegimes:
         # The thinner block, x_p beside Q2, and b_r: off the tie that is
         # within n * max(r, n - r) + n floats, and no n-by-n array.
         assert held_floats(basis) <= n * min(r, n - r) + n + r
+
+    def test_anchor_per_regime(self):
+        # Full-rank systems off the tie solve R11^T b_r = b[perm] with the
+        # triangle dgeqp3 left; ties and rank-deficient systems keep the
+        # least-squares normal equations, bit for bit.
+        for regime in REGIMES:
+            cs = regime_system(regime)
+            basis = factor(cs)
+            _, r_full, perm = scipy.linalg.qr(cs.a.T, pivoting=True)
+            r = basis.rank
+            r1 = r_full[:r]
+            want = scipy.linalg.solve(r1 @ r1.T, r1 @ cs.b[perm], assume_a="pos")
+            if r < cs.m or 2 * r == cs.n:
+                assert np.array_equal(basis.b_r, want), regime
+                continue
+            assert np.linalg.norm(basis.b_r - want) <= 1e-12 * np.linalg.norm(want), regime
+            triangular, info = scipy.linalg.lapack.dtrtrs(r1, cs.b[perm], trans=1)
+            assert info == 0
+            assert np.array_equal(basis.b_r, triangular), regime
+
+    @pytest.mark.parametrize("m", [666, 875])
+    def test_factor_forms_no_normal_equations_off_the_tie(self, m):
+        # Beside the n-by-m copy of A^T that dgeqp3 factors, a fresh factor
+        # allocates the basis it keeps, n * (n - r + 1) floats here, and
+        # workspace.  The normal equations' triangle copy and Gram product,
+        # each r-by-r, would take the peak past this bound (19.1 MiB at
+        # m = 875 against 9.5).
+        shared = build_constraints(1000, m)
+        cs = ConstraintSystem(a=shared.a, b=shared.b)
+        n = cs.n
+        tracemalloc.start()
+        try:
+            r = factor(cs).rank
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r == m
+        assert peak < 1.25 * (n * m + n * (n - r + 1)) * 8
 
 
 class TestTie:

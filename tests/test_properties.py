@@ -3,7 +3,8 @@ systems (rank-deficient rows, and m = n - 1 rows that leave one degree of
 freedom).
 
 Systems with rows scaled by 1e±8 or nearly dependent rows are not generated
-yet: ``factor`` raises ``LinAlgWarning`` on them (see
+yet: at the tie 2r = n and for rank-deficient systems ``factor`` still anchors
+by the normal equations and raises ``LinAlgWarning`` on them (see
 ``test_badly_scaled_rows_factor_without_warning``).
 """
 

@@ -26,7 +26,10 @@ class NonFiniteObjective(EqflowError, FloatingPointError):
 
 
 class SingularFactor(EqflowError):
-    """The regularized curvature matrix is numerically singular and cannot be factored."""
+    """The regularized curvature matrix is numerically singular and cannot be factored.
+
+    Raised by the shifted factorization; ``solve`` does not let it escape,
+    but halves ``dt`` and factors again."""
 
 
 class SingularKkt(EqflowError):

@@ -41,19 +41,22 @@ __all__ = ["fd_projected_hessian", "build_and_factor", "solve_shifted"]
 #: norm flag the shifted matrix as numerically singular.
 _SINGULAR_RTOL = 1e-14
 
+#: Length of each forward-difference probe along a projected coordinate.
+_FD_EPS = 1e-6
+
 
 def fd_projected_hessian(
     grad: Callable[[np.ndarray], np.ndarray],
     basis: ProjectorBasis,
     x: np.ndarray,
     g: np.ndarray,
-    fd_eps: float = 1e-6,
 ) -> np.ndarray:
     """Evaluate the projected finite-difference curvature matrix at the float
     array ``x``, whose gradient ``g`` the caller has evaluated and checked.
 
-    Probes the ``n`` projected coordinate directions in ascending index order:
-    ``n`` gradient evaluations, each differenced against ``g``.  The
+    Probes the ``n`` projected coordinate directions, scaled by ``_FD_EPS``
+    (1e-6), in ascending index order: ``n`` gradient evaluations, each
+    differenced against ``g``.  The
     directions are the rows of the basis's kept projector, read contiguously;
     each probe point is formed only when it is probed, and its gradient is
     written straight into column ``i`` of the C-ordered matrix that is then
@@ -66,14 +69,14 @@ def fd_projected_hessian(
     directions = tangent_projector(basis).T
     diffs = np.empty((n, n))
     for i in range(n):
-        diffs[:, i] = grad(x + fd_eps * directions[i])
-    # Subtract the raw gradients before projecting: the difference is O(fd_eps)
+        diffs[:, i] = grad(x + _FD_EPS * directions[i])
+    # Subtract the raw gradients before projecting: the difference is O(_FD_EPS)
     # while the gradients themselves are O(||g||), so projecting afterwards
-    # avoids amplifying projection roundoff by 1/fd_eps.  It also makes the
+    # avoids amplifying projection roundoff by 1/_FD_EPS.  It also makes the
     # matrix exactly zero for linear objectives, where every probe returns the
     # same gradient.
     diffs -= g[:, None]
-    diffs /= fd_eps
+    diffs /= _FD_EPS
     return project_gradient(basis, diffs)
 
 
@@ -94,8 +97,8 @@ def build_and_factor(
     ------
     SingularFactor
         If any diagonal entry of ``U`` is at most ``1e-14 * ||B||`` (a zero
-        matrix and an exact zero pivot included) — the caller is expected to
-        shrink the step size and retry once before giving up.
+        matrix and an exact zero pivot included).  The solver then halves
+        ``dt`` and factors again, down to its ``dt`` floor.
     """
     # A Fortran-ordered copy lets getrf factor it in place.  Read in that
     # order its buffer is a view whose every (n+1)-th entry is diagonal, which

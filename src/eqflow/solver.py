@@ -31,14 +31,16 @@ construction, so feasibility established once by an initial orthogonal
 restoration is conserved, up to roundoff, for the whole run without
 correction steps.
 
-A run ends with ``StepFailure`` when ``dt`` falls below a floor, or at one
-of two earlier points.  In the ill-posed phase it ends at the first trial
-step that rounds to the current point while the shift dominates the
-curvature: every smaller ``dt`` then gives a shorter step, so no later trial
-could move the point.  And it ends instead of switching phase when the last
-trial predicted a positive decrease below 16 ulps of ``f``: the ratios that
-shrank ``dt`` then measured rounding in ``f``, not stiff curvature.  The
-report's ``stop_reason`` says which rule ended the run.
+Besides the tolerance and the iteration cap, a run ends when ``dt`` falls
+below a floor, or at one of two earlier points.  In the ill-posed phase it
+ends at the first trial step that rounds to the current point while the
+shift dominates the curvature: every smaller ``dt`` then gives a shorter
+step, so no later trial could move the point.  And it ends instead of
+switching phase when the last trial predicted a positive decrease below 16
+ulps of ``f``: the ratios that shrank ``dt`` then measured rounding in
+``f``, not stiff curvature.  The report's ``stop_reason`` says which rule
+ended the run, and its ``status`` follows from the final point alone (see
+:class:`SolverReport`).
 
 :func:`baseline_sqp`, the reference method of the benchmark, runs SQP with
 a BFGS Hessian through the same set-up, checks and report as :func:`solve`.
@@ -184,12 +186,18 @@ class IterationRecord:
 class SolverReport:
     """Result of a solve: terminal point, residuals, counters, trace.
 
-    ``stop_reason`` names the rule that ended the run, at finer grain than
-    ``status``: ``"tolerance"`` (Converged), ``"iteration-cap"``
-    (MaxIterations), ``"dt-floor"``, ``"step-rounds-away"``, ``"sub-ulp"``
-    and, from :func:`baseline_sqp`, ``"sqp-stopped"`` (StepFailure),
-    ``"pinned"`` (SingleFeasiblePoint), and ``"feasibility-lost"`` for a
-    converged run whose point is not feasible to ``tol``.
+    ``stop_reason`` names the rule that ended the run: ``"iteration-cap"``,
+    ``"dt-floor"``, ``"step-rounds-away"``, ``"sub-ulp"`` or, from
+    :func:`baseline_sqp`, ``"sqp-stopped"``.  ``status`` follows from the
+    final point by one rule:
+
+    * ``SingleFeasiblePoint`` (reason ``"pinned"``) when the constraints pin it;
+    * ``Converged`` (reason ``"tolerance"``) exactly when ``kkt <= tol`` and
+      ``feas <= tol``, whichever rule ended the run;
+    * when only ``kkt`` meets ``tol``, reason ``"feasibility-lost"``, with
+      ``MaxIterations`` at the iteration cap and ``StepFailure`` before it;
+    * otherwise ``MaxIterations`` for ``"iteration-cap"`` and ``StepFailure``
+      for any other reason.
     """
 
     status: str
@@ -362,9 +370,10 @@ class _Run:
             self.point_feas += np.abs(residuals).max(axis=1).tolist()
             self.points = []
 
-    def report(
-        self, status: str, stop_reason: str, iterations: int, accepted_steps: int
-    ) -> SolverReport:
+    def report(self, stop_reason: str, iterations: int, accepted_steps: int) -> SolverReport:
+        """The report of a run that the rule ``stop_reason`` ended at the
+        current point; its status follows from that point (see
+        :class:`SolverReport`)."""
         feas = _max_abs(self.cs.a @ self.x - self.cs.b)
         self.flush(1)
         point_feas = self.point_feas + [feas]
@@ -372,13 +381,18 @@ class _Run:
             IterationRecord(feas=point_feas[point], step_infeas=step_infeas, **row)
             for (row, point), step_infeas in zip(self.rows, self.step_infeas)
         ]
-        if status == CONVERGED and feas > self.cfg.tol:
+        if self.pinned:
+            status = SINGLE_FEASIBLE_POINT
+        elif self.kkt <= self.cfg.tol and feas <= self.cfg.tol:
+            status, stop_reason = CONVERGED, "tolerance"
+        elif self.kkt <= self.cfg.tol:
             # Steps conserve Ax = b only up to roundoff, and an ill-posed
             # step keeps the LU solve's roundoff in the normal space scaled by
             # dt/reg_shift, so with a tight tol the point can drift off it.
-            # Converged is only ever reported with both residuals small.
             status = MAX_ITERATIONS if iterations >= self.cfg.max_iter else STEP_FAILURE
             stop_reason = "feasibility-lost"
+        else:
+            status = MAX_ITERATIONS if stop_reason == "iteration-cap" else STEP_FAILURE
         return SolverReport(
             status=status,
             stop_reason=stop_reason,
@@ -412,15 +426,21 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
     acceptance requires both the ratio and the model-decrease floors; ``dt``
     is updated by :func:`update_timestep`.
 
-    The run stops with ``StepFailure`` when ``dt`` falls below its floor
-    (``"dt-floor"``); when an ill-posed trial point equals the current point
-    bit for bit while ``reg_shift/dt`` is at least the Frobenius norm of the
-    curvature matrix (``"step-rounds-away"``); or when ``dt`` falls below the
-    switch threshold in the well-posed phase and the last trial's predicted
-    decrease was positive but below 16 ulps of ``f`` (``"sub-ulp"``).  A
-    non-positive predicted decrease, or a ``dt0`` below the threshold, still
-    switches.  The two early stops call no ``f`` or curvature probe, write no
-    trace row and do not count the stopping iteration in ``iterations``.
+    Besides the tolerance and the iteration cap, the run stops when ``dt``
+    falls below its floor (``"dt-floor"``); when an ill-posed trial point
+    equals the current point bit for bit while ``reg_shift/dt`` is at least
+    the Frobenius norm of the curvature matrix (``"step-rounds-away"``); or
+    when ``dt`` falls below the switch threshold in the well-posed phase and
+    the last trial's predicted decrease was positive but below 16 ulps of
+    ``f`` (``"sub-ulp"``).  A non-positive predicted decrease, or a ``dt0``
+    below the threshold, still switches.  The two early stops call no ``f``
+    or curvature probe, write no trace row and do not count the stopping
+    iteration in ``iterations``.
+
+    A shifted matrix that :func:`build_and_factor` finds singular halves
+    ``dt`` until it factors, without probing again.  If ``dt`` falls below
+    its floor first, the run stops (``"dt-floor"``) without counting the
+    stopping iteration or writing its row.
 
     Each cache is dropped by the event that makes it stale: an accepted step
     whose ratio left the inner band drops the curvature and its shifted
@@ -438,14 +458,11 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
     DimensionError
         If ``f`` returns anything but a real scalar, ``grad`` an array whose
         shape is not ``(n,)``, or ``hess`` one whose shape is not ``(n, n)``.
-    SingularFactor
-        If the shifted curvature matrix is still singular after ``dt`` is
-        halved once and the matrix factored again.
     """
     cfg = config if config is not None else SolverConfig()
     run = _Run(problem, cfg)
     if run.pinned:
-        return run.report(SINGLE_FEASIBLE_POINT, "pinned", 0, 0)
+        return run.report("pinned", 0, 0)
     basis = run.basis
     hess_cb = getattr(problem, "hess", None)
 
@@ -467,10 +484,9 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
     accepted_steps = 0
 
     while True:
-        if run.kkt <= cfg.tol:
-            return run.report(CONVERGED, "tolerance", k, accepted_steps)
-        if k >= cfg.max_iter:
-            return run.report(MAX_ITERATIONS, "iteration-cap", k, accepted_steps)
+        if run.kkt <= cfg.tol or k >= cfg.max_iter:
+            # At a point that meets tol the report gives its own reason.
+            return run.report("iteration-cap", k, accepted_steps)
         k += 1
         t_iter = time.perf_counter_ns()
 
@@ -479,7 +495,7 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
                 # dt shrank because the decreases sank into the rounding of
                 # f, so the ratios that shrank it measured roundoff, not stiff
                 # curvature: curvature would only refine the noise.
-                return run.report(STEP_FAILURE, "sub-ulp", k - 1, accepted_steps)
+                return run.report("sub-ulp", k - 1, accepted_steps)
             phase = ILL_POSED  # one-way: never reset
 
         hessian_rebuilt = False
@@ -494,12 +510,13 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
                 # without a transpose (the analytic result already is one).
                 hessian_norm = float(np.linalg.norm(hessian))
                 hessian = np.asfortranarray(hessian)
-            if shifted is None:
+            while shifted is None:
                 try:
                     shifted = build_and_factor(hessian, cfg.reg_shift, dt)
                 except SingularFactor:
                     dt = _DT_SHRINK * dt
-                    shifted = build_and_factor(hessian, cfg.reg_shift, dt)
+                    if dt < _DT_MIN:
+                        return run.report("dt-floor", k - 1, accepted_steps)
             d = solve_shifted(shifted, -run.pg)
 
         s = (dt / (1.0 + dt)) * d
@@ -512,7 +529,7 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
             # The trial would be rejected (f_trial == f), and with the shift
             # dominating H each halving of dt shortens the step about
             # fourfold, so no later trial could move x either.
-            return run.report(STEP_FAILURE, "step-rounds-away", k - 1, accepted_steps)
+            return run.report("step-rounds-away", k - 1, accepted_steps)
         f_trial = run.fval(x_trial)
         rho, decrease = trial_ratio(run.f, f_trial, run.g, s, dt)
         step_norm = _norm(s)
@@ -539,7 +556,7 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
         )
         dt = update_timestep(dt, rho)
         if dt < _DT_MIN:
-            return run.report(STEP_FAILURE, "dt-floor", k, accepted_steps)
+            return run.report("dt-floor", k, accepted_steps)
 
 
 def baseline_sqp(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
@@ -550,12 +567,11 @@ def baseline_sqp(problem: Any, config: Optional[SolverConfig] = None) -> SolverR
     null-space coordinates of ``x = x0 + Q2 z`` (Nocedal & Wright, ch. 18):
     scipy's ``minimize(method="BFGS")`` from ``z = 0``, whose point is then
     restored onto ``Ax = b`` once more.  Every iteration is an accepted step;
-    the trace is empty.  The status comes from the residuals at the returned
-    point: ``Converged`` when the projected gradient meets ``tol``, else
-    ``MaxIterations`` at the cap, else ``StepFailure`` with stop reason
-    ``"sqp-stopped"``.  Non-finite or misshapen gradients anywhere, an
-    objective that is not a real scalar, and a non-finite objective at the
-    start or the end, raise.
+    the trace is empty.  The stop reason is ``"iteration-cap"`` when BFGS
+    ran ``max_iter`` iterations, else ``"sqp-stopped"``, and the status
+    follows from the returned point by the rule of :class:`SolverReport`.
+    Non-finite or misshapen gradients anywhere, an objective that is not a
+    real scalar, and a non-finite objective at the start or the end, raise.
     """
     # Imported here: scipy.optimize would add about 0.26 s to ``import eqflow``.
     from scipy.optimize import minimize
@@ -563,7 +579,7 @@ def baseline_sqp(problem: Any, config: Optional[SolverConfig] = None) -> SolverR
     cfg = config if config is not None else SolverConfig()
     run = _Run(problem, cfg)
     if run.pinned:
-        return run.report(SINGLE_FEASIBLE_POINT, "pinned", 0, 0)
+        return run.report("pinned", 0, 0)
     x0, q2 = run.x, run.basis.q2
     if q2 is None:
         # The basis holds Q1 alone (2r < n).  Any orthonormal tangent basis
@@ -575,8 +591,4 @@ def baseline_sqp(problem: Any, config: Optional[SolverConfig] = None) -> SolverR
         options={"gtol": cfg.tol, "maxiter": cfg.max_iter},
     )
     run.restore_to(x0 + q2 @ res.x, "the SQP point")
-    if run.kkt <= cfg.tol:
-        return run.report(CONVERGED, "tolerance", res.nit, res.nit)
-    if res.nit >= cfg.max_iter:
-        return run.report(MAX_ITERATIONS, "iteration-cap", res.nit, res.nit)
-    return run.report(STEP_FAILURE, "sqp-stopped", res.nit, res.nit)
+    return run.report("iteration-cap" if res.nit >= cfg.max_iter else "sqp-stopped", res.nit, res.nit)

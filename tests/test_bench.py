@@ -23,7 +23,6 @@ from eqflow import (
     DimensionError,
     NonFiniteGradient,
     NonFiniteObjective,
-    SingularFactor,
     SolverConfig,
     baseline_sqp,
     build_constraints,
@@ -420,7 +419,7 @@ class TestFailedRuns:
 
         def failing_solve(problem, config=None):
             if problem.name == "matyas":
-                raise SingularFactor("forced")
+                raise NonFiniteGradient("forced")
             return solve(problem, config)
 
         monkeypatch.setattr(bench_mod, "solve", failing_solve)
@@ -432,13 +431,13 @@ class TestFailedRuns:
         for _ in range(runs):
             assert main(["--problem", "booth,matyas,beale", "--format", "csv"]) == 1
             captured = capsys.readouterr()
-            assert "error: SingularFactor: forced" in captured.err
+            assert "error: NonFiniteGradient: forced" in captured.err
             rows = rows_from_csv(captured.out)
             assert [r.problem for r in rows] == ["booth", "matyas", "beale"]
             assert rows[0].status == rows[2].status == CONVERGED
             assert rows[0].stop_reason == rows[2].stop_reason == "tolerance"
             failed = rows[1]
-            assert (failed.status, failed.steps, failed.n, failed.m) == ("SingularFactor", 0, 2, 1)
+            assert (failed.status, failed.steps, failed.n, failed.m) == ("NonFiniteGradient", 0, 2, 1)
             assert failed.stop_reason == "error"
             assert all(np.isnan(v) for v in (failed.f_star, failed.kkt, failed.feas))
 
@@ -500,7 +499,7 @@ class TestFailedRuns:
     def test_error_row_in_json_is_null(self, matyas_fails, capsys):
         assert main(["--problem", "matyas", "--format", "json", "--baseline", "--trace"]) == 1
         failed, baseline = json.loads(capsys.readouterr().out)
-        assert failed["status"] == "SingularFactor"
+        assert failed["status"] == "NonFiniteGradient"
         assert failed["stop_reason"] == "error"
         assert failed["f_star"] is failed["kkt"] is failed["feas"] is None
         assert failed["trace"] == []

@@ -73,7 +73,7 @@ class TestStructuralInvariants:
             cs, basis = make_basis(n)
             problem = get_problem("rosenbrock", n=n)
             x = rng.standard_normal(n)
-            hess = fd_projected_hessian(problem.grad, basis, x, problem.grad(x), fd_eps=1e-6)
+            hess = fd_projected_hessian(problem.grad, basis, x, problem.grad(x))
             scale = max(1.0, float(np.linalg.norm(hess)))
             assert np.linalg.norm(hess - hess.T) <= 10 * 1e-6 * scale
 
@@ -116,7 +116,7 @@ class TestStructuralInvariants:
             return 2.0 * x
 
         x0 = np.ones(n)
-        fd_projected_hessian(grad, basis, x0, 2.0 * x0, fd_eps=1e-6)
+        fd_projected_hessian(grad, basis, x0, 2.0 * x0)
         # Exactly the n probe points, in order: the base point's gradient is
         # given, so it is not evaluated.  (Directions 0 and 2 are normal to
         # this system, so their probe points round to x0 itself.)
@@ -125,7 +125,7 @@ class TestStructuralInvariants:
         for i in range(n):
             assert np.array_equal(seen[i], x0 + 1e-6 * directions[:, i])
 
-    def test_halving_step_halves_error(self):
+    def test_halving_step_halves_error(self, monkeypatch):
         # Second-order objective curvature error of one-sided differences
         # scales linearly in the step; halving it should halve the error.
         n = 6
@@ -136,7 +136,8 @@ class TestStructuralInvariants:
         target = p @ rosenbrock_dense_hessian(x) @ p
         errs = []
         for eps in (1e-4, 5e-5):
-            hess = fd_projected_hessian(problem.grad, basis, x, problem.grad(x), fd_eps=eps)
+            monkeypatch.setattr(eqflow.hessian, "_FD_EPS", eps)
+            hess = fd_projected_hessian(problem.grad, basis, x, problem.grad(x))
             errs.append(np.linalg.norm(hess - target))
         ratio = errs[0] / errs[1]
         assert 1.4 <= ratio <= 2.6

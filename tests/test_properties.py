@@ -15,15 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eqflow import (
-    CONVERGED,
-    MAX_ITERATIONS,
-    SINGLE_FEASIBLE_POINT,
-    STEP_FAILURE,
-    SolverConfig,
-    solve,
-)
+from eqflow import SolverConfig, baseline_sqp, solve
 from helpers import (
+    assert_status_rule,
     constrained_problems,
     one_freedom_systems,
     planted_rank_system,
@@ -61,15 +55,6 @@ _PROPERTY = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-_STOP_REASONS = {
-    CONVERGED: {"tolerance"},
-    MAX_ITERATIONS: {"iteration-cap", "feasibility-lost"},
-    STEP_FAILURE: {
-        "dt-floor", "step-rounds-away", "sub-ulp", "feasibility-lost"
-    },
-    SINGLE_FEASIBLE_POINT: {"pinned"},
-}
-
 
 def assert_conserves_feasibility(report):
     # The suite's roundoff bounds: 1e-8 on max|A x - b| at every iterate and
@@ -84,9 +69,8 @@ def assert_conserves_feasibility(report):
 @given(problem=constrained_problems(_SYSTEMS, _OBJECTIVES + _DRIFTING))
 def test_monotone_reproducible_and_documented(problem):
     report = solve(problem, _CONFIG)
-    assert report.stop_reason in _STOP_REASONS[report.status]
-    if report.status == CONVERGED:
-        assert report.kkt <= _CONFIG.tol and report.feas <= _CONFIG.tol
+    assert_status_rule(report, _CONFIG.tol)
+    assert_status_rule(baseline_sqp(problem, _CONFIG), _CONFIG.tol)
     f_accepted = [rec.f for rec in report.trace if rec.accepted]
     assert all(b < a for a, b in zip(f_accepted, f_accepted[1:]))
 

@@ -31,12 +31,14 @@ from eqflow import (
 )
 import eqflow.solver as solver_module
 from eqflow.hessian import build_and_factor, solve_shifted
-from eqflow.problems import build_constraints
+from eqflow.problems import CONVEX_PROBLEMS, NONCONVEX_PROBLEMS, build_constraints
 from eqflow.solver import trial_ratio, update_timestep
 from helpers import (
     assert_reports_equal,
+    assert_status_rule,
     planted_rank_system,
     problem_on,
+    random_constraints,
     scaled_dependent_row_sphere,
     traces_equal,
     with_exact_hessian,
@@ -51,6 +53,31 @@ class StubProblem:
         self.x0 = x0
         self.f = f
         self.grad = grad
+
+
+def _infeasible_stationary_start():
+    """A zero objective from an infeasible start; with restoration patched
+    to do nothing, the start is stationary at feas 1."""
+    cs = ConstraintSystem(a=np.array([[1.0, 1.0, 0.0, 0.0]]), b=np.array([1.0]))
+    return StubProblem(cs, np.zeros(4), lambda x: 0.0, lambda x: np.zeros(4))
+
+
+def _tolerance_met_below_the_dt_floor():
+    """From the start (1, 0) on ``build_constraints(2)``, f drops from 1 to
+    0 and the gradient vanishes anywhere else.  With ``dt0 = 1.5e-16`` the
+    first (ill-posed) trial moves the zero coordinate, is accepted with a
+    ratio of about 2.5e21, reaches kkt 0 and halves dt below the floor."""
+    start = np.array([1.0, 0.0])
+    return StubProblem(
+        build_constraints(2),
+        start,
+        lambda x: 1.0 if np.array_equal(x, start) else 0.0,
+        lambda x: np.array([600.0, -1200.0]) if np.array_equal(x, start) else np.zeros(2),
+    )
+
+
+def _always_singular(hess, shift, dt):
+    raise SingularFactor("forced")
 
 
 class TestTrialRatio:
@@ -273,11 +300,8 @@ class TestTerminalStatuses:
         assert replayed > 10
 
     def test_infeasible_converged_point_is_not_reported_converged(self, monkeypatch):
-        # Restoration that does nothing leaves an infeasible, stationary start.
         monkeypatch.setattr(solver_module, "restore_feasibility", lambda basis, x: x)
-        cs = ConstraintSystem(a=np.array([[1.0, 1.0, 0.0, 0.0]]), b=np.array([1.0]))
-        problem = StubProblem(cs, np.zeros(4), lambda x: 0.0, lambda x: np.zeros(4))
-        report = solve(problem)
+        report = solve(_infeasible_stationary_start())
         assert report.status == STEP_FAILURE
         assert report.stop_reason == "feasibility-lost"
         assert report.feas == 1.0
@@ -294,6 +318,17 @@ class TestTerminalStatuses:
         assert report.iterations == 23
         assert report.kkt <= cfg.tol < report.feas
         assert report.trace[0].feas < 1e-12
+
+    def test_tolerance_met_below_the_dt_floor_converges(self):
+        # The step that reaches kkt 0 also takes dt below the floor: the run
+        # stops there, and its point is what gives it its status.
+        report = solve(_tolerance_met_below_the_dt_floor(), SolverConfig(dt0=1.5e-16))
+        assert (report.status, report.stop_reason) == (CONVERGED, "tolerance")
+        assert (report.iterations, report.accepted_steps) == (1, 1)
+        assert report.kkt == 0.0 and report.feas <= 1e-15
+        (row,) = report.trace
+        assert row.accepted and row.phase == ILL_POSED and row.rho > 1e21
+        assert solver_module._DT_SHRINK * row.dt < solver_module._DT_MIN
 
     def test_nan_objective_is_rejected_not_raised(self):
         cs = build_constraints(4)
@@ -751,25 +786,43 @@ class TestCurvatureCachePolicy:
         assert all(not rec.hessian_rebuilt for rec in report.trace)
 
     def test_singular_factor_retry_does_not_reprobe(self, monkeypatch):
-        # The first factorization fails once: dt is halved and the cached
-        # curvature factored again, without a second probe at the same point.
+        # The first two factorizations fail: dt is halved until the cached
+        # curvature factors, without a second probe at the same point.
         original = solver_module.build_and_factor
-        raised = []
+        tried = []
 
-        def singular_once(hess, shift, dt):
-            if not raised:
-                raised.append(dt)
+        def singular_twice(hess, shift, dt):
+            tried.append(dt)
+            if len(tried) <= 2:
                 raise SingularFactor("forced")
             return original(hess, shift, dt)
 
-        monkeypatch.setattr(solver_module, "build_and_factor", singular_once)
+        monkeypatch.setattr(solver_module, "build_and_factor", singular_twice)
         n = 30
         report = solve(get_problem("sum_squares", n=n), SolverConfig(dt0=1e-4))
-        assert raised == [1e-4]
-        assert report.trace[0].dt == 0.5e-4
+        assert tried[:3] == [1e-4, 5e-5, 2.5e-5]
+        assert report.status == CONVERGED
+        assert report.trace[0].dt == 2.5e-5
         assert report.hessian_evals == sum(rec.hessian_rebuilt for rec in report.trace)
         probes = report.gradient_evals - (report.accepted_steps + 1)
         assert probes == report.hessian_evals * n
+
+    def test_factor_that_stays_singular_ends_at_the_dt_floor(self, monkeypatch):
+        tried = []
+
+        def singular(hess, shift, dt):
+            tried.append(dt)
+            raise SingularFactor("forced")
+
+        monkeypatch.setattr(solver_module, "build_and_factor", singular)
+        report = solve(get_problem("sum_squares", n=30), SolverConfig(dt0=1e-4))
+        assert (report.status, report.stop_reason) == (STEP_FAILURE, "dt-floor")
+        # The stopping iteration is not counted and writes no row.
+        assert report.iterations == report.accepted_steps == 0
+        assert report.trace == []
+        assert report.hessian_evals == 1
+        assert len(tried) == 40
+        assert tried[-1] >= solver_module._DT_MIN > solver_module._DT_SHRINK * tried[-1]
 
     def test_non_finite_probe_is_evaluated_once(self):
         # The gradient is NaN everywhere but at the (restored) start; the
@@ -810,6 +863,52 @@ class TestCurvatureCachePolicy:
         cfg = SolverConfig(dt0=1e-4)
         with pytest.raises(DimensionError, match=r"Hessian callback .* expected \(30, 30\)"):
             solve(problem, cfg)
+
+
+class TestStatusRule:
+    def test_status_follows_the_final_point(self, monkeypatch):
+        # Outside pinned points, Converged exactly when kkt and feas both meet
+        # tol, whichever rule stopped the run, for both methods: on the
+        # two-dimensional catalog, the feasibility-lost and iteration-cap
+        # instances above, the two stops at the dt floor, and generated
+        # systems.
+        default = SolverConfig()
+        two_dim = [
+            name for name in CONVEX_PROBLEMS + NONCONVEX_PROBLEMS
+            if get_problem(name).n == 2
+        ]
+        runs = [(get_problem(name), default, None) for name in two_dim]
+        runs += [
+            (get_problem("griewank", n=20), SolverConfig(max_iter=5), None),
+            (
+                with_exact_hessian(get_problem("trid", n=100)),
+                SolverConfig(dt0=1e-4, tol=1e-9),
+                None,
+            ),
+            (
+                _infeasible_stationary_start(),
+                default,
+                ("restore_feasibility", lambda basis, x: x),
+            ),
+            (_tolerance_met_below_the_dt_floor(), SolverConfig(dt0=1.5e-16), None),
+            (
+                get_problem("sum_squares", n=30),
+                SolverConfig(dt0=1e-4),
+                ("build_and_factor", _always_singular),
+            ),
+        ]
+        rng = np.random.default_rng(25)
+        runs += [
+            (problem_on(random_constraints(rng, 12), name, seed), default, None)
+            for seed, name in enumerate(["sphere", "rosenbrock", "trid", "levy"])
+        ]
+        assert len(two_dim) == 5
+        for method in (solve, baseline_sqp):
+            for problem, cfg, patch in runs:
+                with monkeypatch.context() as patched:
+                    if patch is not None:
+                        patched.setattr(solver_module, *patch)
+                    assert_status_rule(method(problem, cfg), cfg.tol)
 
 
 def _column(g):

@@ -153,6 +153,9 @@ class ProjectorBasis:
 _CONSISTENCY_RTOL = 1e-8
 #: Relative size at or below which a diagonal entry of R counts as zero.
 _RANK_TOL = 1e-10
+#: Ratio of the largest to the smallest row scale above which :func:`factor`
+#: equilibrates the rows.  Catalog rows differ by about a factor of 2.
+_ROW_SCALE_RATIO = 1e3
 
 
 def _lapack(routine, *args, **kwargs):
@@ -171,7 +174,12 @@ def factor(cs: ConstraintSystem) -> ProjectorBasis:
     Computes the column-pivoted QR factorization ``A^T[:, perm] = Q R`` with
     LAPACK's ``dgeqp3``, detects the numerical rank ``r`` as the number of
     diagonal entries of ``R`` above ``_RANK_TOL`` relative to the largest
-    one, and anchors the feasible set by ``b_r``:
+    one, and anchors the feasible set by ``b_r``.  When the rows' largest
+    entries differ by more than ``_ROW_SCALE_RATIO``, it first divides each
+    row of ``A`` and ``b`` by the smallest power of two above that row's
+    largest |entry|, so that the scale of a row cannot make it look
+    dependent; the feasible set and ``P`` stay the same, and the anchor and
+    the consistency check below work on the scaled rows.  The anchor:
 
     * full row rank (r = m) and ``2r != n``: ``R11^T b_r = b[perm]``, one
       ``dtrtrs`` that reads the leading r-by-r triangle of the ``dgeqp3``
@@ -210,14 +218,22 @@ def factor(cs: ConstraintSystem) -> ProjectorBasis:
     if cached is not None:
         return cached
     n = cs.n
-    qr, jpvt, tau = _lapack(scipy.linalg.lapack.dgeqp3, cs.a.T)
+    a, b = cs.a, cs.b
+    # Each row's largest |entry|, without an m-by-n temporary.
+    scale = np.maximum(a.max(axis=1), -a.min(axis=1))
+    nonzero = scale[scale > 0.0]
+    if nonzero.size and float(nonzero.max()) / _ROW_SCALE_RATIO > float(nonzero.min()):
+        # Exact powers of two, so the rows keep every bit; zero rows keep 2^0.
+        exponent = np.frexp(scale)[1]
+        a, b = np.ldexp(a, -exponent[:, None]), np.ldexp(b, -exponent)
+    qr, jpvt, tau = _lapack(scipy.linalg.lapack.dgeqp3, a.T)
     # Rank 0 when R's largest diagonal entry is zero or overflowed to inf.
     diag = np.abs(np.diag(qr))
     rank = int(np.count_nonzero(diag > _RANK_TOL * diag[0]))
     if rank == 0:
         raise RankZero("constraint matrix is numerically zero")
 
-    rhs = cs.b[jpvt - 1]
+    rhs = b[jpvt - 1]
     if rank == cs.m and 2 * rank != n:
         # R11^T b_r = b[perm], with R11 read where dgeqp3 left it (lda = n).
         b_r, info = scipy.linalg.lapack.dtrtrs(
@@ -258,8 +274,8 @@ def factor(cs: ConstraintSystem) -> ProjectorBasis:
         # restored origin is the least-squares feasible point; if it misses
         # b, no point satisfies the system.
         x_probe = restore_feasibility(basis, np.zeros(n))
-        gap = float(np.max(np.abs(cs.a @ x_probe - cs.b)))
-        if gap > _CONSISTENCY_RTOL * max(1.0, float(np.max(np.abs(cs.b)))):
+        gap = float(np.max(np.abs(a @ x_probe - b)))
+        if gap > _CONSISTENCY_RTOL * max(1.0, float(np.max(np.abs(b)))):
             raise InconsistentConstraints(
                 f"rank-deficient system has no solution (residual {gap:.3e})"
             )

@@ -198,6 +198,12 @@ class SolverReport:
       ``MaxIterations`` at the iteration cap and ``StepFailure`` before it;
     * otherwise ``MaxIterations`` for ``"iteration-cap"`` and ``StepFailure``
       for any other reason.
+
+    ``hessian_evals`` counts every curvature evaluation, the probe of a
+    stopping iteration included, though that iteration writes no trace row:
+    a run that stops at the ``dt`` floor while halving to factor a singular
+    shifted matrix, or on a trial that rounds away right after its probe,
+    counts one more evaluation than its rows with ``hessian_rebuilt``.
     """
 
     status: str

@@ -1,16 +1,13 @@
 """Shared test utilities: dense oracles and random instance generators."""
 
 import dataclasses
-import pathlib
-import re
 
 import numpy as np
 import scipy.linalg
 from hypothesis import strategies as st
 
+from contract import check_status_rule
 from eqflow import (
-    CONVERGED,
-    SINGLE_FEASIBLE_POINT,
     ConstraintSystem,
     IterationRecord,
     build_constraints,
@@ -215,26 +212,7 @@ def assert_reports_equal(r1, r2, ignore_rows=()):
             assert v1 == v2, f.name
 
 
-def documented_outcomes():
-    """The (status, stop_reason) pairs of the stop-reason table in README.md."""
-    lines = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
-    start = lines.index("| `stop_reason` | status | the run stopped because |") + 2
-    pairs = set()
-    for line in lines[start:]:
-        if not line.startswith("|"):
-            break
-        reason, statuses = line.split("|")[1:3]
-        pairs.update((status, reason.strip(" `")) for status in re.findall(r"`(\w+)`", statuses))
-    return pairs
-
-
 def assert_status_rule(report, tol):
     """The report's status follows from its final point by the one rule that
     README.md states, and its (status, stop_reason) pair is documented."""
-    outcome = (report.status, report.stop_reason)
-    assert outcome in documented_outcomes(), outcome
-    if report.status != SINGLE_FEASIBLE_POINT:
-        meets_tol = report.kkt <= tol and report.feas <= tol
-        assert (report.status == CONVERGED) == meets_tol, (outcome, report.kkt, report.feas)
-        lost = report.kkt <= tol < report.feas
-        assert (report.stop_reason == "feasibility-lost") == lost, (outcome, report.kkt, report.feas)
+    check_status_rule(report.status, report.stop_reason, report.kkt, report.feas, tol)

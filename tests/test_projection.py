@@ -146,14 +146,7 @@ class TestRankDetection:
         (20, 7),
         (20, 13),
         (100, 30),
-        pytest.param(20, 10, marks=pytest.mark.xfail(
-            strict=True, raises=scipy.linalg.LinAlgWarning, reason=(
-                "only ties 2r = n still anchor b_r by the normal equations "
-                "R1 R1^T b_r = R1 b, which square the condition number "
-                "(rcond 1.7e-19 here); the triangular solve that full-rank "
-                "systems off the tie use moves most catalog trajectories"
-            ),
-        )),
+        (20, 10),
     ])
     def test_badly_scaled_rows_factor_without_warning(self, n, m):
         shared = build_constraints(n, m)

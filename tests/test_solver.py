@@ -76,6 +76,44 @@ def _tolerance_met_below_the_dt_floor():
     )
 
 
+def _pinned_stub():
+    """x = (1, 2, 3) is the only feasible point, where f = ||x||^2 is 14 and
+    its gradient is far from zero."""
+    cs = ConstraintSystem(a=np.eye(3), b=np.array([1.0, 2.0, 3.0]))
+    return StubProblem(cs, np.zeros(3), lambda x: float(x @ x), lambda x: 2 * x)
+
+
+def _one_sum_system():
+    """The system ``x1 + x2 = 0`` in R^4."""
+    return ConstraintSystem(a=np.array([[1.0, 1.0, 0.0, 0.0]]), b=np.array([0.0]))
+
+
+def _sub_ulp_stub():
+    """f = 1e6 + ||x - c||^2 / 2 with c = (0, 0, 1, -1), from
+    c + 1e-5 (1, -1, 2, 1): the whole decrease to the optimum is a few ulps
+    of f, so every trial's ratio measures rounding."""
+    c = np.array([0.0, 0.0, 1.0, -1.0])
+    return StubProblem(
+        _one_sum_system(),
+        c + 1e-5 * np.array([1.0, -1.0, 2.0, 1.0]),
+        lambda x: 1e6 + 0.5 * float((x - c) @ (x - c)),
+        lambda x: x - c,
+    )
+
+
+def _rounds_away_stub():
+    """f = 1e-3 ||x - c||^2 / 2 with c = (0, 0, 1e10, -1e10), from
+    c + (0, 0, 1, 1): under ``dt0=1e-4`` the shifted step moves only the
+    coordinates near 1e10, by far less than their ulp."""
+    c = np.array([0.0, 0.0, 1e10, -1e10])
+    return StubProblem(
+        _one_sum_system(),
+        c + np.array([0.0, 0.0, 1.0, 1.0]),
+        lambda x: 0.5e-3 * float((x - c) @ (x - c)),
+        lambda x: 1e-3 * (x - c),
+    )
+
+
 def _always_singular(hess, shift, dt):
     raise SingularFactor("forced")
 
@@ -215,13 +253,11 @@ class TestTerminalStatuses:
         assert report.gradient_evals == 1
 
     def test_fully_determined_point(self):
-        cs = ConstraintSystem(a=np.eye(3), b=np.array([1.0, 2.0, 3.0]))
-        problem = StubProblem(cs, np.zeros(3), lambda x: float(x @ x), lambda x: 2 * x)
-        report = solve(problem)
+        report = solve(_pinned_stub())
         assert report.status == SINGLE_FEASIBLE_POINT
         assert report.stop_reason == "pinned"
         assert report.iterations == 0
-        assert np.allclose(report.x_star, cs.b, atol=1e-12)
+        assert np.allclose(report.x_star, [1.0, 2.0, 3.0], atol=1e-12)
         assert report.feas <= 1e-10
 
     def test_iteration_cap(self):
@@ -254,9 +290,8 @@ class TestTerminalStatuses:
     def test_impossible_decrease_at_zero_reaches_dt_floor(self):
         # The same lying gradient from the origin: every nonzero step moves a
         # zero coordinate, so no trial rounds away and dt halves to the floor.
-        cs = ConstraintSystem(a=np.array([[1.0, 1.0, 0.0, 0.0]]), b=np.array([0.0]))
         problem = StubProblem(
-            cs,
+            _one_sum_system(),
             np.zeros(4),
             lambda x: 1.0,
             lambda x: np.array([1.0, -2.0, 0.5, 3.0]),
@@ -298,6 +333,15 @@ class TestTerminalStatuses:
             assert np.array_equal(x_star + (dt / (1.0 + dt)) * d, x_star), dt
             replayed += 1
         assert replayed > 10
+
+    def test_first_trial_that_rounds_away_stops_the_run(self):
+        report = solve(_rounds_away_stub(), SolverConfig(dt0=1e-4, tol=1e-9))
+        assert (report.status, report.stop_reason) == (STEP_FAILURE, "step-rounds-away")
+        assert report.iterations == report.accepted_steps == 0
+        assert report.trace == []
+        # One probe, and no f for the trial that rounded away.
+        assert report.hessian_evals == 1
+        assert report.objective_evals == 1
 
     def test_infeasible_converged_point_is_not_reported_converged(self, monkeypatch):
         monkeypatch.setattr(solver_module, "restore_feasibility", lambda basis, x: x)
@@ -403,6 +447,19 @@ class TestSubUlpStop:
         assert 0.0 < last.decrease < math.ulp(report.f_star)
         assert update_timestep(last.dt, last.rho) < solver_module._PHASE_SWITCH_DT
 
+    def test_constructed_switch_inside_the_ulp_band_stops_the_run(self):
+        report = solve(_sub_ulp_stub())
+        assert (report.status, report.stop_reason) == (STEP_FAILURE, "sub-ulp")
+        assert report.iterations == len(report.trace) == 4
+        assert report.accepted_steps == 0
+        assert report.gradient_evals == 1
+        assert report.hessian_evals == 0
+        assert report.objective_evals == report.iterations + 1
+        assert {rec.phase for rec in report.trace} == {WELL_POSED}
+        last = report.trace[-1]
+        assert 0.0 < last.decrease < solver_module._ULP_BAND * math.ulp(report.f_star)
+        assert update_timestep(last.dt, last.rho) < solver_module._PHASE_SWITCH_DT
+
     def test_switch_inside_the_ulp_band_stops_the_run(self):
         # A stiff-workload start whose last trial predicted about one ulp,
         # so the ratios that shrank dt were noise: switching would buy a
@@ -437,9 +494,8 @@ class TestSubUlpStop:
         # A lying gradient of size 1e-170: every predicted decrease underflows
         # to zero, so dt halves through the switch on a failed model, not on
         # roundoff in f, and the curvature phase takes over.
-        cs = ConstraintSystem(a=np.array([[1.0, 1.0, 0.0, 0.0]]), b=np.array([0.0]))
         g = 1e-170 * np.array([1.0, -2.0, 0.5, 3.0])
-        problem = StubProblem(cs, np.zeros(4), lambda x: 1.0, lambda x: g)
+        problem = StubProblem(_one_sum_system(), np.zeros(4), lambda x: 1.0, lambda x: g)
         report = solve(problem, SolverConfig(tol=1e-200))
         phases = [rec.phase for rec in report.trace]
         first_ill = phases.index(ILL_POSED)
@@ -870,8 +926,8 @@ class TestStatusRule:
         # Outside pinned points, Converged exactly when kkt and feas both meet
         # tol, whichever rule stopped the run, for both methods: on the
         # two-dimensional catalog, the feasibility-lost and iteration-cap
-        # instances above, the two stops at the dt floor, and generated
-        # systems.
+        # instances above, the two stops at the dt floor, the sub-ulp and
+        # rounds-away stubs, a pinned point, and generated systems.
         default = SolverConfig()
         two_dim = [
             name for name in CONVEX_PROBLEMS + NONCONVEX_PROBLEMS
@@ -891,6 +947,9 @@ class TestStatusRule:
                 ("restore_feasibility", lambda basis, x: x),
             ),
             (_tolerance_met_below_the_dt_floor(), SolverConfig(dt0=1.5e-16), None),
+            (_sub_ulp_stub(), default, None),
+            (_pinned_stub(), default, None),
+            (_rounds_away_stub(), SolverConfig(dt0=1e-4, tol=1e-9), None),
             (
                 get_problem("sum_squares", n=30),
                 SolverConfig(dt0=1e-4),
@@ -1010,3 +1069,25 @@ def test_rank_deficient_scaled_constraints_stay_feasible():
     report = solve(scaled_dependent_row_sphere())
     assert report.status == CONVERGED
     assert report.feas <= 1e-8
+
+
+def test_row_scale_does_not_drop_a_constraint():
+    # Every other row of a full-rank 10-by-40 system scaled by 1e-12.  Unless
+    # factor equilibrates the rows, its rank test counts the small ones as
+    # dependent: rank 5, and a Converged run whose point violates five rows
+    # by 2.67 relative to their norms.
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((10, 40))
+    b = a @ rng.standard_normal(40)
+    scale = np.where(np.arange(10) % 2 == 0, 1.0, 1e-12)
+    cs = ConstraintSystem(a=scale[:, None] * a, b=scale * b)
+    assert factor(cs).rank == 10
+    c = rng.standard_normal(40)
+    problem = StubProblem(cs, np.zeros(40), lambda x: 0.5 * float((x - c) @ (x - c)), lambda x: x - c)
+    report = solve(problem)
+    assert report.status == CONVERGED
+    residual = np.abs(cs.a @ report.x_star - cs.b) / np.linalg.norm(cs.a, axis=1)
+    assert residual.max() <= 1e-12
+    # The closest point to c on the unscaled system.
+    x_ref = c - a.T @ np.linalg.solve(a @ a.T, a @ c - b)
+    assert np.allclose(report.x_star, x_ref, atol=1e-6)

@@ -1,28 +1,16 @@
-"""Finite-difference curvature in the tangent space, and its shifted factorization.
+"""Curvature in the tangent basis, and the shifted solve it serves.
 
-The ill-conditioned phase of the solver needs second-order information that
-respects the constraints.  It is built column by column: column ``i`` is the
-forward difference of the *projected* gradient along the *projected* i-th
-coordinate direction,
-
-    H[:, i] = (Pg(x + eps * P e_i) - Pg(x)) / eps,
-
-which costs exactly ``n`` gradient evaluations, one per probe (the caller
-passes the gradient at ``x``), and maps the tangent space into itself up to
-finite-difference noise.  The directions ``P e_i`` are the columns of the
-dense projector that :func:`~eqflow.projection.tangent_projector` keeps on
-the basis, so only the first probe of a basis forms them.  The matrix is
-used as evaluated — deliberately not symmetrized, so the factorization
-sees the raw differences.
-
-The shifted system solved each iteration is ``(shift/dt) I + H`` with a fixed
-base shift; since ``H`` is nearly singular in the normal directions, the shift
-both regularizes and encodes the continuation step size.  It is factored by LU
-with partial pivoting rather than Cholesky: the unsymmetrized ``H`` may fail to
-be exactly symmetric, and an indefinite ``H`` leaves the system indefinite
-whenever ``shift/dt`` is below the magnitude of its most negative eigenvalue.
-LAPACK factors column-major matrices, so a Fortran-ordered ``H`` is copied
-into the factorization without a transpose.
+The ill-posed phase preconditions with the regularized two-sided projection
+of the Hessian, ``(shift/dt) I + P H P``, held in an orthonormal tangent
+basis ``Q2`` (n-by-(n - r)) as the reduced Hessian ``Hr = Q2^T H Q2``
+(Nocedal & Wright, *Numerical Optimization*, §15.3 and §16.2).  Without an
+analytic Hessian, ``Hr`` is the symmetric part of ``Q2^T G``, where column j
+of ``G`` is the forward difference ``(g(x + eps q_j) - g(x)) / eps`` along
+column j of ``Q2``: n - r gradient evaluations.  One eigendecomposition
+``Hr = V diag(lam) V^T`` serves every shift (Golub, Nash & Van Loan, IEEE
+TAC 1979): with ``W = Q2 V`` the shifted solve is
+``d = W (W^T rhs / (shift/dt + lam))``, which lies in null(A) by
+construction, and a new shift costs O(n - r).
 """
 
 from __future__ import annotations
@@ -30,92 +18,66 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-import scipy.linalg.lapack
 
 from .errors import SingularFactor
-from .projection import ProjectorBasis, project_gradient, tangent_projector
+# Not called here; perfbench/tracing.py patches this name.
+from .projection import project_gradient  # noqa: F401
 
 __all__ = ["fd_projected_hessian", "build_and_factor", "solve_shifted"]
 
-#: Diagonal entries of the triangular factor below this fraction of the matrix
-#: norm flag the shifted matrix as numerically singular.
+#: Shifted eigenvalues whose smallest magnitude is at most this fraction of
+#: their 2-norm flag the shifted matrix as numerically singular.
 _SINGULAR_RTOL = 1e-14
 
-#: Length of each forward-difference probe along a projected coordinate.
+#: Length of each forward-difference probe along a tangent basis vector.
 _FD_EPS = 1e-6
 
 
 def fd_projected_hessian(
-    grad: Callable[[np.ndarray], np.ndarray],
-    basis: ProjectorBasis,
-    x: np.ndarray,
-    g: np.ndarray,
+    grad: Callable[[np.ndarray], np.ndarray], q2: np.ndarray, x: np.ndarray, g: np.ndarray
 ) -> np.ndarray:
-    """Evaluate the projected finite-difference curvature matrix at the float
+    """The reduced finite-difference curvature ``sym(Q2^T G)`` at the float
     array ``x``, whose gradient ``g`` the caller has evaluated and checked.
 
-    Probes the ``n`` projected coordinate directions, scaled by ``_FD_EPS``
-    (1e-6), in ascending index order: ``n`` gradient evaluations, each
-    differenced against ``g``.  The
-    directions are the rows of the basis's kept projector, read contiguously;
-    each probe point is formed only when it is probed, and its gradient is
-    written straight into column ``i`` of the C-ordered matrix that is then
-    projected.  The first call on a basis builds the projector.  ``grad``
-    checks its own results: the solver passes one that raises on a misshapen
-    or non-finite gradient, so no later probe is made.
+    Probes the columns of the tangent basis ``q2``, scaled by ``_FD_EPS``
+    (1e-6), in column order, writing each gradient straight into row j of
+    ``G^T``.  ``grad`` checks its own results: the solver passes one that
+    raises on a misshapen or non-finite gradient, so no later probe is made.
     """
-    n = x.shape[0]
-    # Row i of the column-major projector's transpose is P e_i.
-    directions = tangent_projector(basis).T
-    diffs = np.empty((n, n))
-    for i in range(n):
-        diffs[:, i] = grad(x + _FD_EPS * directions[i])
-    # Subtract the raw gradients before projecting: the difference is O(_FD_EPS)
-    # while the gradients themselves are O(||g||), so projecting afterwards
-    # avoids amplifying projection roundoff by 1/_FD_EPS.  It also makes the
-    # matrix exactly zero for linear objectives, where every probe returns the
-    # same gradient.
-    diffs -= g[:, None]
+    k = q2.shape[1]
+    diffs = np.empty((k, x.shape[0]))
+    for j in range(k):
+        diffs[j] = grad(x + _FD_EPS * q2[:, j])
+    # Subtract the raw gradients before reducing: the difference is O(_FD_EPS)
+    # while the gradients are O(||g||), and a linear objective gives exactly 0.
+    diffs -= g
     diffs /= _FD_EPS
-    return project_gradient(basis, diffs)
+    hr = diffs @ q2
+    return 0.5 * (hr + hr.T)
 
 
 def build_and_factor(
-    hess: np.ndarray, shift: float, dt: float
+    curvature: tuple[np.ndarray, np.ndarray], shift: float, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Form ``(shift/dt) I + H`` and factor it by LU with partial pivoting.
+    """Shift the eigenvalues of the curvature ``(W, lam)``: returns
+    ``(W, shift/dt + lam)``, the pair :func:`solve_shifted` reads.
 
-    Returns the pair ``(lu, piv)`` that :func:`scipy.linalg.lu_factor`
-    returns: ``lu`` holds the unit lower triangle ``L`` below its diagonal and
-    ``U`` on and above it, and ``piv`` the zero-based row interchanges.
-
-    ``hess`` is left unchanged.  Its copy is column-major, the order ``getrf``
-    factors in place, so a Fortran-ordered ``hess`` is copied as it lies in
-    memory; a C-ordered one is transposed into place and factors the same.
-
-    Raises
-    ------
-    SingularFactor
-        If any diagonal entry of ``U`` is at most ``1e-14 * ||B||`` (a zero
-        matrix and an exact zero pivot included).  The solver then halves
-        ``dt`` and factors again, down to its ``dt`` floor.
+    Raises :class:`SingularFactor` if the smallest ``|shift/dt + lam|`` is at
+    most ``1e-14`` times the 2-norm of ``shift/dt + lam`` (an exact zero
+    included); the solver then halves ``dt`` and shifts again.
     """
-    # A Fortran-ordered copy lets getrf factor it in place.  Read in that
-    # order its buffer is a view whose every (n+1)-th entry is diagonal, which
-    # numpy adds to in one strided pass (``b.flat`` takes a slower iterator).
-    b = np.array(hess, dtype=float, order="F")
-    b.reshape(-1, order="F")[:: b.shape[0] + 1] += shift / dt
-    norm_b = float(np.linalg.norm(b))
-    lu, piv, _ = scipy.linalg.lapack.dgetrf(b, overwrite_a=True)
-    if float(np.min(np.abs(np.diag(lu)))) <= _SINGULAR_RTOL * norm_b:
+    w, lam = curvature
+    shifted = shift / dt + lam
+    if float(np.min(np.abs(shifted))) <= _SINGULAR_RTOL * float(np.linalg.norm(shifted)):
         raise SingularFactor(
             f"shifted curvature matrix is numerically singular at dt={dt:.3e}"
         )
-    return lu, piv
+    return w, shifted
 
 
 def solve_shifted(factor: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
-    """Solve ``((shift/dt) I + H) d = rhs`` with the ``(lu, piv)`` pair of
-    :func:`build_and_factor`."""
-    d, _ = scipy.linalg.lapack.dgetrs(*factor, rhs)
-    return d
+    """Solve the shifted system on the tangent space with the pair
+    ``(W, shift/dt + lam)`` of :func:`build_and_factor`:
+    ``W (W^T rhs / (shift/dt + lam))``."""
+    w, shifted = factor
+    return w @ ((w.T @ rhs) / shifted)

@@ -5,27 +5,23 @@ A single column-pivoted QR factorization of ``A^T`` yields an orthonormal basis
 ``Q1`` of the row space of ``A`` and its orthogonal complement ``Q2`` (the
 tangent space of the constraint set).  The orthogonal projector onto the
 tangent space is ``P = I - Q1 Q1^T = Q2 Q2^T``; callers apply it through
-:func:`project_gradient`.  Only curvature probing needs it densely, and
-:func:`tangent_projector` forms it once per basis.
+:func:`project_gradient`, and it is never formed.  Curvature and the SQP
+baseline work in the coordinates of ``Q2``, which :func:`tangent_basis`
+returns.
 
 The factorization also produces, once, the coefficient vector ``b_r`` with
 which any point can be snapped back onto the constraint set by the minimum-norm
 correction ``x - Q1 (Q1^T x - b_r)``, or ``P x + x_p`` with the feasible point
 ``x_p = Q1 b_r`` (see :func:`restore_feasibility`).  Steps keep ``Ax = b``, so
-this one anchor carries the feasibility of a whole run.  A full-rank system
-off the tie r = n/2 takes it from one triangular solve ``R11^T b_r = b[perm]``
-on the triangle of ``R`` where LAPACK left it.  A rank-deficient system takes
-the least-squares anchor of the normal equations ``(R1 R1^T) b_r = R1 b[perm]``,
-which fits all m rows rather than the r pivot rows alone.  Ties take it too:
-every catalog system is a tie, and the catalog's trajectories are pinned to
-its rounding.
+this one anchor, computed as :func:`factor` describes, carries the
+feasibility of a whole run.
 
 Projection and restoration read only the thinner block, ``Q1`` when the rank
 r is below n/2 and ``Q2`` (with ``x_p``) when it is above, so a basis holds
 only that block; at the tie r = n/2 it holds all of ``Q``, formed exactly as
 ``scipy.linalg.qr`` forms it.  A :class:`ConstraintSystem` is immutable, so
-:func:`factor` runs the QR once per system and keeps the basis on it for
-every later call; the basis keeps its dense projector the same way.
+:func:`factor` runs the QR once per system and keeps the basis on it, and
+:func:`tangent_basis` keeps a ``Q2`` it forms on the basis the same way.
 """
 
 from __future__ import annotations
@@ -44,7 +40,7 @@ __all__ = [
     "factor",
     "project_gradient",
     "restore_feasibility",
-    "tangent_projector",
+    "tangent_basis",
 ]
 
 
@@ -61,11 +57,11 @@ class ConstraintSystem:
     :class:`ProjectorBasis` that :func:`factor` keeps on the system stays
     valid for as long as the system lives.  With r the rank of ``A``, the
     basis holds n * min(r, n - r) floats and n more for ``x_p`` when
-    r > n/2, or n * n floats at the tie r = n/2; once curvature is probed it
-    keeps the dense n-by-n projector too.  Its anchor ``b_r`` comes from a
-    triangular solve when ``A`` has full row rank off the tie, and from the
-    least-squares normal equations at the tie or when rows are dependent
-    (see :func:`factor`).  A system made with :func:`dataclasses.replace` is
+    r > n/2, or n * n floats at the tie r = n/2; when r < n/2, a tangent
+    basis asked of it keeps n * (n - r) floats more.  Its anchor ``b_r``
+    comes from a triangular solve when ``A`` has full row rank off the tie,
+    and from the least-squares normal equations at the tie or when rows are
+    dependent (see :func:`factor`).  A system made with :func:`dataclasses.replace` is
     a new system with no basis yet.
     """
 
@@ -132,9 +128,9 @@ class ProjectorBasis:
         (n,) the least-norm feasible point ``Q1 b_r`` when 2r > n, else
         ``None``.
 
-    The first :func:`tangent_projector` call on a basis keeps the dense
-    n-by-n projector on it, read-only, for as long as the basis lives.  A
-    basis made with :func:`dataclasses.replace` has no projector yet.
+    When 2r < n, the first :func:`tangent_basis` call on a basis keeps the
+    ``Q2`` it forms on it, read-only, for as long as the basis lives.  A
+    basis made with :func:`dataclasses.replace` has none yet.
     """
 
     rank: int
@@ -304,23 +300,27 @@ def project_gradient(basis: ProjectorBasis, g: np.ndarray) -> np.ndarray:
     return basis.q2 @ (basis.q2.T @ g)
 
 
-def tangent_projector(basis: ProjectorBasis) -> np.ndarray:
-    """The dense tangent-space projector ``P``, read-only and column-major.
-
-    Column ``i`` is ``project_gradient(basis, I)[:, i]`` bit for bit, so row
-    ``i`` of ``P.T`` is the projected i-th coordinate direction, contiguous
-    in memory.  Built on the first call and kept on ``basis``: every later
-    call returns the same array.
-    """
+def tangent_basis(basis: ProjectorBasis) -> np.ndarray:
+    """An orthonormal basis ``Q2`` of the tangent space, n-by-(n - r),
+    read-only and column-major: the basis's own ``q2`` when it holds one.
+    When it holds ``Q1`` alone (2r < n), the trailing n - r columns of the
+    Householder QR of ``Q1``, from ``dgeqrf`` and one ``dormqr`` on
+    ``[[0], [I]]``, built on the first call and kept on ``basis``."""
+    if basis.q2 is not None:
+        return basis.q2
     # Not functools.cached_property, as in factor.  Threads that race here
     # each build the same array bit for bit, and the last one stored is kept.
-    cached = getattr(basis, "_projector", None)
+    cached = getattr(basis, "_q2", None)
     if cached is not None:
         return cached
-    p = np.asfortranarray(project_gradient(basis, np.eye(basis.n)))
-    p.flags.writeable = False
-    object.__setattr__(basis, "_projector", p)
-    return p
+    n, r = basis.q1.shape
+    qr, tau = _lapack(scipy.linalg.lapack.dgeqrf, basis.q1)
+    c = np.zeros((n, n - r), order="F")
+    c[r:] = np.eye(n - r)
+    q2, = _lapack(scipy.linalg.lapack.dormqr, "L", "N", qr, tau, c, overwrite_c=True)
+    q2.flags.writeable = False
+    object.__setattr__(basis, "_q2", q2)
+    return q2
 
 
 def restore_feasibility(basis: ProjectorBasis, x: np.ndarray) -> np.ndarray:

@@ -21,26 +21,23 @@ The preconditioner runs in two one-way phases:
   longer than ``d``, so without the scale no ``dt`` reaches the minimizer of
   a model flatter than the identity;
 * ill-posed phase — once ``dt`` falls below the threshold (a sign of stiff,
-  badly conditioned curvature), ``B`` becomes the shifted tangent-space
-  Hessian ``(shift/dt) I + H`` (projected from the problem's ``hess`` if it
-  has one, else finite-differenced), factored by LU and cached under a
-  rebuild policy driven by step acceptance and ratio quality.
+  badly conditioned curvature), ``B`` becomes the shifted two-sided
+  projection of the Hessian ``(shift/dt) I + P H P``, held as the
+  eigendecomposition of the reduced Hessian ``Q2^T H Q2`` (from the
+  problem's ``hess`` if it has one, else finite-differenced along ``Q2``)
+  and cached under a rebuild policy driven by step acceptance and ratio
+  quality.  A trial whose decrease ``f`` cannot resolve may be scored by
+  the gradient instead (see :func:`solve`).
 
 Every direction lies in the null space of the constraint matrix by
 construction, so feasibility established once by an initial orthogonal
 restoration is conserved, up to roundoff, for the whole run without
 correction steps.
 
-Besides the tolerance and the iteration cap, a run ends when ``dt`` falls
-below a floor, or at one of two earlier points.  In the ill-posed phase it
-ends at the first trial step that rounds to the current point while the
-shift dominates the curvature: every smaller ``dt`` then gives a shorter
-step, so no later trial could move the point.  And it ends instead of
-switching phase when the last trial predicted a positive decrease below 16
-ulps of ``f``: the ratios that shrank ``dt`` then measured rounding in
-``f``, not stiff curvature.  The report's ``stop_reason`` says which rule
-ended the run, and its ``status`` follows from the final point alone (see
-:class:`SolverReport`).
+Besides the tolerance and the iteration cap, a run ends at a ``dt`` floor
+or at one of two earlier stops (see :func:`solve`).  The report's
+``stop_reason`` says which rule ended the run, and its ``status`` follows
+from the final point alone (see :class:`SolverReport`).
 
 :func:`baseline_sqp`, the reference method of the benchmark, runs SQP with
 a BFGS Hessian through the same set-up, checks and report as :func:`solve`.
@@ -55,12 +52,11 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, NonFiniteGradient, NonFiniteObjective, SingularFactor
 from .hessian import build_and_factor, fd_projected_hessian, solve_shifted
 from .lbfgs import apply_inverse, make_pair, zero_pair
-from .projection import factor, project_gradient, restore_feasibility
+from .projection import factor, project_gradient, restore_feasibility, tangent_basis
 
 __all__ = [
     "WELL_POSED",
@@ -157,7 +153,8 @@ class IterationRecord:
     rejection); ``dt`` and ``rho`` belong to the trial evaluated in this
     iteration.  The 2-norm diagnostics (``decrease``, ``step_norm``,
     ``pg_norm``, ``step_infeas``) feed the conservation and model-decrease
-    property tests.
+    property tests.  ``certified`` marks an ill-posed trial scored by the
+    gradient rather than by ``f`` (see :func:`solve`).
 
     ``feas`` (max-norm of ``Ax - b``) and ``step_infeas`` (max-norm of ``As``)
     come from one matrix product with ``A`` per block of 128 points or steps,
@@ -180,6 +177,7 @@ class IterationRecord:
     step_norm: float
     pg_norm: float
     step_infeas: float
+    certified: bool
 
 
 @dataclass
@@ -343,10 +341,14 @@ class _Run:
             raise NonFiniteObjective(f"objective at {where} is not finite")
         self.move_to(x, f, where)
 
-    def move_to(self, x: np.ndarray, f: float, where: str = "an accepted point") -> None:
+    def move_to(
+        self, x: np.ndarray, f: float, where: str = "an accepted point",
+        g: Optional[np.ndarray] = None,
+    ) -> None:
         """Make ``x``, with objective ``f``, the current point; evaluates its
-        gradient and residuals."""
-        g = self.gval(x, where)
+        gradient, unless the checked ``g`` is given, and its residuals."""
+        if g is None:
+            g = self.gval(x, where)
         pg = project_gradient(self.basis, g)
         if self.x_has_rows:
             self.points.append(self.x)
@@ -392,9 +394,8 @@ class _Run:
         elif self.kkt <= self.cfg.tol and feas <= self.cfg.tol:
             status, stop_reason = CONVERGED, "tolerance"
         elif self.kkt <= self.cfg.tol:
-            # Steps conserve Ax = b only up to roundoff, and an ill-posed
-            # step keeps the LU solve's roundoff in the normal space scaled by
-            # dt/reg_shift, so with a tight tol the point can drift off it.
+            # Steps conserve Ax = b only up to roundoff, so with a tight tol
+            # the point can drift off it.
             status = MAX_ITERATIONS if iterations >= self.cfg.max_iter else STEP_FAILURE
             stop_reason = "feasibility-lost"
         else:
@@ -421,21 +422,32 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
 
     ``problem`` must provide ``cs`` (the constraint system), ``x0``, ``f`` and
     ``grad`` callbacks (pure functions), and may provide ``hess``: whenever
-    it is not ``None``, the ill-posed phase projects its n-by-n matrix instead
-    of probing the curvature by finite differences of ``grad``.
+    it is not ``None``, the ill-posed phase reduces its n-by-n matrix to
+    ``Q2^T H Q2`` instead of probing the curvature by finite differences of
+    ``grad``.
 
     The iteration follows the scheme in the module docstring; per iteration:
     the phase is switched (permanently) if ``dt`` has fallen below the
     threshold; a direction is computed — from the memory-one pair in the
-    well-posed phase, or from the cached or rebuilt factorization in the
+    well-posed phase, or from the cached or rebuilt curvature in the
     ill-posed phase; the trial point is scored by :func:`trial_ratio`;
     acceptance requires both the ratio and the model-decrease floors; ``dt``
     is updated by :func:`update_timestep`.
 
+    An ill-posed trial is *certified* when the run is trusted, the predicted
+    decrease is positive, ``0 <= f - f_trial <= 16 ulp(f)`` and
+    ``x_trial != x``: its ratio is then the trapezoid estimate of its
+    decrease, ``-(g + g_trial)^T s / 2``, over the predicted one, and an
+    accepted one hands ``g_trial`` on as its point's gradient.  The run is
+    trusted when the last accepted step scored by ``f`` decreased ``f`` by
+    more than 16 ulps, with a trapezoid estimate within 0.25 of that
+    decrease (Hager & Zhang, SIAM J. Optim. 16, 2005), which is evaluated
+    only when a certification is considered.
+
     Besides the tolerance and the iteration cap, the run stops when ``dt``
     falls below its floor (``"dt-floor"``); when an ill-posed trial point
     equals the current point bit for bit while ``reg_shift/dt`` is at least
-    the Frobenius norm of the curvature matrix (``"step-rounds-away"``); or
+    the Frobenius norm of the reduced curvature (``"step-rounds-away"``); or
     when ``dt`` falls below the switch threshold in the well-posed phase and
     the last trial's predicted decrease was positive but below 16 ulps of
     ``f`` (``"sub-ulp"``).  A non-positive predicted decrease, or a ``dt0``
@@ -444,23 +456,24 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
     iteration in ``iterations``.
 
     A shifted matrix that :func:`build_and_factor` finds singular halves
-    ``dt`` until it factors, without probing again.  If ``dt`` falls below
+    ``dt`` until it is not, without probing again.  If ``dt`` falls below
     its floor first, the run stops (``"dt-floor"``) without counting the
     stopping iteration or writing its row.
 
     Each cache is dropped by the event that makes it stale: an accepted step
     whose ratio left the inner band drops the curvature and its shifted
-    factors; a rejected step drops only the factors.  The ill-posed phase
-    probes or factors whatever is missing.
+    eigenvalues; a rejected step drops only the shifted eigenvalues.  The
+    ill-posed phase probes or shifts whatever is missing.
 
     Raises
     ------
     NonFiniteObjective
         If the objective at the (restored) initial point is non-finite.
     NonFiniteGradient
-        If the gradient at the initial point or at an accepted point, or a
-        curvature probe (differenced or analytic), is non-finite.  Probes are
-        not retried: their points do not depend on ``dt``.
+        If the gradient at the initial point, at an accepted point or at a
+        certified trial, or a curvature probe (differenced or analytic), is
+        non-finite.  Probes are not retried: their points do not depend on
+        ``dt``.
     DimensionError
         If ``f`` returns anything but a real scalar, ``grad`` an array whose
         shape is not ``(n,)``, or ``hess`` one whose shape is not ``(n, n)``.
@@ -472,20 +485,37 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
     basis = run.basis
     hess_cb = getattr(problem, "hess", None)
 
-    def eval_hessian() -> np.ndarray:
+    def eval_curvature() -> tuple[np.ndarray, np.ndarray]:
+        """``(Q2 V, lam)`` of the reduced Hessian ``V diag(lam) V^T`` at x."""
         run.hessian_evals += 1
+        q2 = tangent_basis(basis)
         if hess_cb is not None:
             n = run.cs.n
             raw = _checked(hess_cb(run.x), (n, n), "Hessian callback", "the current point")
-            return project_gradient(basis, project_gradient(basis, raw).T).T
-        return fd_projected_hessian(
-            lambda p: run.gval(p, "a curvature probe"), basis, run.x, run.g
-        )
+            reduced = q2.T @ raw @ q2
+        else:
+            reduced = fd_projected_hessian(
+                lambda p: run.gval(p, "a curvature probe"), q2, run.x, run.g
+            )
+        lam, v = np.linalg.eigh(reduced)
+        return q2 @ v, lam
+
+    # The last accepted step scored by f: (f, g) before and after it, and s.
+    scored: Optional[tuple[float, np.ndarray, float, np.ndarray, np.ndarray]] = None
+
+    def trusted() -> bool:
+        if scored is None:
+            return False
+        f_old, g_old, f_new, g_new, s_old = scored
+        actual = f_old - f_new
+        if not actual > _ULP_BAND * math.ulp(f_old):
+            return False
+        estimate = -0.5 * float((g_old + g_new) @ s_old)
+        return abs(estimate - actual) <= _RATIO_BAND_INNER * actual
 
     k, dt, phase = 0, cfg.dt0, WELL_POSED
     pair = zero_pair(run.cs.n)
-    hessian = shifted = None
-    hessian_norm = math.inf
+    curvature = shifted = None
     decrease = 0.0  # the last trial's predicted decrease
     accepted_steps = 0
 
@@ -508,17 +538,12 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
         if phase == WELL_POSED:
             d = -pair.scale * apply_inverse(pair, run.pg)
         else:
-            hessian_rebuilt = hessian is None
+            hessian_rebuilt = curvature is None
             if hessian_rebuilt:
-                hessian = eval_hessian()
-                # The norm sums in memory order, so it is taken before the
-                # column-major copy that every factorization then copies
-                # without a transpose (the analytic result already is one).
-                hessian_norm = float(np.linalg.norm(hessian))
-                hessian = np.asfortranarray(hessian)
+                curvature = eval_curvature()
             while shifted is None:
                 try:
-                    shifted = build_and_factor(hessian, cfg.reg_shift, dt)
+                    shifted = build_and_factor(curvature, cfg.reg_shift, dt)
                 except SingularFactor:
                     dt = _DT_SHRINK * dt
                     if dt < _DT_MIN:
@@ -529,8 +554,8 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
         x_trial = run.x + s
         if (
             phase == ILL_POSED
-            and hessian_norm <= cfg.reg_shift / dt
             and np.array_equal(x_trial, run.x)
+            and float(np.linalg.norm(curvature[1])) <= cfg.reg_shift / dt
         ):
             # The trial would be rejected (f_trial == f), and with the shift
             # dominating H each halving of dt shortens the step about
@@ -538,6 +563,17 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
             return run.report("step-rounds-away", k - 1, accepted_steps)
         f_trial = run.fval(x_trial)
         rho, decrease = trial_ratio(run.f, f_trial, run.g, s, dt)
+        g_trial = None
+        if (
+            phase == ILL_POSED
+            and decrease > 0.0
+            and 0.0 <= run.f - f_trial <= _ULP_BAND * math.ulp(run.f)
+            and not np.array_equal(x_trial, run.x)
+            and trusted()
+        ):
+            # f cannot resolve this decrease, and the gradient can.
+            g_trial = run.gval(x_trial, "a certified trial")
+            rho = -0.5 * float((run.g + g_trial) @ s) / decrease
         step_norm = _norm(s)
         pg_norm = run.pg_norm
         accepted = bool(
@@ -546,19 +582,21 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
         )
 
         if accepted:
-            pg_old = run.pg
-            run.move_to(x_trial, f_trial)
+            f_old, g_old, pg_old = run.f, run.g, run.pg
+            run.move_to(x_trial, f_trial, g=g_trial)
+            if g_trial is None:
+                scored = (f_old, g_old, f_trial, run.g, s)
             pair = make_pair(s, run.pg - pg_old)
             accepted_steps += 1
             if abs(1.0 - rho) > _RATIO_BAND_INNER:
-                hessian = shifted = None
+                curvature = shifted = None
         else:
             shifted = None
 
         run.record(
             k, t_iter, s, dt=dt, rho=rho, accepted=accepted, phase=phase,
             hessian_rebuilt=hessian_rebuilt, decrease=decrease,
-            step_norm=step_norm, pg_norm=pg_norm,
+            step_norm=step_norm, pg_norm=pg_norm, certified=g_trial is not None,
         )
         dt = update_timestep(dt, rho)
         if dt < _DT_MIN:
@@ -586,11 +624,9 @@ def baseline_sqp(problem: Any, config: Optional[SolverConfig] = None) -> SolverR
     run = _Run(problem, cfg)
     if run.pinned:
         return run.report("pinned", 0, 0)
-    x0, q2 = run.x, run.basis.q2
-    if q2 is None:
-        # The basis holds Q1 alone (2r < n).  Any orthonormal tangent basis
-        # will do: BFGS from the identity takes the same steps in each.
-        q2 = scipy.linalg.qr(run.basis.q1)[0][:, run.basis.rank:]
+    # Any orthonormal tangent basis will do: BFGS from the identity takes
+    # the same steps in each.
+    x0, q2 = run.x, tangent_basis(run.basis)
     res = minimize(
         lambda z: run.fval(x0 + q2 @ z), np.zeros(q2.shape[1]), method="BFGS",
         jac=lambda z: q2.T @ run.gval(x0 + q2 @ z, "an SQP point"),

@@ -531,8 +531,8 @@ class TestParallelism:
     def test_threads_sharing_a_system_match_serial_solves(self):
         # The library may be called from several threads: three solves on one
         # shared system, each of which probes curvature, race for its
-        # factorization and its kept projector.  Threads first: unless an
-        # earlier test probed the shared system, they find no projector yet.
+        # factorization.  Threads first: unless an earlier test solved on the
+        # shared system, they find no basis yet.
         names = ("sum_squares", "rotated_hyper_ellipsoid", "rosenbrock")
         config = SolverConfig(dt0=1e-4)
 

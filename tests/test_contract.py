@@ -104,9 +104,9 @@ def test_thread_gate_allows_only_the_named_problems(rows):
     # The same difference passes on a problem the gate names.
     for row in rows + again:
         if row["problem"] == "beale":
-            row["problem"] = "dixon_price"
-    _row(again, "dixon_price", "continuation").update(status="StepFailure", stop_reason="sub-ulp")
-    assert contract.check_thread_gate(rows, again) == {"dixon_price"}
+            row["problem"] = "rastrigin"
+    _row(again, "rastrigin", "continuation").update(status="StepFailure", stop_reason="sub-ulp")
+    assert contract.check_thread_gate(rows, again) == {"rastrigin"}
     _row(again, "matyas", "continuation").update(status="StepFailure", stop_reason="sub-ulp")
     with pytest.raises(AssertionError, match=r"thread count: \['matyas'\]"):
         contract.check_thread_gate(rows, again)

@@ -32,11 +32,11 @@ from eqflow import (
 import eqflow.solver as solver_module
 from eqflow.hessian import build_and_factor, solve_shifted
 from eqflow.problems import CONVEX_PROBLEMS, NONCONVEX_PROBLEMS, build_constraints
+from eqflow.projection import tangent_basis
 from eqflow.solver import trial_ratio, update_timestep
 from helpers import (
     assert_reports_equal,
     assert_status_rule,
-    planted_rank_system,
     problem_on,
     random_constraints,
     scaled_dependent_row_sphere,
@@ -111,6 +111,49 @@ def _rounds_away_stub():
         c + np.array([0.0, 0.0, 1.0, 1.0]),
         lambda x: 0.5e-3 * float((x - c) @ (x - c)),
         lambda x: 1e-3 * (x - c),
+    )
+
+
+def _rounds_away_after_steps_stub():
+    """f = sum_i w_i (x_i - c_i)^2 / 2 with w = (1, 1, 1e-2, 1e-2) and
+    c = (1e4, -1e4, 1e10, -1e10), from c + (1e-3, -1e-3, 1, 1): under
+    ``dt0=1e-4`` the first two coordinates take accepted steps until their
+    steps fall below an ulp of 1e4, and the steps of the last two stay below
+    an ulp of 1e10 throughout.  ``hess`` is the exact diagonal."""
+    w = np.array([1.0, 1.0, 1e-2, 1e-2])
+    c = np.array([1e4, -1e4, 1e10, -1e10])
+    problem = StubProblem(
+        _one_sum_system(),
+        c + np.array([1e-3, -1e-3, 1.0, 1.0]),
+        lambda x: 0.5 * float(w * (x - c) @ (x - c)),
+        lambda x: w * (x - c),
+    )
+    problem.hess = lambda x: np.diag(w)
+    return problem
+
+
+def _drifting_stub():
+    """f = 1e-2 ||x - c||^2 / 2 on ``build_constraints(4)``, from the origin
+    to a feasible c about 1e5 away: the roundoff of a step moves ``Ax - b``
+    by up to 3e-11, and the point ends 5.8e-11 off it."""
+    cs = build_constraints(4)
+    c = restore_feasibility(factor(cs), 1e5 * np.random.default_rng(4).standard_normal(4))
+    return StubProblem(
+        cs, np.zeros(4), lambda x: 0.5e-2 * float((x - c) @ (x - c)), lambda x: 1e-2 * (x - c)
+    )
+
+
+def _curvature_phase_sub_ulp_stub():
+    """f = 1e8 + sum_i log(2 cosh(10 (x_i - c_i))) / 10 with
+    c = (0, 0, 1, -1), from c + (1, -1, 2, 1): the curvature of log cosh
+    falls off away from c, so full shifted steps overshoot and are rejected
+    until dt is small, and by then the decreases are below an ulp of 1e8."""
+    c = np.array([0.0, 0.0, 1.0, -1.0])
+    return StubProblem(
+        _one_sum_system(),
+        c + np.array([1.0, -1.0, 2.0, 1.0]),
+        lambda x: 1e8 + float(np.sum(np.logaddexp(10.0 * (x - c), -10.0 * (x - c)))) / 10.0,
+        lambda x: np.tanh(10.0 * (x - c)),
     )
 
 
@@ -305,32 +348,31 @@ class TestTerminalStatuses:
         assert report.trace[-1].dt >= solver_module._DT_MIN
 
     def test_step_that_rounds_away_ends_the_ill_posed_phase(self):
-        # From the default dt0 the run stops sub-ulp at the phase switch, so
-        # it starts in the ill-posed phase, with a tolerance no point meets.
-        n = 100
-        problem = with_exact_hessian(get_problem("rotated_hyper_ellipsoid", n=n))
+        # The run takes ill-posed steps until no trial moves x, with a
+        # tolerance no point meets.
+        problem = _rounds_away_after_steps_stub()
         cfg = SolverConfig(dt0=1e-4, tol=1e-9)
         report = solve(problem, cfg)
-        assert report.status == STEP_FAILURE
-        assert report.stop_reason == "step-rounds-away"
-        last = report.trace[-1]
-        assert last.phase == ILL_POSED and not last.accepted
+        assert (report.status, report.stop_reason) == (STEP_FAILURE, "step-rounds-away")
+        assert report.accepted_steps >= 5
+        assert {rec.phase for rec in report.trace} == {ILL_POSED}
         # The stopping trial evaluated no f and wrote no row.
         assert len(report.trace) == report.iterations
         assert report.objective_evals == report.iterations + 1
 
-        # Replay the trials that halving dt down to the floor would have
-        # run: not one of them moves x*.
-        basis = factor(problem.cs)
+        # Replay the trial that stopped the run, and those that halving dt
+        # down to the floor would have run: not one of them moves x*.
         x_star = report.x_star
-        pg = project_gradient(basis, problem.grad(x_star))
-        raw = problem.hess(x_star)
-        hess = project_gradient(basis, project_gradient(basis, raw).T).T
-        dt, replayed = last.dt, 0
-        while dt * solver_module._DT_SHRINK >= solver_module._DT_MIN:
-            dt *= solver_module._DT_SHRINK
-            d = solve_shifted(build_and_factor(hess, cfg.reg_shift, dt), -pg)
+        q2 = tangent_basis(factor(problem.cs))
+        lam, v = np.linalg.eigh(q2.T @ problem.hess(x_star) @ q2)
+        pg = project_gradient(factor(problem.cs), problem.grad(x_star))
+        dt = update_timestep(report.trace[-1].dt, report.trace[-1].rho)
+        assert np.linalg.norm(lam) <= cfg.reg_shift / dt
+        replayed = 0
+        while dt >= solver_module._DT_MIN:
+            d = solve_shifted(build_and_factor((q2 @ v, lam), cfg.reg_shift, dt), -pg)
             assert np.array_equal(x_star + (dt / (1.0 + dt)) * d, x_star), dt
+            dt *= solver_module._DT_SHRINK
             replayed += 1
         assert replayed > 10
 
@@ -351,17 +393,16 @@ class TestTerminalStatuses:
         assert report.feas == 1.0
 
     def test_normal_drift_past_tight_tol_is_not_reported_converged(self):
-        # The restored start is feasible to 1e-13, but the ill-posed step at
-        # k=17 (dt = 3.28, ||s|| = 1.6) carries a normal component of about
-        # 1e-9 from the LU solve: the run reaches kkt <= tol with feas > tol.
-        problem = with_exact_hessian(get_problem("trid", n=100))
-        cfg = SolverConfig(dt0=1e-4, tol=1e-9)
-        report = solve(problem, cfg)
+        # The restored start is feasible to 1e-14, but the roundoff of the
+        # ill-posed steps over about 1e5 leaves the point 5.8e-11 off Ax = b:
+        # the run reaches kkt <= tol with feas > tol.
+        cfg = SolverConfig(dt0=1e-4, tol=1e-12)
+        report = solve(_drifting_stub(), cfg)
         assert report.status == STEP_FAILURE
         assert report.stop_reason == "feasibility-lost"
-        assert report.iterations == 23
         assert report.kkt <= cfg.tol < report.feas
-        assert report.trace[0].feas < 1e-12
+        assert report.trace[0].feas < 1e-14
+        assert {rec.phase for rec in report.trace} == {ILL_POSED}
 
     def test_tolerance_met_below_the_dt_floor_converges(self):
         # The step that reaches kkt 0 also takes dt below the floor: the run
@@ -514,10 +555,9 @@ class TestSubUlpStop:
         assert report.status == CONVERGED
 
     def test_sub_ulp_trials_in_the_curvature_phase_do_not_stop_the_run(self):
-        problem = with_exact_hessian(get_problem("rotated_hyper_ellipsoid", n=100))
-        cfg = SolverConfig(dt0=1e-4, tol=1e-9)
-        report = solve(problem, cfg)
-        assert report.stop_reason == "step-rounds-away"
+        cfg = SolverConfig(dt0=1e-4, tol=1e-9, reg_shift=1e-8)
+        report = solve(_curvature_phase_sub_ulp_stub(), cfg)
+        assert report.status == CONVERGED
         sub_ulp = [
             i
             for i, rec in enumerate(report.trace)
@@ -669,7 +709,7 @@ _BLOCK_RUNS = [
 @pytest.fixture
 def small_block(monkeypatch):
     """Residual blocks of 32 vectors, so the traces of ``_BLOCK_RUNS`` and
-    of the drifting instance cross two full blocks and end in a partial one;
+    of the leaky run cross two full blocks and end in a partial one;
     returns the block size."""
     block = 32
     monkeypatch.setattr(solver_module, "_RESIDUAL_BLOCK", block)
@@ -680,12 +720,15 @@ def _trailing_rejections(rows):
     return next((i for i, rec in enumerate(reversed(rows)) if rec.accepted), len(rows))
 
 
-def _drifting_run():
-    """A drifting instance from test_properties.py: feas climbs to 1.6e-6,
-    so neighbouring rows differ by up to 7e-8, far above the roundoff bound
-    (about 1e-13 on most rows)."""
-    cs = planted_rank_system(np.random.default_rng(85), 5, 4, 2)
-    return problem_on(cs, "rosenbrock", 27), SolverConfig(max_iter=200)
+def _leaky_run(monkeypatch):
+    """trid at n = 30 with a projection patched to leak 1e-6 g into the
+    normal space, so that each accepted well-posed step moves ``Ax - b`` by
+    its own amount: feas climbs from about 1e-6 to 4e-3 over 200 rows."""
+    monkeypatch.setattr(
+        solver_module, "project_gradient",
+        lambda basis, g: project_gradient(basis, g) + 1e-6 * np.asarray(g),
+    )
+    return get_problem("trid", n=30), SolverConfig(max_iter=200)
 
 
 def _solve_with_points(problem, cfg):
@@ -755,17 +798,23 @@ class TestStoredResiduals:
                     and _trailing_rejections(report.trace) > small_block
                 )
 
-    def test_trace_residuals_measure_the_constraints(self, small_block):
+    def test_trace_residuals_measure_the_constraints(self, small_block, monkeypatch):
         # Each row is checked against the products computed one vector at a
-        # time, so a value put on the wrong row fails.
-        problem, cfg = _drifting_run()
+        # time, and most rows' values differ from the previous row's by more
+        # than the bound, so a value put on the wrong row fails.
+        problem, cfg = _leaky_run(monkeypatch)
         report, points = _solve_with_points(problem, cfg)
         assert len(report.trace) > 2 * small_block and report.feas > 1e-6
+        moved, previous = 0, None
         for rec, step_infeas, feas, bound in _rows_with_fresh_residuals(
             problem.cs, report.trace, points
         ):
             assert abs(rec.step_infeas - step_infeas) <= bound, f"at k={rec.k}"
             assert abs(rec.feas - feas) <= bound, f"at k={rec.k}"
+            if previous is not None:
+                moved += abs(feas - previous[0]) > bound and abs(step_infeas - previous[1]) > bound
+            previous = feas, step_infeas
+        assert moved > 2 * small_block
 
     def test_output_does_not_depend_on_the_block_size(self, monkeypatch):
         # Block size 1 computes each residual as soon as its vector waits, so
@@ -777,12 +826,15 @@ class TestStoredResiduals:
             return _inner(run, *args)
 
         monkeypatch.setattr(solver_module._Run, "report", spy_report)
-        runs = [(get_problem(name, n=n), cfg) for name, n, cfg in _BLOCK_RUNS]
-        for problem, cfg in runs + [_drifting_run()]:
+        runs = [(get_problem(name, n=n), cfg, False) for name, n, cfg in _BLOCK_RUNS]
+        for problem, cfg, leaky in runs + [(None, None, True)]:
             results = []
-            for block in (1, 3, solver_module._RESIDUAL_BLOCK):
-                monkeypatch.setattr(solver_module, "_RESIDUAL_BLOCK", block)
-                results.append(_solve_with_points(problem, cfg))
+            with monkeypatch.context() as patched:
+                if leaky:
+                    problem, cfg = _leaky_run(patched)
+                for block in (1, 3, solver_module._RESIDUAL_BLOCK):
+                    patched.setattr(solver_module, "_RESIDUAL_BLOCK", block)
+                    results.append(_solve_with_points(problem, cfg))
             assert waiting_at_report[-3] == 0
             (first, first_points), *others = results
             for report, points in others:
@@ -795,6 +847,16 @@ class TestStoredResiduals:
                     assert abs(rec.feas - rec_1.feas) <= bound, f"at k={rec.k}"
 
 
+def probe_gradients(report):
+    """The gradient calls of curvature probes: all but those at the start,
+    at accepted points and at rejected certified trials (an accepted
+    certified trial's gradient is its point's)."""
+    others = 1 + report.accepted_steps + sum(
+        rec.certified and not rec.accepted for rec in report.trace
+    )
+    return report.gradient_evals - others
+
+
 class TestEvaluationAccounting:
     def test_identity_phase_counts(self):
         report = solve(get_problem("booth"))
@@ -802,13 +864,13 @@ class TestEvaluationAccounting:
         assert report.gradient_evals == report.accepted_steps + 1
         assert report.hessian_evals == 0
 
-    def test_curvature_probing_costs_n_gradients(self):
+    def test_curvature_probing_costs_n_minus_r_gradients(self):
         n = 30
-        report = solve(get_problem("sum_squares", n=n), SolverConfig(dt0=1e-4))
+        problem = get_problem("sum_squares", n=n)
+        report = solve(problem, SolverConfig(dt0=1e-4))
         assert report.status == CONVERGED
         assert report.hessian_evals >= 1
-        probes = report.gradient_evals - (report.accepted_steps + 1)
-        assert probes == report.hessian_evals * n
+        assert probe_gradients(report) == report.hessian_evals * (n - factor(problem.cs).rank)
 
     def test_exact_hessian_skips_probing(self):
         n = 30
@@ -860,8 +922,7 @@ class TestCurvatureCachePolicy:
         assert report.status == CONVERGED
         assert report.trace[0].dt == 2.5e-5
         assert report.hessian_evals == sum(rec.hessian_rebuilt for rec in report.trace)
-        probes = report.gradient_evals - (report.accepted_steps + 1)
-        assert probes == report.hessian_evals * n
+        assert probe_gradients(report) == report.hessian_evals * (n - n // 2)
 
     def test_factor_that_stays_singular_ends_at_the_dt_floor(self, monkeypatch):
         tried = []
@@ -936,11 +997,7 @@ class TestStatusRule:
         runs = [(get_problem(name), default, None) for name in two_dim]
         runs += [
             (get_problem("griewank", n=20), SolverConfig(max_iter=5), None),
-            (
-                with_exact_hessian(get_problem("trid", n=100)),
-                SolverConfig(dt0=1e-4, tol=1e-9),
-                None,
-            ),
+            (_drifting_stub(), SolverConfig(dt0=1e-4, tol=1e-12), None),
             (
                 _infeasible_stationary_start(),
                 default,

@@ -504,7 +504,8 @@ class TestSubUlpStop:
     def test_switch_inside_the_ulp_band_stops_the_run(self):
         # A stiff-workload start whose last trial predicted about one ulp,
         # so the ratios that shrank dt were noise: switching would buy a
-        # 300-gradient probe and end StepFailure at the same f.
+        # 150-gradient probe and 282 more trials, 134 of them certified, to
+        # the iteration cap, 2 ulps below this f.
         base = get_problem("sum_squares", n=300)
         noise = np.random.default_rng([0, 1]).standard_normal(base.n)
         report = solve(dataclasses.replace(base, x0=base.x0 + 1e-2 * noise))

@@ -586,7 +586,8 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
             run.move_to(x_trial, f_trial, g=g_trial)
             if g_trial is None:
                 scored = (f_old, g_old, f_trial, run.g, s)
-            pair = make_pair(s, run.pg - pg_old)
+            if phase == WELL_POSED:
+                pair = make_pair(s, run.pg - pg_old)
             accepted_steps += 1
             if abs(1.0 - rho) > _RATIO_BAND_INNER:
                 curvature = shifted = None

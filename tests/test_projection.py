@@ -39,18 +39,23 @@ def hand_line():
 
 class TestHandWorkedLine:
     def test_rank_and_shapes(self):
+        # A tie 2r = n: the basis holds Q2 and x_p, and no Q1.
         basis = hand_line()
         assert basis.rank == 1
-        assert basis.q1.shape == (2, 1)
+        assert basis.q1 is None
         assert basis.q2.shape == (2, 1)
+        assert basis.x_p.shape == (2,)
 
     def test_normal_direction(self):
+        # Q2 spans the line's direction, orthogonal to its normal (2, 1).
         basis = hand_line()
-        expected = np.array([2.0, 1.0]) / np.sqrt(5.0)
+        normal = np.array([2.0, 1.0]) / np.sqrt(5.0)
+        expected = np.array([1.0, -2.0]) / np.sqrt(5.0)
+        assert abs(normal @ basis.q2[:, 0]) < 1e-15
         # Column sign is not pinned down by the factorization.
         assert min(
-            np.linalg.norm(basis.q1[:, 0] - expected),
-            np.linalg.norm(basis.q1[:, 0] + expected),
+            np.linalg.norm(basis.q2[:, 0] - expected),
+            np.linalg.norm(basis.q2[:, 0] + expected),
         ) < 1e-14
 
     def test_projected_gradient_value(self):
@@ -299,15 +304,10 @@ class TestRegimes:
     def test_holds_no_more_than_a_solve_reads(self, regime):
         basis = factor(regime_system(regime))
         n, r = basis.n, basis.rank
-        if 2 * r == n:
-            assert basis.x_p is None
-            assert basis.q1.base is basis.q2.base
-            assert held_floats(basis) == n * n + r
-            return
-        assert (basis.q1 is None) == (2 * r > n)
+        assert (basis.q1 is None) == (2 * r >= n)
         assert (basis.q2 is None) == (basis.x_p is None) == (2 * r < n)
-        # The thinner block, x_p beside Q2, and b_r: off the tie that is
-        # within n * max(r, n - r) + n floats, and no n-by-n array.
+        # The thinner block, x_p beside Q2, and b_r, ties included: no
+        # n-by-n array.
         assert held_floats(basis) <= n * min(r, n - r) + n + r
 
     def test_anchor_per_regime(self):
@@ -347,26 +347,6 @@ class TestRegimes:
             tracemalloc.stop()
         assert r == m
         assert peak < 1.25 * (n * m + n * (n - r + 1)) * 8
-
-
-class TestTie:
-    """At ``2r = n`` (every catalog system, and the ``stiff`` and ``tiny``
-    benchmark systems), ``factor`` gives what ``scipy.linalg.qr`` and the
-    normal equations gave, so no trajectory on those systems moves."""
-
-    @pytest.mark.parametrize("n", [2, 10, 300, 1000])
-    def test_blocks_match_scipy_qr_bit_for_bit(self, n):
-        shared = build_constraints(n)
-        cs = ConstraintSystem(a=shared.a, b=shared.b)
-        basis = factor(cs)
-        q, r_full, perm = scipy.linalg.qr(cs.a.T, pivoting=True)
-        rank = basis.rank
-        assert 2 * rank == n
-        r1 = r_full[:rank, :]
-        b_r = scipy.linalg.solve(r1 @ r1.T, r1 @ cs.b[perm], assume_a="pos")
-        assert np.array_equal(basis.q1, q[:, :rank])
-        assert np.array_equal(basis.q2, q[:, rank:])
-        assert np.array_equal(basis.b_r, b_r)
 
 
 class TestImmutability:

@@ -3,9 +3,10 @@ systems (rank-deficient rows, and m = n - 1 rows that leave one degree of
 freedom).
 
 Rows scaled by up to 1e±12 are generated for ``factor`` alone.  Nearly
-dependent rows are not generated yet: at the tie 2r = n and for
-rank-deficient systems ``factor`` still anchors by the normal equations,
-which square the condition number of ``R``.
+dependent rows are not generated yet: at the tie 2r = n (where the
+triangular anchor fails criterion 3, see ``factor``) and for rank-deficient
+systems ``factor`` still anchors by the normal equations, which square the
+condition number of ``R``.
 """
 
 import dataclasses

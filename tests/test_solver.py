@@ -64,15 +64,22 @@ def _infeasible_stationary_start():
 
 def _tolerance_met_below_the_dt_floor():
     """From the start (1, 0) on ``build_constraints(2)``, f drops from 1 to
-    0 and the gradient vanishes anywhere else.  With ``dt0 = 1.5e-16`` the
-    first (ill-posed) trial moves the zero coordinate, is accepted with a
-    ratio of about 2.5e21, reaches kkt 0 and halves dt below the floor."""
-    start = np.array([1.0, 0.0])
+    0 and the gradient vanishes anywhere but at the restored start, the
+    first point a callback sees.  With ``dt0 = 1.5e-16`` the first
+    (ill-posed) trial moves off it, is accepted with a ratio of about
+    2.5e21, reaches kkt 0 and halves dt below the floor."""
+    start = []
+
+    def at_start(x):
+        if not start:
+            start.append(np.array(x))
+        return np.array_equal(x, start[0])
+
     return StubProblem(
         build_constraints(2),
-        start,
-        lambda x: 1.0 if np.array_equal(x, start) else 0.0,
-        lambda x: np.array([600.0, -1200.0]) if np.array_equal(x, start) else np.zeros(2),
+        np.array([1.0, 0.0]),
+        lambda x: 1.0 if at_start(x) else 0.0,
+        lambda x: np.array([600.0, -1200.0]) if at_start(x) else np.zeros(2),
     )
 
 
@@ -518,11 +525,11 @@ class TestSubUlpStop:
         assert 1.0 <= ulps < solver_module._ULP_BAND
 
     def test_catalog_rosenbrock_stops_at_the_switch(self):
-        # The last decrease is 0.85 ulp on one BLAS thread and 1.9 on two;
-        # both are rounding, so both stop at the same iteration.
+        # The last decrease is 0.28 ulp after 72 iterations on one BLAS
+        # thread and 1.7 ulps after 74 on two; both are rounding.
         report = solve(get_problem("rosenbrock"))
         assert report.stop_reason == "sub-ulp"
-        assert report.iterations == 69
+        assert report.iterations in (72, 74)
         assert report.hessian_evals == 0
 
     def test_switch_above_the_ulp_band_still_probes(self):
@@ -1118,11 +1125,6 @@ def test_ill_posed_starts_stay_feasible(make):
     assert report.feas <= 1e-8
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "one restore_feasibility pass from x0 = ones leaves feas 1.21e-8 on this "
-    "system and a second leaves 1.4e-9, but a second pass changes the start "
-    "bits of every catalog system, and criterion 3 flips under roundoff"
-))
 def test_rank_deficient_scaled_constraints_stay_feasible():
     report = solve(scaled_dependent_row_sphere())
     assert report.status == CONVERGED

@@ -10,8 +10,6 @@ divides the model's eigenvalues, all in (0, 2], by a factor of at least one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 __all__ = ["LbfgsPair", "make_pair", "zero_pair", "apply_inverse"]
@@ -19,7 +17,6 @@ __all__ = ["LbfgsPair", "make_pair", "zero_pair", "apply_inverse"]
 _CURVATURE_FLOOR = 1e-6
 
 
-@dataclass(frozen=True)
 class LbfgsPair:
     """A (step, projected-gradient-change) pair and the products the model
     needs, computed once at construction.
@@ -30,23 +27,18 @@ class LbfgsPair:
     ``scale`` is the Shanno-Phua factor ``gamma = s^T y / y^T y`` when the
     pair is usable and ``gamma > 1``, else exactly 1.0.  The floor and
     Cauchy-Schwarz bound it: ``gamma <= s^T s / s^T y < 1/_CURVATURE_FLOOR``.
-    """
 
-    s: np.ndarray
-    y: np.ndarray
-    sy: float = field(init=False)
-    yy: float = field(init=False)
-    usable: bool = field(init=False)
-    scale: float = field(init=False)
+    Slotted, not a dataclass: the solver builds one per accepted well-posed
+    step, and the products are set here once."""
 
-    def __post_init__(self) -> None:
-        sy = float(self.s @ self.y)
-        yy = float(self.y @ self.y)
-        usable = abs(sy) > _CURVATURE_FLOOR * float(self.s @ self.s)
-        object.__setattr__(self, "sy", sy)
-        object.__setattr__(self, "yy", yy)
-        object.__setattr__(self, "usable", usable)
-        object.__setattr__(self, "scale", sy / yy if usable and sy > yy else 1.0)
+    __slots__ = ("s", "y", "sy", "yy", "usable", "scale")
+
+    def __init__(self, s: np.ndarray, y: np.ndarray) -> None:
+        self.s, self.y = s, y
+        self.sy = sy = float(s @ y)
+        self.yy = yy = float(y @ y)
+        self.usable = usable = abs(sy) > _CURVATURE_FLOOR * float(s @ s)
+        self.scale = sy / yy if usable and sy > yy else 1.0
 
 
 def make_pair(s: np.ndarray, y: np.ndarray) -> LbfgsPair:

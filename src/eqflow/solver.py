@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Optional
 
 import numpy as np
@@ -180,6 +180,11 @@ class IterationRecord:
     certified: bool
 
 
+# A trace row waits in :class:`_Run` as a tuple of these fields, in this order.
+_RECORD_FIELDS = tuple(f.name for f in fields(IterationRecord))
+_FEAS = _RECORD_FIELDS.index("feas")
+
+
 @dataclass
 class SolverReport:
     """Result of a solve: terminal point, residuals, counters, trace.
@@ -259,16 +264,19 @@ def _checked(value: Any, shape: tuple[int, ...], what: str, where: str) -> np.nd
     result = np.asarray(value, dtype=float)
     if result.shape != shape:
         raise DimensionError(f"{what} at {where} has shape {result.shape}, expected {shape}")
-    if not np.isfinite(result).all():
+    # A finite sum of squares has only finite terms: none is negative, so
+    # none cancels another.  Only a sum that overflowed needs the entrywise
+    # test, which costs a ufunc reduction where the sum costs one BLAS dot.
+    if not math.isfinite(np.vdot(result, result)) and not np.isfinite(result).all():
         raise NonFiniteGradient(f"{what} at {where} is not finite")
     return result
 
 
 def _norm(v: np.ndarray) -> float:
     """The 2-norm of a contiguous 1-d float array, bit for bit as
-    ``np.linalg.norm`` computes it (a strided view would be summed in a
-    different order)."""
-    return math.sqrt(float(v @ v))
+    ``np.linalg.norm`` computes it, by ``v.dot(v)``, which skips the ufunc
+    dispatch of ``v @ v`` (a strided view would be summed in a different order)."""
+    return math.sqrt(float(v.dot(v)))
 
 
 class _Run:
@@ -284,6 +292,9 @@ class _Run:
     ``project_gradient`` are looked up in this module's namespace at call
     time, so wrappers patched onto ``eqflow.solver`` see every call.
 
+    Each trace row waits in ``rows`` as a tuple of the
+    :class:`IterationRecord` fields, in field order, whose ``feas`` holds the
+    index of its point's value and whose ``step_infeas`` is not yet known.
     The trace's products with ``A`` steer nothing, so they wait in blocks:
     ``steps`` holds the trial steps and ``points`` the left points that rows
     refer to, and each turns into max-norm residuals, ``step_infeas`` and
@@ -301,8 +312,7 @@ class _Run:
         self.cfg = cfg
         self.cs = problem.cs
         self.objective_evals = self.gradient_evals = self.hessian_evals = 0
-        # Each row's own fields, with the index of its point's feas value.
-        self.rows: list[tuple[dict[str, Any], int]] = []
+        self.rows: list[tuple[Any, ...]] = []
         self.steps: list[np.ndarray] = []
         self.points: list[np.ndarray] = []
         self.step_infeas: list[float] = []
@@ -357,11 +367,18 @@ class _Run:
         self.kkt = _max_abs(pg)
         self.pg_norm = _norm(pg)
 
-    def record(self, k: int, t_iter: int, s: np.ndarray, **row: Any) -> None:
-        """Add the trace row of iteration ``k``, which took step ``s``;
-        ``row`` holds the trial's own :class:`IterationRecord` fields."""
-        row.update(k=k, f=self.f, kkt=self.kkt, wall_time_ns=time.perf_counter_ns() - t_iter)
-        self.rows.append((row, len(self.point_feas) + len(self.points)))
+    def record(
+        self, k: int, t_iter: int, s: np.ndarray, dt: float, rho: float, accepted: bool,
+        phase: str, hessian_rebuilt: bool, decrease: float, step_norm: float,
+        pg_norm: float, certified: bool,
+    ) -> None:
+        """Add the trace row of iteration ``k``, which took step ``s``; the
+        other arguments are the trial's own :class:`IterationRecord` fields."""
+        self.rows.append((
+            k, self.f, self.kkt, len(self.point_feas) + len(self.points), dt, rho, accepted,
+            phase, hessian_rebuilt, time.perf_counter_ns() - t_iter, decrease, step_norm,
+            pg_norm, None, certified,
+        ))
         self.steps.append(s)
         self.x_has_rows = True
         self.flush(_RESIDUAL_BLOCK)
@@ -369,12 +386,11 @@ class _Run:
     def flush(self, full: int) -> None:
         """Compute the waiting residuals of each buffer that holds at least
         ``full`` (at least 1) vectors."""
-        a_t = self.cs.a.T
         if len(self.steps) >= full:
-            self.step_infeas += np.abs(np.array(self.steps) @ a_t).max(axis=1).tolist()
+            self.step_infeas += np.abs(np.array(self.steps) @ self.cs.a.T).max(axis=1).tolist()
             self.steps = []
         if len(self.points) >= full:
-            residuals = np.array(self.points) @ a_t - self.cs.b
+            residuals = np.array(self.points) @ self.cs.a.T - self.cs.b
             self.point_feas += np.abs(residuals).max(axis=1).tolist()
             self.points = []
 
@@ -385,10 +401,15 @@ class _Run:
         feas = _max_abs(self.cs.a @ self.x - self.cs.b)
         self.flush(1)
         point_feas = self.point_feas + [feas]
-        trace = [
-            IterationRecord(feas=point_feas[point], step_infeas=step_infeas, **row)
-            for (row, point), step_infeas in zip(self.rows, self.step_infeas)
-        ]
+        trace = []
+        for row, step_infeas in zip(self.rows, self.step_infeas):
+            # Filled as copy and pickle fill a frozen instance: one update of
+            # its __dict__, not a frozen __setattr__ per field.
+            rec = object.__new__(IterationRecord)
+            rec.__dict__.update(
+                zip(_RECORD_FIELDS, row), feas=point_feas[row[_FEAS]], step_infeas=step_infeas
+            )
+            trace.append(rec)
         if self.pinned:
             status = SINGLE_FEASIBLE_POINT
         elif self.kkt <= self.cfg.tol and feas <= self.cfg.tol:
@@ -595,9 +616,8 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
             shifted = None
 
         run.record(
-            k, t_iter, s, dt=dt, rho=rho, accepted=accepted, phase=phase,
-            hessian_rebuilt=hessian_rebuilt, decrease=decrease,
-            step_norm=step_norm, pg_norm=pg_norm, certified=g_trial is not None,
+            k, t_iter, s, dt, rho, accepted, phase, hessian_rebuilt, decrease,
+            step_norm, pg_norm, g_trial is not None,
         )
         dt = update_timestep(dt, rho)
         if dt < _DT_MIN:

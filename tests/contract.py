@@ -1,7 +1,8 @@
 """The behaviour contract of solver reports and of the catalog CSV, stated once.
 
-Tier-1 tests check reports with :func:`check_status_rule`, and CI checks the
-CSVs of two whole-catalog passes with :func:`main`::
+Tier-1 tests check reports with :func:`check_status_rule` and their traces
+with :func:`check_trace`, and CI checks the CSVs of two whole-catalog passes
+with :func:`main`::
 
     PYTHONPATH=src python tests/contract.py catalog-1.csv catalog-2.csv
 
@@ -25,6 +26,9 @@ SOLVERS = ("continuation", "sqp")
 TOL = 1e-6
 #: Largest ``feas`` a catalog row may report, converged or not.
 FEAS_BOUND = 1e-8
+#: Largest ``step_infeas`` (max-norm of ``A s``) of a trace row, relative to
+#: ``max(1, step_norm)``.
+STEP_INFEAS_BOUND = 1e-8
 #: The five two-dimensional problems and zakharov at n = 10: both methods
 #: converge on all of them.
 SMALL_PROBLEMS = frozenset(
@@ -74,6 +78,42 @@ def check_status_rule(status, stop_reason, kkt, feas, tol, where="run"):
     at = f"{where}: {outcome} at kkt {kkt:.3e}, feas {feas:.3e}, tol {tol:g}"
     _require((status == CONVERGED) == (kkt <= tol and feas <= tol), at)
     _require((stop_reason == "feasibility-lost") == (kkt <= tol < feas), at)
+
+
+def check_trace(report, where="run"):
+    """The invariants of a report's trace rows:
+
+    * f decreases over the accepted rows: a row scored by f lies strictly
+      below the previous accepted f, and a certified row, whose decrease f
+      cannot resolve, lies at or below it with a positive certified decrease
+      ``rho * decrease``;
+    * every step stays in null(A): ``step_infeas <= STEP_INFEAS_BOUND *
+      max(1, step_norm)``;
+    * the last row's ``feas`` is the report's, bit for bit."""
+    previous = None
+    for rec in report.trace:
+        at = f"{where} at k={rec.k}"
+        bound = STEP_INFEAS_BOUND * max(1.0, rec.step_norm)
+        _require(
+            rec.step_infeas <= bound, f"{at}: step_infeas {rec.step_infeas:.3e} above {bound:.3e}"
+        )
+        if not rec.accepted:
+            continue
+        if previous is not None and rec.certified:
+            _require(
+                rec.f <= previous and rec.rho * rec.decrease > 0.0,
+                f"{at}: certified f {rec.f!r} after {previous!r}, rho * decrease "
+                f"{rec.rho * rec.decrease!r}",
+            )
+        elif previous is not None:
+            _require(rec.f < previous, f"{at}: f {rec.f!r} not below {previous!r}")
+        previous = rec.f
+    if report.trace:
+        last = report.trace[-1].feas
+        _require(
+            last == report.feas,
+            f"{where}: last row's feas {last!r} is not the report's {report.feas!r}",
+        )
 
 
 def check_catalog(rows, problems=CONVEX_PROBLEMS + NONCONVEX_PROBLEMS):

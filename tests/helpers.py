@@ -212,24 +212,6 @@ def assert_reports_equal(r1, r2, ignore_rows=()):
             assert v1 == v2, f.name
 
 
-def assert_monotone(trace, label="run"):
-    """f over the accepted rows of ``trace`` decreases monotonically: a row
-    scored by f lies strictly below the previous accepted f, and a certified
-    row, whose decrease f cannot resolve, lies at or below it with a
-    positive certified decrease ``rho * decrease``."""
-    previous = None
-    for rec in trace:
-        if not rec.accepted:
-            continue
-        if previous is not None:
-            where = f"{label} at k={rec.k}"
-            if rec.certified:
-                assert rec.f <= previous and rec.rho * rec.decrease > 0.0, where
-            else:
-                assert rec.f < previous, where
-        previous = rec.f
-
-
 def assert_status_rule(report, tol):
     """The report's status follows from its final point by the one rule that
     README.md states, and its (status, stop_reason) pair is documented."""

@@ -28,6 +28,7 @@ from eqflow.lbfgs import apply_inverse
 from eqflow.problems import NONCONVEX_PROBLEMS, build_constraints
 from eqflow.projection import tangent_basis
 from eqflow.solver import update_timestep
+from contract import check_trace
 from helpers import (
     dense_lbfgs_model,
     dense_projector,
@@ -35,7 +36,6 @@ from helpers import (
     random_usable_pair,
     rank_deficient_constraints,
     rosenbrock_dense_hessian,
-    assert_monotone,
     svd_rank,
     traces_equal,
 )
@@ -287,7 +287,7 @@ def test_criterion_9_descent_termination_determinism():
             label = f"{problem.name} n={problem.n}"
             assert report.status in _DEFINITE_STATUSES, label
             assert report.iterations <= cfg.max_iter, label
-            assert_monotone(report.trace, label)
+            check_trace(report, label)
 
         for name, n in [("booth", None), ("rastrigin", 100)]:
             p1 = get_problem(name) if n is None else get_problem(name, n=n)

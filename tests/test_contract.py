@@ -1,12 +1,14 @@
-"""The catalog checker of tests/contract.py: it passes the bench's own rows
-and fails each kind of broken row."""
+"""The checkers of tests/contract.py: they pass the bench's own rows and a
+solver's own trace, and fail each kind of broken row or trace."""
 
 import csv
+import dataclasses
 
+import numpy as np
 import pytest
 
 import contract
-from eqflow import CONVEX_PROBLEMS, NONCONVEX_PROBLEMS, get_problem
+from eqflow import CONVEX_PROBLEMS, NONCONVEX_PROBLEMS, get_problem, solve
 from eqflow.bench import main
 
 _TWO_DIM = tuple(
@@ -117,3 +119,75 @@ def test_script_checks_the_whole_catalog(bench_csv):
         contract.main([str(bench_csv), str(bench_csv)])
     with pytest.raises(SystemExit, match="usage"):
         contract.main([str(bench_csv)])
+
+
+@pytest.fixture(scope="module")
+def booth_report():
+    """A well-posed run with more than one accepted row, so monotone f is
+    checked between rows."""
+    report = solve(get_problem("booth"))
+    assert sum(rec.accepted for rec in report.trace) > 1
+    return report
+
+
+def _with_row(report, k, **values):
+    """``report`` with the fields ``values`` of its row ``k`` replaced."""
+    trace = [dataclasses.replace(rec, **values) if rec.k == k else rec for rec in report.trace]
+    return dataclasses.replace(report, trace=trace)
+
+
+def _first_two_accepted(report):
+    """The rows of the first two accepted steps."""
+    return [rec for rec in report.trace if rec.accepted][:2]
+
+
+def test_trace_meets_the_contract(booth_report):
+    contract.check_trace(booth_report, "booth")
+    # A certified row may hold f, given a positive certified decrease.
+    first, second = _first_two_accepted(booth_report)
+    held = _with_row(booth_report, second.k, f=first.f, certified=True)
+    assert second.rho * second.decrease > 0.0
+    contract.check_trace(held, "booth")
+
+
+def _f_rises(report):
+    first, second = _first_two_accepted(report)
+    return _with_row(report, second.k, f=first.f + 1.0)
+
+
+def _unscored_f_holds(report):
+    first, second = _first_two_accepted(report)
+    return _with_row(report, second.k, f=first.f)
+
+
+def _certified_f_rises(report):
+    first, second = _first_two_accepted(report)
+    return _with_row(report, second.k, f=first.f + 1.0, certified=True)
+
+
+def _certified_without_decrease(report):
+    first, second = _first_two_accepted(report)
+    return _with_row(report, second.k, f=first.f, certified=True, rho=-second.rho)
+
+
+def _step_leaves_null_space(report):
+    rec = report.trace[len(report.trace) // 2]
+    return _with_row(report, rec.k, step_infeas=2e-8 * max(1.0, rec.step_norm))
+
+
+def _last_feas_differs(report):
+    last = report.trace[-1]
+    return _with_row(report, last.k, feas=float(np.nextafter(report.feas, 1.0)))
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_f_rises, r"booth at k=\d+: f .* not below"),
+    (_unscored_f_holds, r"booth at k=\d+: f .* not below"),
+    (_certified_f_rises, r"booth at k=\d+: certified f"),
+    (_certified_without_decrease, r"booth at k=\d+: certified f .* rho \* decrease -"),
+    (_step_leaves_null_space, r"booth at k=\d+: step_infeas 2\.\d+e-08 above"),
+    (_last_feas_differs, r"booth: last row's feas .* is not the report's"),
+])
+def test_each_broken_trace_fails(booth_report, mutate, message):
+    with pytest.raises(AssertionError, match=message):
+        contract.check_trace(mutate(booth_report), "booth")

@@ -48,6 +48,19 @@ class TestDirectConstruction:
             assert np.allclose(apply_inverse(pair, v), ref, rtol=1e-8, atol=1e-8)
             assert np.array_equal(apply_inverse(pair, v), apply_inverse(make_pair(s, y), v))
 
+    @pytest.mark.parametrize("s, y, usable, scale", [
+        # s^T y = 2 > y^T y = 1.25: usable, scaled by gamma = 1.6.
+        ([2.0, 0.0], [1.0, 0.5], True, 1.6),
+        # s^T y = 0: no curvature, the identity model.
+        ([1.0, 0.0], [0.0, 3.0], False, 1.0),
+    ])
+    def test_constructor_and_make_pair_agree(self, s, y, usable, scale):
+        direct = LbfgsPair(np.array(s), np.array(y))
+        made = make_pair(s, y)
+        products = [(p.sy, p.yy, p.usable, p.scale) for p in (direct, made)]
+        assert products[0] == products[1]
+        assert (direct.usable, direct.scale) == (usable, scale)
+
     def test_products_cannot_be_passed_in(self):
         with pytest.raises(TypeError):
             LbfgsPair(np.ones(2), np.ones(2), sy=0.0, yy=0.0)

@@ -16,6 +16,7 @@ from eqflow import (
     WELL_POSED,
     ConstraintSystem,
     DimensionError,
+    IterationRecord,
     NonFiniteGradient,
     NonFiniteObjective,
     SingularFactor,
@@ -34,6 +35,7 @@ from eqflow.hessian import build_and_factor, solve_shifted
 from eqflow.problems import CONVEX_PROBLEMS, NONCONVEX_PROBLEMS, build_constraints
 from eqflow.projection import tangent_basis
 from eqflow.solver import trial_ratio, update_timestep
+from contract import check_trace
 from helpers import (
     assert_reports_equal,
     assert_status_rule,
@@ -679,8 +681,7 @@ class TestTraceInvariants:
 
     def test_recorded_step_infeasibility_is_small(self):
         for report in self.run_reports():
-            for rec in report.trace:
-                assert rec.step_infeas <= 1e-8 * max(1.0, rec.step_norm)
+            check_trace(report)
 
     def test_deterministic_reruns_are_bit_identical(self):
         for name, n in [("booth", None), ("ackley", 20)]:
@@ -853,6 +854,65 @@ class TestStoredResiduals:
                 for rec, (rec_1, _, _, bound) in zip(report.trace, checked):
                     assert abs(rec.step_infeas - rec_1.step_infeas) <= bound, f"at k={rec.k}"
                     assert abs(rec.feas - rec_1.feas) <= bound, f"at k={rec.k}"
+
+
+
+# A well-posed run, and one that probes curvature from its first iteration.
+_RECORD_RUNS = [
+    (get_problem("booth"), SolverConfig(), WELL_POSED),
+    (get_problem("sum_squares", n=100), SolverConfig(dt0=1e-4), ILL_POSED),
+]
+
+
+class TestTraceRecords:
+    """The solver fills its trace records from tuples; each must still be a
+    whole frozen :class:`IterationRecord` whose fields hold what they name."""
+
+    @pytest.mark.parametrize("problem, cfg, phase", _RECORD_RUNS)
+    def test_records_are_frozen_dataclasses(self, problem, cfg, phase):
+        report = solve(problem, cfg)
+        for rec in report.trace:
+            assert type(rec) is IterationRecord
+            again = IterationRecord(**dataclasses.asdict(rec))
+            assert rec == again and hash(rec) == hash(again)
+            assert dataclasses.replace(rec, k=0) == dataclasses.replace(again, k=0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                rec.k = 0
+            for field in dataclasses.fields(rec):
+                assert type(getattr(rec, field.name)).__name__ == field.type, field.name
+
+    @pytest.mark.parametrize("problem, cfg, phase", _RECORD_RUNS)
+    def test_fields_hold_what_they_name(self, problem, cfg, phase):
+        # Each row against values computed afresh at the points where the run
+        # called f, so a record built with two fields swapped fails.
+        report, points = _solve_with_points(problem, cfg)
+        basis = factor(problem.cs)
+
+        def residuals(x):
+            pg = project_gradient(basis, problem.grad(x))
+            return float(np.max(np.abs(pg))), float(np.linalg.norm(pg))
+
+        assert {rec.phase for rec in report.trace} == {phase}
+        current, dt = points[0], cfg.dt0
+        for k, (rec, x_trial) in enumerate(zip(report.trace, points[1:]), start=1):
+            f_left, pg_norm = problem.f(current), residuals(current)[1]
+            f_trial = problem.f(x_trial)
+            step_norm = np.linalg.norm(x_trial - current)
+            if rec.accepted:
+                current = x_trial
+            assert (rec.k, rec.f, rec.kkt, rec.pg_norm, rec.dt) == (
+                k, problem.f(current), residuals(current)[0], pg_norm, dt
+            )
+            assert rec.step_norm == pytest.approx(step_norm, rel=1e-9)
+            accepts = rec.rho >= 1e-6 and rec.decrease >= 1e-10 * rec.step_norm * rec.pg_norm
+            assert rec.accepted == accepts
+            if rec.certified:
+                assert 0.0 <= f_left - f_trial <= 16 * math.ulp(f_left)
+            else:
+                assert rec.rho == (f_left - f_trial) / rec.decrease
+            assert rec.phase == ILL_POSED or not rec.hessian_rebuilt
+            dt = update_timestep(dt, rec.rho)
+        assert sum(rec.hessian_rebuilt for rec in report.trace) == report.hessian_evals
 
 
 def probe_gradients(report):

@@ -35,9 +35,9 @@ restoration is conserved, up to roundoff, for the whole run without
 correction steps.
 
 Besides the tolerance and the iteration cap, a run ends at a ``dt`` floor
-or at one of two earlier stops (see :func:`solve`).  The report's
-``stop_reason`` says which rule ended the run, and its ``status`` follows
-from the final point alone (see :class:`SolverReport`).
+or at one earlier stop (see :func:`solve`).  The report's ``stop_reason``
+says which rule ended the run, and its ``status`` follows from the final
+point alone (see :class:`SolverReport`).
 
 :func:`baseline_sqp`, the reference method of the benchmark, runs SQP with
 a BFGS Hessian through the same set-up, checks and report as :func:`solve`.
@@ -107,7 +107,8 @@ class SolverConfig:
     """The settings that vary between runs, with their standard defaults.
 
     Every float setting must be a finite and positive real number (a Python
-    or numpy number, not a bool); anything else raises ``ValueError``.
+    or numpy number, not a bool), and is stored as a Python float; anything
+    else raises ``ValueError``.
 
     Attributes
     ----------
@@ -136,6 +137,7 @@ class SolverConfig:
                 raise ValueError(f"{name} must be a real number, not a bool, got {value!r}")
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
+            setattr(self, name, float(value))
         max_iter = self.max_iter
         if (
             isinstance(max_iter, bool)
@@ -190,9 +192,8 @@ class SolverReport:
     """Result of a solve: terminal point, residuals, counters, trace.
 
     ``stop_reason`` names the rule that ended the run: ``"iteration-cap"``,
-    ``"dt-floor"``, ``"step-rounds-away"``, ``"sub-ulp"`` or, from
-    :func:`baseline_sqp`, ``"sqp-stopped"``.  ``status`` follows from the
-    final point by one rule:
+    ``"dt-floor"``, ``"sub-ulp"`` or, from :func:`baseline_sqp`,
+    ``"sqp-stopped"``.  ``status`` follows from the final point by one rule:
 
     * ``SingleFeasiblePoint`` (reason ``"pinned"``) when the constraints pin it;
     * ``Converged`` (reason ``"tolerance"``) exactly when ``kkt <= tol`` and
@@ -205,8 +206,8 @@ class SolverReport:
     ``hessian_evals`` counts every curvature evaluation, the probe of a
     stopping iteration included, though that iteration writes no trace row:
     a run that stops at the ``dt`` floor while halving to factor a singular
-    shifted matrix, or on a trial that rounds away right after its probe,
-    counts one more evaluation than its rows with ``hessian_rebuilt``.
+    shifted matrix counts one more evaluation than its rows with
+    ``hessian_rebuilt``.
     """
 
     status: str
@@ -466,15 +467,14 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
     only when a certification is considered.
 
     Besides the tolerance and the iteration cap, the run stops when ``dt``
-    falls below its floor (``"dt-floor"``); when an ill-posed trial point
-    equals the current point bit for bit while ``reg_shift/dt`` is at least
-    the Frobenius norm of the reduced curvature (``"step-rounds-away"``); or
-    when ``dt`` falls below the switch threshold in the well-posed phase and
-    the last trial's predicted decrease was positive but below 16 ulps of
-    ``f`` (``"sub-ulp"``).  A non-positive predicted decrease, or a ``dt0``
-    below the threshold, still switches.  The two early stops call no ``f``
-    or curvature probe, write no trace row and do not count the stopping
-    iteration in ``iterations``.
+    falls below its floor (``"dt-floor"``), or when ``dt`` falls below the
+    switch threshold in the well-posed phase and the last trial's predicted
+    decrease was positive but below 16 ulps of ``f`` (``"sub-ulp"``).  A
+    non-positive predicted decrease, or a ``dt0`` below the threshold, still
+    switches.  The ``"sub-ulp"`` stop calls no ``f`` or curvature probe,
+    writes no trace row and does not count the stopping iteration in
+    ``iterations``.  A trial point that rounds to the current point is
+    rejected like any other, and ``dt`` halves towards its floor.
 
     A shifted matrix that :func:`build_and_factor` finds singular halves
     ``dt`` until it is not, without probing again.  If ``dt`` falls below
@@ -573,15 +573,6 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
 
         s = (dt / (1.0 + dt)) * d
         x_trial = run.x + s
-        if (
-            phase == ILL_POSED
-            and np.array_equal(x_trial, run.x)
-            and float(np.linalg.norm(curvature[1])) <= cfg.reg_shift / dt
-        ):
-            # The trial would be rejected (f_trial == f), and with the shift
-            # dominating H each halving of dt shortens the step about
-            # fourfold, so no later trial could move x either.
-            return run.report("step-rounds-away", k - 1, accepted_steps)
         f_trial = run.fval(x_trial)
         rho, decrease = trial_ratio(run.f, f_trial, run.g, s, dt)
         g_trial = None

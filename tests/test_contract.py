@@ -1,13 +1,16 @@
 """The checkers of tests/contract.py: they pass the bench's own rows and a
 solver's own trace, and fail each kind of broken row or trace."""
 
+import ast
 import csv
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
 
 import contract
+import eqflow.solver
 from eqflow import CONVEX_PROBLEMS, NONCONVEX_PROBLEMS, get_problem, solve
 from eqflow.bench import main
 
@@ -191,3 +194,28 @@ def _last_feas_differs(report):
 def test_each_broken_trace_fails(booth_report, mutate, message):
     with pytest.raises(AssertionError, match=message):
         contract.check_trace(mutate(booth_report), "booth")
+
+
+def _stop_reasons_in_code():
+    """The string literals in the first argument of every ``report(`` call
+    of the solver module, and in each assignment to ``stop_reason``."""
+    tree = ast.parse(pathlib.Path(eqflow.solver.__file__).read_text())
+    exprs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "report":
+            exprs.append(node.args[0])
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(name, ast.Name) and name.id == "stop_reason"
+            for target in node.targets for name in ast.walk(target)
+        ):
+            exprs.append(node.value)
+    return {
+        leaf.value for expr in exprs for leaf in ast.walk(expr)
+        if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str)
+    }
+
+
+def test_readme_documents_exactly_the_stop_reasons_the_code_gives():
+    # A table row for a retired reason, or a reason the table lacks, fails.
+    documented = {reason for _, reason in contract.documented_outcomes()}
+    assert _stop_reasons_in_code() == documented

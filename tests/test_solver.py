@@ -31,9 +31,7 @@ from eqflow import (
     solve,
 )
 import eqflow.solver as solver_module
-from eqflow.hessian import build_and_factor, solve_shifted
 from eqflow.problems import CONVEX_PROBLEMS, NONCONVEX_PROBLEMS, build_constraints
-from eqflow.projection import tangent_basis
 from eqflow.solver import trial_ratio, update_timestep
 from contract import check_trace
 from helpers import (
@@ -270,6 +268,18 @@ class TestConfigValidation:
         assert report.status == CONVERGED
         assert traces_equal(report.trace, plain.trace)
 
+    @pytest.mark.parametrize("value", [1, np.float32(0.01)], ids=["int", "float32"])
+    def test_float_settings_are_stored_as_python_floats(self, value):
+        # An int dt0 gave the first trace row an int dt, and a float32 dt0
+        # ran the whole pseudo-time in single precision: rosenbrock at
+        # n = 100 ended at another f than from the equal float.
+        for name in ("tol", "reg_shift", "dt0"):
+            assert type(getattr(SolverConfig(**{name: value}), name)) is float
+        problem = get_problem("rosenbrock", n=100)
+        report = solve(problem, SolverConfig(dt0=value))
+        assert all(type(rec.dt) is float for rec in report.trace)
+        assert_reports_equal(report, solve(problem, SolverConfig(dt0=float(value))))
+
 
 class TestTerminalStatuses:
     def test_two_dim_quadratic_converges(self):
@@ -318,81 +328,60 @@ class TestTerminalStatuses:
         assert report.stop_reason == "iteration-cap"
         assert report.iterations == 5
 
-    def test_impossible_decrease_exhausts_timestep(self):
+    @pytest.mark.parametrize(
+        "cs, x0",
+        [(build_constraints(4), np.ones(4)), (_one_sum_system(), np.zeros(4))],
+        ids=["ones", "zeros"],
+    )
+    def test_impossible_decrease_reaches_dt_floor(self, cs, x0):
         # Constant objective with a lying non-zero gradient: every trial is
-        # rejected and dt halves through the phase switch.  The curvature is
-        # zero, so the step shrinks with dt**2 until x + s == x at every
-        # coordinate of x0 = ones, and the run stops there, long before the
-        # dt floor.
-        cs = build_constraints(4)
-        problem = StubProblem(
-            cs,
-            np.ones(4),
-            lambda x: 1.0,
-            lambda x: np.array([1.0, -2.0, 0.5, 3.0]),
-        )
-        report = solve(problem)
-        assert report.status == STEP_FAILURE
-        assert report.stop_reason == "step-rounds-away"
-        assert report.iterations == len(report.trace) == 29
-        assert report.accepted_steps == 0
-        assert all(not rec.accepted for rec in report.trace)
-        assert report.trace[-1].phase == ILL_POSED  # shrank through the switch
-
-    def test_impossible_decrease_at_zero_reaches_dt_floor(self):
-        # The same lying gradient from the origin: every nonzero step moves a
-        # zero coordinate, so no trial rounds away and dt halves to the floor.
-        problem = StubProblem(
-            _one_sum_system(),
-            np.zeros(4),
-            lambda x: 1.0,
-            lambda x: np.array([1.0, -2.0, 0.5, 3.0]),
-        )
+        # rejected and dt halves through the phase switch to the floor.  From
+        # the ones start the zero curvature shrinks the step with dt**2 until
+        # x + s == x at every coordinate; those trials are rejected as well.
+        problem = StubProblem(cs, x0, lambda x: 1.0, lambda x: np.array([1.0, -2.0, 0.5, 3.0]))
         report = solve(problem)
         assert report.status == STEP_FAILURE
         assert report.stop_reason == "dt-floor"
         assert report.iterations == len(report.trace) == 47
         assert report.accepted_steps == 0
+        assert all(not rec.accepted for rec in report.trace)
+        assert report.trace[-1].phase == ILL_POSED  # shrank through the switch
         assert solver_module._DT_SHRINK * report.trace[-1].dt < solver_module._DT_MIN
         assert report.trace[-1].dt >= solver_module._DT_MIN
 
     def test_step_that_rounds_away_ends_the_ill_posed_phase(self):
         # The run takes ill-posed steps until no trial moves x, with a
-        # tolerance no point meets.
-        problem = _rounds_away_after_steps_stub()
-        cfg = SolverConfig(dt0=1e-4, tol=1e-9)
-        report = solve(problem, cfg)
-        assert (report.status, report.stop_reason) == (STEP_FAILURE, "step-rounds-away")
+        # tolerance no point meets; the trials that round to x* score ratio
+        # 0 and halve dt to the floor.
+        report = solve(_rounds_away_after_steps_stub(), SolverConfig(dt0=1e-4, tol=1e-9))
+        assert (report.status, report.stop_reason) == (STEP_FAILURE, "dt-floor")
         assert report.accepted_steps >= 5
         assert {rec.phase for rec in report.trace} == {ILL_POSED}
-        # The stopping trial evaluated no f and wrote no row.
         assert len(report.trace) == report.iterations
         assert report.objective_evals == report.iterations + 1
-
-        # Replay the trial that stopped the run, and those that halving dt
-        # down to the floor would have run: not one of them moves x*.
-        x_star = report.x_star
-        q2 = tangent_basis(factor(problem.cs))
-        lam, v = np.linalg.eigh(q2.T @ problem.hess(x_star) @ q2)
-        pg = project_gradient(factor(problem.cs), problem.grad(x_star))
-        dt = update_timestep(report.trace[-1].dt, report.trace[-1].rho)
-        assert np.linalg.norm(lam) <= cfg.reg_shift / dt
-        replayed = 0
-        while dt >= solver_module._DT_MIN:
-            d = solve_shifted(build_and_factor((q2 @ v, lam), cfg.reg_shift, dt), -pg)
-            assert np.array_equal(x_star + (dt / (1.0 + dt)) * d, x_star), dt
-            dt *= solver_module._DT_SHRINK
-            replayed += 1
-        assert replayed > 10
+        last = max(rec.k for rec in report.trace if rec.accepted)
+        tail = report.trace[last:]
+        assert len(tail) > 10
+        assert all(not rec.accepted and rec.rho == 0.0 for rec in tail)
+        assert all(rec.f == report.f_star for rec in tail)
 
     def test_first_trial_that_rounds_away_stops_the_run(self):
+        # Every trial rounds away, so the run stops at the dt floor.
         report = solve(_rounds_away_stub(), SolverConfig(dt0=1e-4, tol=1e-9))
-        assert (report.status, report.stop_reason) == (STEP_FAILURE, "step-rounds-away")
-        assert report.iterations == report.accepted_steps == 0
-        assert report.trace == []
-        # One probe, and no f for the trial that rounded away.
+        assert (report.status, report.stop_reason) == (STEP_FAILURE, "dt-floor")
+        assert report.iterations == len(report.trace) == 40
+        assert report.accepted_steps == 0
+        assert all(rec.rho == 0.0 for rec in report.trace)
+        # One probe: a rejected trial keeps the curvature.
         assert report.hessian_evals == 1
-        assert report.objective_evals == 1
+        assert report.objective_evals == report.iterations + 1
+
+    def test_trials_that_round_away_stop_at_the_iteration_cap(self):
+        # The rejected trials count against max_iter like any other.
+        report = solve(_rounds_away_stub(), SolverConfig(dt0=1e-4, tol=1e-9, max_iter=20))
+        assert (report.status, report.stop_reason) == (MAX_ITERATIONS, "iteration-cap")
+        assert report.iterations == len(report.trace) == 20
+        assert report.accepted_steps == 0
 
     def test_infeasible_converged_point_is_not_reported_converged(self, monkeypatch):
         monkeypatch.setattr(solver_module, "restore_feasibility", lambda basis, x: x)
@@ -1055,8 +1044,9 @@ class TestStatusRule:
         # Outside pinned points, Converged exactly when kkt and feas both meet
         # tol, whichever rule stopped the run, for both methods: on the
         # two-dimensional catalog, the feasibility-lost and iteration-cap
-        # instances above, the two stops at the dt floor, the sub-ulp and
-        # rounds-away stubs, a pinned point, and generated systems.
+        # instances above, the stops at the dt floor (below it at once, on a
+        # singular shifted matrix, and on trials that round away), the
+        # sub-ulp stub, a pinned point, and generated systems.
         default = SolverConfig()
         two_dim = [
             name for name in CONVEX_PROBLEMS + NONCONVEX_PROBLEMS

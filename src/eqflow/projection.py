@@ -9,19 +9,17 @@ tangent space is ``P = I - Q1 Q1^T = Q2 Q2^T``; callers apply it through
 baseline work in the coordinates of ``Q2``, which :func:`tangent_basis`
 returns.
 
-The factorization also produces, once, the coefficient vector ``b_r`` with
-which any point can be snapped back onto the constraint set by the minimum-norm
-correction ``x - Q1 (Q1^T x - b_r)``, or ``P x + x_p`` with the feasible point
-``x_p = Q1 b_r`` (see :func:`restore_feasibility`).  Steps keep ``Ax = b``, so
-this one anchor, computed as :func:`factor` describes, carries the
-feasibility of a whole run.
+The factorization also produces, once, the coefficient vector ``b_r`` and
+the least-norm feasible point ``x_p = Q1 b_r``, with which any point is
+snapped back onto the constraint set as ``P x + x_p`` (see
+:func:`restore_feasibility`).  Steps keep ``Ax = b``, so this one anchor,
+computed as :func:`factor` describes, carries the feasibility of a whole run.
 
-Projection and restoration read only one block, ``Q1`` when the rank r is
-below n/2 and ``Q2`` (with ``x_p``) when it is not, so a basis holds only that
-block and no n-by-n array is formed.  A :class:`ConstraintSystem` is
-immutable, so :func:`factor` runs the QR once per system and keeps the basis
-on it, and :func:`tangent_basis` keeps a ``Q2`` it forms on the basis the
-same way.
+Projection reads only one block, ``Q1`` when the rank r is below n/2 and
+``Q2`` when it is not, so a basis holds only that block beside ``x_p``, and
+no n-by-n array is formed.  A :class:`ConstraintSystem` is immutable, so
+:func:`factor` runs the QR once per system and keeps the basis on it, and
+:func:`tangent_basis` keeps a ``Q2`` it forms on the basis the same way.
 """
 
 from __future__ import annotations
@@ -56,13 +54,12 @@ class ConstraintSystem:
     ``a`` and ``b`` are read-only copies of the arrays passed in, so the
     :class:`ProjectorBasis` that :func:`factor` keeps on the system stays
     valid for as long as the system lives.  With r the rank of ``A``, the
-    basis holds n * min(r, n - r) floats and n more for ``x_p`` when
-    r >= n/2; when r < n/2, a tangent basis asked of it keeps n * (n - r)
-    floats more.  Its anchor ``b_r`` comes from a triangular solve when ``A``
-    has full row rank off the tie, and from the least-squares normal
-    equations at the tie or when rows are dependent (see :func:`factor`).  A
-    system made with :func:`dataclasses.replace` is a new system with no
-    basis yet.
+    basis holds n * min(r, n - r) floats and n more for ``x_p``; when
+    r < n/2, a tangent basis asked of it keeps n * (n - r) floats more.  Its
+    anchor ``b_r`` comes from a triangular solve when ``A`` has full row
+    rank off the tie, and from the least-squares normal equations at the tie
+    or when rows are dependent (see :func:`factor`).  A system made with
+    :func:`dataclasses.replace` is a new system with no basis yet.
     """
 
     a: np.ndarray
@@ -101,9 +98,9 @@ class ConstraintSystem:
 class ProjectorBasis:
     """Frozen output of :func:`factor`, with read-only arrays.
 
-    A basis holds only the blocks that :func:`project_gradient` and
-    :func:`restore_feasibility` read, and ``None`` marks a block it does not
-    hold: ``q2`` and ``x_p`` when 2r < n, and ``q1`` when 2r >= n.
+    A basis holds ``x_p`` and the one block that :func:`project_gradient`
+    reads, and ``None`` marks the block it does not hold: ``q2`` when
+    2r < n, and ``q1`` when 2r >= n.
 
     Attributes
     ----------
@@ -123,8 +120,7 @@ class ProjectorBasis:
         least-squares normal equations ``(R1 R1^T) b_r = R1 b[perm]`` at the
         tie and when the rank is below m.
     x_p:
-        (n,) the least-norm feasible point ``Q1 b_r`` when 2r >= n, else
-        ``None``.
+        (n,) the least-norm feasible point ``Q1 b_r``.
 
     When 2r < n, the first :func:`tangent_basis` call on a basis keeps the
     ``Q2`` it forms on it, read-only, for as long as the basis lives.  A
@@ -135,11 +131,11 @@ class ProjectorBasis:
     q1: Optional[np.ndarray]
     q2: Optional[np.ndarray]
     b_r: np.ndarray
-    x_p: Optional[np.ndarray]
+    x_p: np.ndarray
 
     @property
     def n(self) -> int:
-        return (self.q1 if self.q2 is None else self.q2).shape[0]
+        return self.x_p.shape[0]
 
 
 #: Relative residual threshold above which a rank-deficient system is declared
@@ -187,11 +183,10 @@ def factor(cs: ConstraintSystem) -> ProjectorBasis:
       above its 1e-6 tolerance, on one and on two BLAS threads: the
       predicted decrease before its phase switch is 0.38 ulp of f.
 
-    Of ``Q`` it forms only the blocks that projection and restoration read:
-
-    * ``2r < n``: ``Q1``, by ``dorgqr`` at width r;
-    * ``2r >= n``: ``Q2`` and ``x_p = Q1 b_r``, by one ``dormqr`` on
-      ``[[0, b_r], [I, 0]]``.
+    Of ``Q`` it forms only the block that projection reads, beside
+    ``x_p = Q1 b_r``, by one ``dormqr``: ``[Q1 | x_p]`` from
+    ``[[I, b_r], [0, 0]]`` when ``2r < n``, and ``[Q2 | x_p]`` from
+    ``[[0, b_r], [I, 0]]`` when ``2r >= n``.
 
     The basis is kept on ``cs`` and returned as it is by every later call on
     the same system.  A system that raises keeps nothing and raises again on
@@ -203,7 +198,7 @@ def factor(cs: ConstraintSystem) -> ProjectorBasis:
         If the constraint matrix is numerically zero.
     InconsistentConstraints
         If the rank is deficient and the right-hand side is not in the range
-        of ``A`` (checked by restoring the origin and measuring ``Ax - b``).
+        of ``A`` (checked by measuring ``Ax - b`` at ``x_p``).
     """
     # Not functools.cached_property: on Python 3.11 it takes one lock per
     # class, which would serialize solves on separate threads.
@@ -239,28 +234,24 @@ def factor(cs: ConstraintSystem) -> ProjectorBasis:
         b_r = scipy.linalg.solve(r1 @ r1.T, r1 @ rhs, assume_a="pos")
         # Freed before the basis is formed.
         del r1
-    q1 = q2 = x_p = None
-    if 2 * rank < n:
-        q1, = _lapack(scipy.linalg.lapack.dorgqr, qr[:, :rank], tau[:rank])
-        q1.flags.writeable = False
-    else:
-        c = np.zeros((n, n - rank + 1), order="F")
-        c[rank:, :-1] = np.eye(n - rank)
-        c[:rank, -1] = b_r
-        c, = _lapack(
-            scipy.linalg.lapack.dormqr, "L", "N", qr, tau, c, overwrite_c=True
-        )
-        c.flags.writeable = False
-        q2, x_p = c[:, :-1], c[:, -1]
-    b_r.flags.writeable = False
-
-    basis = ProjectorBasis(rank=rank, q1=q1, q2=q2, b_r=b_r, x_p=x_p)
+    # [Q1 | x_p] or [Q2 | x_p] is Q applied to [[I, b_r], [0, 0]] or to
+    # [[0, b_r], [I, 0]], the identity in the block's rows.
+    thin, width = 2 * rank < n, min(rank, n - rank)
+    first = 0 if thin else rank
+    c = np.zeros((n, width + 1), order="F")
+    c[first:first + width, :-1] = np.eye(width)
+    c[:rank, -1] = b_r
+    c, = _lapack(scipy.linalg.lapack.dormqr, "L", "N", qr, tau, c, overwrite_c=True)
+    c.flags.writeable = b_r.flags.writeable = False
+    block, x_p = c[:, :-1], c[:, -1]
+    basis = ProjectorBasis(
+        rank=rank, q1=block if thin else None, q2=None if thin else block, b_r=b_r, x_p=x_p
+    )
     if rank < cs.m:
-        # Deficient rank: b may have a component outside range(A).  The
-        # restored origin is the least-squares feasible point; if it misses
-        # b, no point satisfies the system.
-        x_probe = restore_feasibility(basis, np.zeros(n))
-        gap = float(np.max(np.abs(a @ x_probe - b)))
+        # Deficient rank: b may have a component outside range(A).  x_p is
+        # the least-squares feasible point; if it misses b, no point
+        # satisfies the system.
+        gap = float(np.max(np.abs(a @ x_p - b)))
         if gap > _CONSISTENCY_RTOL * max(1.0, float(np.max(np.abs(b)))):
             raise InconsistentConstraints(
                 f"rank-deficient system has no solution (residual {gap:.3e})"
@@ -293,7 +284,7 @@ def project_gradient(basis: ProjectorBasis, g: np.ndarray) -> np.ndarray:
 def tangent_basis(basis: ProjectorBasis) -> np.ndarray:
     """An orthonormal basis ``Q2`` of the tangent space, n-by-(n - r),
     read-only and column-major: the basis's own ``q2`` when it holds one.
-    When it holds ``Q1`` alone (2r < n), the trailing n - r columns of the
+    When it holds ``Q1`` (2r < n), the trailing n - r columns of the
     Householder QR of ``Q1``, from ``dgeqrf`` and one ``dormqr`` on
     ``[[0], [I]]``, built on the first call and kept on ``basis``."""
     if basis.q2 is not None:
@@ -315,15 +306,11 @@ def tangent_basis(basis: ProjectorBasis) -> np.ndarray:
 
 def restore_feasibility(basis: ProjectorBasis, x: np.ndarray) -> np.ndarray:
     """Project ``x`` onto the feasible set: the unique closest point with
-    ``Q1^T x = b_r``.  Feasible inputs are returned unchanged up to roundoff.
-
-    Computed as ``x - Q1 (Q1^T x - b_r)`` when the basis holds ``Q1``
-    (2r < n), and as ``P x + x_p`` from ``Q2`` and ``x_p = Q1 b_r`` when it
-    holds those (2r >= n)."""
+    ``Q1^T x = b_r``, computed as ``P x + x_p`` with ``P`` applied by
+    :func:`project_gradient`.  Feasible inputs are returned unchanged up to
+    roundoff."""
     x = np.asarray(x, dtype=float)
     if x.shape != (basis.n,):
         raise DimensionError(f"point has shape {x.shape}, expected ({basis.n},)")
-    if basis.q1 is not None:
-        return x - basis.q1 @ (basis.q1.T @ x - basis.b_r)
     return project_gradient(basis, x) + basis.x_p
 

@@ -459,12 +459,13 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
     An ill-posed trial is *certified* when the run is trusted, the predicted
     decrease is positive, ``0 <= f - f_trial <= 16 ulp(f)`` and
     ``x_trial != x``: its ratio is then the trapezoid estimate of its
-    decrease, ``-(g + g_trial)^T s / 2``, over the predicted one, and an
-    accepted one hands ``g_trial`` on as its point's gradient.  The run is
-    trusted when the last accepted step scored by ``f`` decreased ``f`` by
-    more than 16 ulps, with a trapezoid estimate within 0.25 of that
-    decrease (Hager & Zhang, SIAM J. Optim. 16, 2005), which is evaluated
-    only when a certification is considered.
+    decrease on the realized move, ``-(g + g_trial)^T (x_trial - x) / 2``,
+    over the predicted one, and an accepted one hands ``g_trial`` on as its
+    point's gradient.  The run is trusted when the last accepted step scored
+    by ``f`` decreased ``f`` by more than 16 ulps, with a trapezoid estimate
+    on its realized move within 0.25 of that decrease (Hager & Zhang, SIAM
+    J. Optim. 16, 2005), which is evaluated only when a certification is
+    considered.
 
     Besides the tolerance and the iteration cap, the run stops when ``dt``
     falls below its floor (``"dt-floor"``), or when ``dt`` falls below the
@@ -521,17 +522,17 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
         lam, v = np.linalg.eigh(reduced)
         return q2 @ v, lam
 
-    # The last accepted step scored by f: (f, g) before and after it, and s.
-    scored: Optional[tuple[float, np.ndarray, float, np.ndarray, np.ndarray]] = None
+    # The last accepted step scored by f: (x, f, g) before and after it.
+    scored: Optional[tuple[np.ndarray, float, np.ndarray, np.ndarray, float, np.ndarray]] = None
 
     def trusted() -> bool:
         if scored is None:
             return False
-        f_old, g_old, f_new, g_new, s_old = scored
+        x_old, f_old, g_old, x_new, f_new, g_new = scored
         actual = f_old - f_new
         if not actual > _ULP_BAND * math.ulp(f_old):
             return False
-        estimate = -0.5 * float((g_old + g_new) @ s_old)
+        estimate = -0.5 * float((g_old + g_new) @ (x_new - x_old))
         return abs(estimate - actual) <= _RATIO_BAND_INNER * actual
 
     k, dt, phase = 0, cfg.dt0, WELL_POSED
@@ -585,7 +586,7 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
         ):
             # f cannot resolve this decrease, and the gradient can.
             g_trial = run.gval(x_trial, "a certified trial")
-            rho = -0.5 * float((run.g + g_trial) @ s) / decrease
+            rho = -0.5 * float((run.g + g_trial) @ (x_trial - run.x)) / decrease
         step_norm = _norm(s)
         pg_norm = run.pg_norm
         accepted = bool(
@@ -594,10 +595,10 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
         )
 
         if accepted:
-            f_old, g_old, pg_old = run.f, run.g, run.pg
+            x_old, f_old, g_old, pg_old = run.x, run.f, run.g, run.pg
             run.move_to(x_trial, f_trial, g=g_trial)
             if g_trial is None:
-                scored = (f_old, g_old, f_trial, run.g, s)
+                scored = (x_old, f_old, g_old, x_trial, f_trial, run.g)
             if phase == WELL_POSED:
                 pair = make_pair(s, run.pg - pg_old)
             accepted_steps += 1

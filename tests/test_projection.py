@@ -299,14 +299,17 @@ class TestRegimes:
             want = null @ (null.T @ v) + x_min_norm
             got = restore_feasibility(basis, v)
             assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(want))
+            # One formula on either side of n/2, bit for bit.
+            assert np.array_equal(got, project_gradient(basis, v) + basis.x_p)
 
     @pytest.mark.parametrize("regime", REGIMES)
     def test_holds_no_more_than_a_solve_reads(self, regime):
         basis = factor(regime_system(regime))
         n, r = basis.n, basis.rank
         assert (basis.q1 is None) == (2 * r >= n)
-        assert (basis.q2 is None) == (basis.x_p is None) == (2 * r < n)
-        # The thinner block, x_p beside Q2, and b_r, ties included: no
+        assert (basis.q2 is None) == (2 * r < n)
+        assert basis.x_p is not None
+        # The thinner block, x_p beside it, and b_r, ties included: no
         # n-by-n array.
         assert held_floats(basis) <= n * min(r, n - r) + n + r
 

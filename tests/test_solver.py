@@ -694,13 +694,13 @@ def fresh_residuals(problem, x):
 
 # Runs whose traces cross blocks of the trace's residual products when they
 # run under ``small_block``: at n=40 dixon_price writes more than two blocks
-# of rows, and at n=100 it ends in StepFailure with more than a block of
+# of rows, and at n=120 it ends in StepFailure with more than a block of
 # rejected rows after its last accepted step.  Neither crosses two full
 # blocks at the default size.  Both reject trials in both phases: their
 # switches come from ratios, not from decreases below one ulp of f.
 _BLOCK_RUNS = [
     ("dixon_price", 40, SolverConfig(reg_shift=1e-12)),
-    ("dixon_price", 100, SolverConfig(reg_shift=1e-12)),
+    ("dixon_price", 120, SolverConfig(reg_shift=1e-12)),
 ]
 
 
@@ -902,6 +902,30 @@ class TestTraceRecords:
             assert rec.phase == ILL_POSED or not rec.hessian_rebuilt
             dt = update_timestep(dt, rec.rho)
         assert sum(rec.hessian_rebuilt for rec in report.trace) == report.hessian_evals
+
+    def test_certified_ratio_scores_the_realized_move(self):
+        # Each certified ratio is the trapezoid on x_trial - x, the move the
+        # trial point makes, bit for bit, not on the computed step s.
+        stub = _curvature_phase_sub_ulp_stub()
+        points = []
+
+        def spy_f(x):
+            points.append(np.array(x))
+            return stub.f(x)
+
+        problem = StubProblem(stub.cs, stub.x0, spy_f, stub.grad)
+        report = solve(problem, SolverConfig(dt0=1e-4, tol=1e-9, reg_shift=1e-8))
+        assert len(points) == len(report.trace) + 1
+        current, certified = points[0], 0
+        for rec, x_trial in zip(report.trace, points[1:]):
+            if rec.certified:
+                certified += 1
+                move = x_trial - current
+                estimate = -0.5 * float((stub.grad(current) + stub.grad(x_trial)) @ move)
+                assert rec.rho == estimate / rec.decrease, f"at k={rec.k}"
+            if rec.accepted:
+                current = x_trial
+        assert certified > 0
 
 
 def probe_gradients(report):

@@ -80,4 +80,4 @@ def solve_shifted(factor: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.
     ``(W, shift/dt + lam)`` of :func:`build_and_factor`:
     ``W (W^T rhs / (shift/dt + lam))``."""
     w, shifted = factor
-    return w @ ((w.T @ rhs) / shifted)
+    return w.dot(w.T.dot(rhs) / shifted)

@@ -35,9 +35,9 @@ class LbfgsPair:
 
     def __init__(self, s: np.ndarray, y: np.ndarray) -> None:
         self.s, self.y = s, y
-        self.sy = sy = float(s @ y)
-        self.yy = yy = float(y @ y)
-        self.usable = usable = abs(sy) > _CURVATURE_FLOOR * float(s @ s)
+        self.sy = sy = float(s.dot(y))
+        self.yy = yy = float(y.dot(y))
+        self.usable = usable = abs(sy) > _CURVATURE_FLOOR * float(s.dot(s))
         self.scale = sy / yy if usable and sy > yy else 1.0
 
 
@@ -61,6 +61,6 @@ def apply_inverse(pair: LbfgsPair, v: np.ndarray) -> np.ndarray:
     if not pair.usable:
         return np.array(v, dtype=float, copy=True)
     s, y, ys = pair.s, pair.y, pair.sy
-    sv = float(s @ v)
-    yv = float(y @ v)
+    sv = float(s.dot(v))
+    yv = float(y.dot(v))
     return v - (y * sv + s * yv) / ys + (2.0 * pair.yy * sv / ys**2) * s

@@ -251,7 +251,7 @@ def factor(cs: ConstraintSystem) -> ProjectorBasis:
         # Deficient rank: b may have a component outside range(A).  x_p is
         # the least-squares feasible point; if it misses b, no point
         # satisfies the system.
-        gap = float(np.max(np.abs(a @ x_p - b)))
+        gap = float(np.max(np.abs(a.dot(x_p) - b)))
         if gap > _CONSISTENCY_RTOL * max(1.0, float(np.max(np.abs(b)))):
             raise InconsistentConstraints(
                 f"rank-deficient system has no solution (residual {gap:.3e})"
@@ -277,8 +277,8 @@ def project_gradient(basis: ProjectorBasis, g: np.ndarray) -> np.ndarray:
             f"vector has leading dimension {g.shape[0]}, basis expects {basis.n}"
         )
     if basis.q1 is not None:
-        return g - basis.q1 @ (basis.q1.T @ g)
-    return basis.q2 @ (basis.q2.T @ g)
+        return g - basis.q1.dot(basis.q1.T.dot(g))
+    return basis.q2.dot(basis.q2.T.dot(g))
 
 
 def tangent_basis(basis: ProjectorBasis) -> np.ndarray:

@@ -41,6 +41,18 @@ point alone (see :class:`SolverReport`).
 
 :func:`baseline_sqp`, the reference method of the benchmark, runs SQP with
 a BFGS Hessian through the same set-up, checks and report as :func:`solve`.
+
+On small problems an iteration costs what numpy's call dispatch costs, not
+what its arithmetic costs.  So every vector and matrix-vector product that
+an iteration makes, here and in :mod:`eqflow.projection`,
+:mod:`eqflow.lbfgs` and :mod:`eqflow.hessian`, is the ``ndarray.dot``
+method: one BLAS call (``ddot`` or ``dgemv``) with the bits of ``@``, which
+reaches the same routine through the ``matmul`` ufunc machinery at about
+twice the cost; ``np.dot`` would add an ``__array_function__`` dispatch.
+For the same reason a 2-norm is ``sqrt(v.dot(v))``, bit for bit as
+``np.linalg.norm`` computes it for a contiguous 1-d float array (a strided
+view would be summed in a different order), and a max-norm is
+``np.maximum.reduce``, which skips the Python wrapper of ``ndarray.max``.
 """
 
 from __future__ import annotations
@@ -159,10 +171,11 @@ class IterationRecord:
     gradient rather than by ``f`` (see :func:`solve`).
 
     ``feas`` (max-norm of ``Ax - b``) and ``step_infeas`` (max-norm of ``As``)
-    come from one matrix product with ``A`` per block of 128 points or steps,
-    so they equal a product per vector up to roundoff; the last point's
-    ``feas`` is the report's, bit for bit.  ``wall_time_ns`` does not include
-    them.
+    come from one matrix product with ``A`` per block of 128 steps or of 128
+    points, and one more for the steps and points still waiting when the run
+    ends, so they equal a product per vector up to roundoff; the last
+    point's ``feas`` is the report's, bit for bit.  ``wall_time_ns`` does not
+    include them.
     """
 
     k: int
@@ -235,7 +248,7 @@ def trial_ratio(
     the ratio is the ``-inf`` sentinel, which forces rejection and the
     shrink branch of the time-step update.
     """
-    decrease = -((1.0 + 0.5 * dt) / (1.0 + dt)) * float(g @ s)
+    decrease = -((1.0 + 0.5 * dt) / (1.0 + dt)) * float(g.dot(s))
     if decrease <= 0.0:
         return float("-inf"), decrease
     return (f_current - f_trial) / decrease, decrease
@@ -257,7 +270,7 @@ def update_timestep(dt: float, rho: float) -> float:
 
 
 def _max_abs(v: np.ndarray) -> float:
-    return float(np.abs(v).max())
+    return float(np.maximum.reduce(np.abs(v)))
 
 
 def _checked(value: Any, shape: tuple[int, ...], what: str, where: str) -> np.ndarray:
@@ -274,9 +287,6 @@ def _checked(value: Any, shape: tuple[int, ...], what: str, where: str) -> np.nd
 
 
 def _norm(v: np.ndarray) -> float:
-    """The 2-norm of a contiguous 1-d float array, bit for bit as
-    ``np.linalg.norm`` computes it, by ``v.dot(v)``, which skips the ufunc
-    dispatch of ``v @ v`` (a strided view would be summed in a different order)."""
     return math.sqrt(float(v.dot(v)))
 
 
@@ -303,7 +313,8 @@ class _Run:
     vectors: the buffer is stacked row-major, one vector per row, and
     multiplied by ``A`` transposed, so each vector is read contiguously.  The
     two buffers hold at most ``2 * _RESIDUAL_BLOCK * n`` floats.
-    :meth:`report` computes the current point's ``feas`` on its own and
+    :meth:`report` stacks what still waits in both buffers, steps first, for
+    one last product, computes the current point's ``feas`` on its own and
     builds the trace records.
     """
 
@@ -382,25 +393,30 @@ class _Run:
         ))
         self.steps.append(s)
         self.x_has_rows = True
-        self.flush(_RESIDUAL_BLOCK)
-
-    def flush(self, full: int) -> None:
-        """Compute the waiting residuals of each buffer that holds at least
-        ``full`` (at least 1) vectors."""
-        if len(self.steps) >= full:
-            self.step_infeas += np.abs(np.array(self.steps) @ self.cs.a.T).max(axis=1).tolist()
+        if len(self.steps) >= _RESIDUAL_BLOCK:
+            self.flush(self.steps, [])
             self.steps = []
-        if len(self.points) >= full:
-            residuals = np.array(self.points) @ self.cs.a.T - self.cs.b
-            self.point_feas += np.abs(residuals).max(axis=1).tolist()
+        if len(self.points) >= _RESIDUAL_BLOCK:
+            self.flush([], self.points)
             self.points = []
+
+    def flush(self, steps: list[np.ndarray], points: list[np.ndarray]) -> None:
+        """Append the max-norm residuals of ``steps`` to ``step_infeas`` and
+        those of ``points`` to ``point_feas``, from one matrix product."""
+        split = len(steps)
+        residuals = np.array(steps + points) @ self.cs.a.T
+        residuals[split:] -= self.cs.b
+        infeas = np.abs(residuals).max(axis=1).tolist()
+        self.step_infeas += infeas[:split]
+        self.point_feas += infeas[split:]
 
     def report(self, stop_reason: str, iterations: int, accepted_steps: int) -> SolverReport:
         """The report of a run that the rule ``stop_reason`` ended at the
         current point; its status follows from that point (see
         :class:`SolverReport`)."""
-        feas = _max_abs(self.cs.a @ self.x - self.cs.b)
-        self.flush(1)
+        feas = _max_abs(self.cs.a.dot(self.x) - self.cs.b)
+        if self.steps or self.points:
+            self.flush(self.steps, self.points)
         point_feas = self.point_feas + [feas]
         trace = []
         for row, step_infeas in zip(self.rows, self.step_infeas):
@@ -532,7 +548,7 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
         actual = f_old - f_new
         if not actual > _ULP_BAND * math.ulp(f_old):
             return False
-        estimate = -0.5 * float((g_old + g_new) @ (x_new - x_old))
+        estimate = -0.5 * float((g_old + g_new).dot(x_new - x_old))
         return abs(estimate - actual) <= _RATIO_BAND_INNER * actual
 
     k, dt, phase = 0, cfg.dt0, WELL_POSED
@@ -586,7 +602,7 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
         ):
             # f cannot resolve this decrease, and the gradient can.
             g_trial = run.gval(x_trial, "a certified trial")
-            rho = -0.5 * float((run.g + g_trial) @ (x_trial - run.x)) / decrease
+            rho = -0.5 * float((run.g + g_trial).dot(x_trial - run.x)) / decrease
         step_norm = _norm(s)
         pg_norm = run.pg_norm
         accepted = bool(
@@ -641,9 +657,9 @@ def baseline_sqp(problem: Any, config: Optional[SolverConfig] = None) -> SolverR
     # the same steps in each.
     x0, q2 = run.x, tangent_basis(run.basis)
     res = minimize(
-        lambda z: run.fval(x0 + q2 @ z), np.zeros(q2.shape[1]), method="BFGS",
-        jac=lambda z: q2.T @ run.gval(x0 + q2 @ z, "an SQP point"),
+        lambda z: run.fval(x0 + q2.dot(z)), np.zeros(q2.shape[1]), method="BFGS",
+        jac=lambda z: q2.T.dot(run.gval(x0 + q2.dot(z), "an SQP point")),
         options={"gtol": cfg.tol, "maxiter": cfg.max_iter},
     )
-    run.restore_to(x0 + q2 @ res.x, "the SQP point")
+    run.restore_to(x0 + q2.dot(res.x), "the SQP point")
     return run.report("iteration-cap" if res.nit >= cfg.max_iter else "sqp-stopped", res.nit, res.nit)

@@ -9,13 +9,22 @@ with :func:`main`::
 where ``catalog-k.csv`` is the output of ``python -m eqflow --problem all
 --baseline --format csv`` on k BLAS threads.  The script checks each file by
 :func:`check_catalog`, then the pair by :func:`check_thread_gate`, and exits
-non-zero with the first violation it finds.
+non-zero with the first violation it finds.  With ``--trace`` it checks
+instead every row of the JSON files it is given by :func:`check_trace`::
+
+    PYTHONPATH=src python tests/contract.py --trace trace-1.json trace-2.json
+
+where ``trace-k.json`` is the output of ``python -m eqflow --problem all
+--format json --trace`` on k BLAS threads.
 """
 
 import csv
+import json
+import math
 import pathlib
 import re
 import sys
+import types
 
 from eqflow import CONVERGED, SINGLE_FEASIBLE_POINT
 from eqflow.problems import CONVEX_PROBLEMS, NONCONVEX_PROBLEMS
@@ -116,6 +125,34 @@ def check_trace(report, where="run"):
         )
 
 
+def read_traces(path):
+    """The rows of a ``--format json --trace`` bench file, each as an object
+    with the row's fields and a ``trace`` list of objects with the record's
+    fields, as :func:`check_trace` reads a report; JSON ``null``, which the
+    bench writes for a non-finite float, is read back as NaN."""
+    def namespace(fields):
+        return types.SimpleNamespace(
+            **{key: math.nan if value is None else value for key, value in fields.items()}
+        )
+
+    with open(path) as fh:
+        return json.load(fh, object_hook=namespace)
+
+
+def check_trace_files(paths):
+    """Every row of the bench files at ``paths`` by :func:`check_trace`, and
+    print a line per file."""
+    for path in paths:
+        rows = read_traces(path)
+        _require(rows, f"{path}: no rows")
+        for row in rows:
+            where = f"{path}: {row.problem} ({row.solver})"
+            _require(hasattr(row, "trace"), f"{where}: no trace; run the bench with --trace")
+            check_trace(row, where)
+        records = sum(len(row.trace) for row in rows)
+        print(f"{path}: {len(rows)} rows, {records} trace rows")
+
+
 def check_catalog(rows, problems=CONVEX_PROBLEMS + NONCONVEX_PROBLEMS):
     """The rows of one ``--baseline`` CSV pass over ``problems``: one row per
     problem and solver, none raised, each by :func:`check_status_rule` at
@@ -160,9 +197,16 @@ def check_thread_gate(rows_1, rows_2):
 
 def main(paths):
     """Check the CSVs at ``paths``, one pass on one BLAS thread and one on
-    two, and print a line per check."""
+    two, or with ``--trace`` first the traces of the JSON files after it, and
+    print a line per check."""
+    if paths[:1] == ["--trace"] and len(paths) > 1:
+        check_trace_files(paths[1:])
+        return
     if len(paths) != 2:
-        raise SystemExit("usage: contract.py CATALOG_1_THREAD.csv CATALOG_2_THREADS.csv")
+        raise SystemExit(
+            "usage: contract.py CATALOG_1_THREAD.csv CATALOG_2_THREADS.csv\n"
+            "       contract.py --trace TRACE.json [TRACE.json ...]"
+        )
     passes = []
     for path in paths:
         with open(path, newline="") as fh:

@@ -4,6 +4,8 @@ solver's own trace, and fail each kind of broken row or trace."""
 import ast
 import csv
 import dataclasses
+import json
+import math
 import pathlib
 
 import numpy as np
@@ -194,6 +196,65 @@ def _last_feas_differs(report):
 def test_each_broken_trace_fails(booth_report, mutate, message):
     with pytest.raises(AssertionError, match=message):
         contract.check_trace(mutate(booth_report), "booth")
+
+
+@pytest.fixture(scope="module")
+def trace_rows(tmp_path_factory):
+    """The ``--format json --trace`` rows of the two-dimensional problems."""
+    path = tmp_path_factory.mktemp("traces") / "two-dim.json"
+    argv = ["--problem", ",".join(_TWO_DIM), "--format", "json", "--trace", "--out", str(path)]
+    assert main(argv) == 0
+    return json.loads(path.read_text())
+
+
+def _trace_file(tmp_path, rows, mutate=None):
+    """A copy of the bench rows ``rows``, changed by ``mutate``, written to a file."""
+    rows = json.loads(json.dumps(rows))
+    if mutate is not None:
+        mutate(rows)
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(rows))
+    return str(path)
+
+
+def _first_rejected(rows):
+    return next(rec for row in rows for rec in row["trace"] if not rec["accepted"])
+
+
+def test_script_checks_every_trace_of_a_json_file(trace_rows, tmp_path, capsys):
+    # The bench writes a non-finite float, such as the -inf ratio of a
+    # trial with no predicted decrease, as null; it reads back as NaN.
+    path = _trace_file(tmp_path, trace_rows, lambda rows: _first_rejected(rows).update(rho=None))
+    read = contract.read_traces(path)
+    assert math.isnan(next(rec for row in read for rec in row.trace if not rec.accepted).rho)
+    contract.main(["--trace", path, path])
+    records = sum(len(row["trace"]) for row in trace_rows)
+    assert capsys.readouterr().out == f"{path}: 5 rows, {records} trace rows\n" * 2
+
+
+def _accepted_f_rises(rows):
+    accepted = [rec for rec in rows[0]["trace"] if rec["accepted"]]
+    accepted[1]["f"] = accepted[0]["f"] + 1.0
+
+
+def _last_feas_moves(rows):
+    rows[-1]["trace"][-1]["feas"] = 2.0 * rows[-1]["feas"] + 1e-300
+
+
+def _untraced(rows):
+    for row in rows:
+        del row["trace"]
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_accepted_f_rises, r"trace\.json: booth \(continuation\) at k=\d+: f .* not below"),
+    (_last_feas_moves, r"trace\.json: beale \(continuation\): last row's feas"),
+    (_untraced, r"booth \(continuation\): no trace"),
+    (lambda rows: rows.clear(), r"trace\.json: no rows"),
+])
+def test_each_broken_trace_file_fails(trace_rows, tmp_path, mutate, message):
+    with pytest.raises(AssertionError, match=message):
+        contract.main(["--trace", _trace_file(tmp_path, trace_rows, mutate)])
 
 
 def _stop_reasons_in_code():

@@ -70,6 +70,21 @@ class TestDirectConstruction:
             LbfgsPair(np.ones(2), np.ones(2), scale=2.0)
 
 
+@pytest.mark.parametrize("n", [2, 10, 300, 1000])
+def test_apply_inverse_equals_its_matmul_closed_form_bit_for_bit(n):
+    # The pair's products and apply_inverse use ndarray.dot, one BLAS call
+    # each, and must give what the same formula written with @ gives.
+    rng = np.random.default_rng([48, n])
+    for _ in range(5):
+        pair = random_usable_pair(rng, n)
+        s, y, v = pair.s, pair.y, rng.standard_normal(n)
+        sy, yy = float(s @ y), float(y @ y)
+        assert (pair.sy, pair.yy) == (sy, yy)
+        sv, yv = float(s @ v), float(y @ v)
+        want = v - (y * sv + s * yv) / sy + (2.0 * yy * sv / sy**2) * s
+        assert np.array_equal(apply_inverse(pair, v), want)
+
+
 class TestHandWorkedPair:
     def pair(self):
         return make_pair(np.array([1.0, 0.0]), np.array([1.0, 1.0]))

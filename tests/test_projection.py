@@ -303,6 +303,19 @@ class TestRegimes:
             assert np.array_equal(got, project_gradient(basis, v) + basis.x_p)
 
     @pytest.mark.parametrize("regime", REGIMES)
+    def test_projection_equals_its_matmul_form_bit_for_bit(self, regime):
+        # project_gradient makes its products with ndarray.dot, one BLAS call
+        # each, and must give what the same products with @ give.
+        basis = factor(regime_system(regime))
+        rng = np.random.default_rng(46)
+        for g in (rng.standard_normal(basis.n), rng.standard_normal((basis.n, 3))):
+            if basis.q1 is not None:
+                want = g - basis.q1 @ (basis.q1.T @ g)
+            else:
+                want = basis.q2 @ (basis.q2.T @ g)
+            assert np.array_equal(project_gradient(basis, g), want)
+
+    @pytest.mark.parametrize("regime", REGIMES)
     def test_holds_no_more_than_a_solve_reads(self, regime):
         basis = factor(regime_system(regime))
         n, r = basis.n, basis.rank

@@ -814,6 +814,45 @@ class TestStoredResiduals:
             previous = feas, step_infeas
         assert moved > 2 * small_block
 
+    @pytest.mark.parametrize("case, waiting", [
+        # 13 rows, accepted and not: steps and points both wait.
+        ("booth", "both"),
+        # The leaky run's 200 rows cross one block of 128, and its feas
+        # moves row by row, so a value put on the wrong side of the split
+        # fails.
+        ("leaky", "both"),
+        # One rejected trial: its step waits, and the start, which never
+        # moved, is the report's own point, so no point waits.
+        ("booth-rejected", "steps"),
+    ])
+    def test_report_turns_both_buffers_into_residuals(self, monkeypatch, case, waiting):
+        # The report stacks the steps and points still waiting for one
+        # product with A; each row must still hold its own vectors' residuals.
+        at_report = []
+
+        def spy_report(run, *args, _inner=solver_module._Run.report):
+            at_report.append((len(run.steps), len(run.points)))
+            return _inner(run, *args)
+
+        monkeypatch.setattr(solver_module._Run, "report", spy_report)
+        if case == "leaky":
+            problem, cfg = _leaky_run(monkeypatch)
+        else:
+            problem = get_problem("booth")
+            cfg = SolverConfig(max_iter=1, dt0=10.0) if case == "booth-rejected" else SolverConfig()
+        report, points = _solve_with_points(problem, cfg)
+        (steps_waiting, points_waiting), = at_report
+        assert steps_waiting > 0
+        assert (points_waiting > 0) == (waiting == "both")
+        if waiting == "steps":
+            assert [rec.accepted for rec in report.trace] == [False]
+        for rec, step_infeas, feas, bound in _rows_with_fresh_residuals(
+            problem.cs, report.trace, points
+        ):
+            assert abs(rec.step_infeas - step_infeas) <= bound, f"at k={rec.k}"
+            assert abs(rec.feas - feas) <= bound, f"at k={rec.k}"
+        assert report.trace[-1].feas == report.feas
+
     def test_output_does_not_depend_on_the_block_size(self, monkeypatch):
         # Block size 1 computes each residual as soon as its vector waits, so
         # both buffers are empty when the report is built.

@@ -273,9 +273,21 @@ def _max_abs(v: np.ndarray) -> float:
     return float(np.maximum.reduce(np.abs(v)))
 
 
+_FLOAT = np.dtype(float)
+
+
 def _checked(value: Any, shape: tuple[int, ...], what: str, where: str) -> np.ndarray:
-    """A callback's result as a float array, checked for ``shape`` and finiteness."""
-    result = np.asarray(value, dtype=float)
+    """A callback's result as a float array, checked for real values, ``shape``
+    and finiteness.  A complex result is rejected, not cast: the cast would
+    drop its imaginary part.  A float array takes one dtype test."""
+    try:
+        result = np.asarray(value)
+        if result.dtype is not _FLOAT:
+            if result.dtype.kind == "c":
+                raise TypeError(f"{result.dtype} values")
+            result = result.astype(float)
+    except (TypeError, ValueError) as exc:
+        raise DimensionError(f"{what} at {where} is not a real array: {exc}") from exc
     if result.shape != shape:
         raise DimensionError(f"{what} at {where} has shape {result.shape}, expected {shape}")
     # A finite sum of squares has only finite terms: none is negative, so
@@ -513,8 +525,9 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
         non-finite.  Probes are not retried: their points do not depend on
         ``dt``.
     DimensionError
-        If ``f`` returns anything but a real scalar, ``grad`` an array whose
-        shape is not ``(n,)``, or ``hess`` one whose shape is not ``(n, n)``.
+        If ``f`` returns anything but a real scalar, ``grad`` anything but a
+        real array of shape ``(n,)``, or ``hess`` anything but a real array
+        of shape ``(n, n)``.
     """
     cfg = config if config is not None else SolverConfig()
     run = _Run(problem, cfg)
@@ -643,8 +656,9 @@ def baseline_sqp(problem: Any, config: Optional[SolverConfig] = None) -> SolverR
     the trace is empty.  The stop reason is ``"iteration-cap"`` when BFGS
     ran ``max_iter`` iterations, else ``"sqp-stopped"``, and the status
     follows from the returned point by the rule of :class:`SolverReport`.
-    Non-finite or misshapen gradients anywhere, an objective that is not a
-    real scalar, and a non-finite objective at the start or the end, raise.
+    Gradients that are not real, misshapen or non-finite anywhere, an
+    objective that is not a real scalar, and a non-finite objective at the
+    start or the end, raise.
     """
     # Imported here: scipy.optimize would add about 0.26 s to ``import eqflow``.
     from scipy.optimize import minimize

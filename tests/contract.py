@@ -1,24 +1,19 @@
-"""The behaviour contract of solver reports and of the catalog CSV, stated once.
+"""The behaviour contract of solver reports and of the bench's catalog rows, stated once.
 
 Tier-1 tests check reports with :func:`check_status_rule` and their traces
-with :func:`check_trace`, and CI checks the CSVs of two whole-catalog passes
-with :func:`main`::
+with :func:`check_trace`, and CI checks two whole-catalog passes with
+:func:`main`::
 
-    PYTHONPATH=src python tests/contract.py catalog-1.csv catalog-2.csv
+    PYTHONPATH=src python tests/contract.py catalog-1.json catalog-2.json
 
-where ``catalog-k.csv`` is the output of ``python -m eqflow --problem all
---baseline --format csv`` on k BLAS threads.  The script checks each file by
-:func:`check_catalog`, then the pair by :func:`check_thread_gate`, and exits
-non-zero with the first violation it finds.  With ``--trace`` it checks
-instead every row of the JSON files it is given by :func:`check_trace`::
-
-    PYTHONPATH=src python tests/contract.py --trace trace-1.json trace-2.json
-
-where ``trace-k.json`` is the output of ``python -m eqflow --problem all
---format json --trace`` on k BLAS threads.
+where ``catalog-k.json`` is the output of ``python -m eqflow --problem all
+--baseline --format json --trace`` on k BLAS threads.  The script checks
+each file by :func:`check_file`: its rows by :func:`check_catalog` and each
+row's trace by :func:`check_trace`.  It then checks the pair by
+:func:`check_thread_gate`, and exits non-zero with the first violation it
+finds.
 """
 
-import csv
 import json
 import math
 import pathlib
@@ -125,11 +120,11 @@ def check_trace(report, where="run"):
         )
 
 
-def read_traces(path):
-    """The rows of a ``--format json --trace`` bench file, each as an object
-    with the row's fields and a ``trace`` list of objects with the record's
-    fields, as :func:`check_trace` reads a report; JSON ``null``, which the
-    bench writes for a non-finite float, is read back as NaN."""
+def read_rows(path):
+    """The rows of a ``--format json`` bench file, each as an object with the
+    row's fields and, with ``--trace``, a ``trace`` list of objects with the
+    record's fields, as :func:`check_trace` reads a report; JSON ``null``,
+    which the bench writes for a non-finite float, is read back as NaN."""
     def namespace(fields):
         return types.SimpleNamespace(
             **{key: math.nan if value is None else value for key, value in fields.items()}
@@ -139,26 +134,12 @@ def read_traces(path):
         return json.load(fh, object_hook=namespace)
 
 
-def check_trace_files(paths):
-    """Every row of the bench files at ``paths`` by :func:`check_trace`, and
-    print a line per file."""
-    for path in paths:
-        rows = read_traces(path)
-        _require(rows, f"{path}: no rows")
-        for row in rows:
-            where = f"{path}: {row.problem} ({row.solver})"
-            _require(hasattr(row, "trace"), f"{where}: no trace; run the bench with --trace")
-            check_trace(row, where)
-        records = sum(len(row.trace) for row in rows)
-        print(f"{path}: {len(rows)} rows, {records} trace rows")
-
-
 def check_catalog(rows, problems=CONVEX_PROBLEMS + NONCONVEX_PROBLEMS):
-    """The rows of one ``--baseline`` CSV pass over ``problems``: one row per
-    problem and solver, none raised, each by :func:`check_status_rule` at
-    :data:`TOL` and feasible to :data:`FEAS_BOUND`, and every row of
-    :data:`SMALL_PROBLEMS` converged."""
-    keys = [(row["problem"], row["solver"]) for row in rows]
+    """The rows of one ``--baseline`` pass over ``problems``, as
+    :func:`read_rows` reads them: one row per problem and solver, none
+    raised, each by :func:`check_status_rule` at :data:`TOL` and feasible to
+    :data:`FEAS_BOUND`, and every row of :data:`SMALL_PROBLEMS` converged."""
+    keys = [(row.problem, row.solver) for row in rows]
     expected = {(name, solver) for name in problems for solver in SOLVERS}
     _require(
         len(keys) == len(set(keys)) and set(keys) == expected,
@@ -166,13 +147,12 @@ def check_catalog(rows, problems=CONVEX_PROBLEMS + NONCONVEX_PROBLEMS):
         f"missing {sorted(expected - set(keys))}, unexpected {sorted(set(keys) - expected)}",
     )
     for row in rows:
-        where = f"{row['problem']} ({row['solver']})"
-        _require(row["stop_reason"] != "error", f"{where} raised {row['status']}")
-        kkt, feas = float(row["kkt"]), float(row["feas"])
-        check_status_rule(row["status"], row["stop_reason"], kkt, feas, TOL, where)
-        _require(feas <= FEAS_BOUND, f"{where}: feas {row['feas']} above {FEAS_BOUND:g}")
-        if row["problem"] in SMALL_PROBLEMS:
-            _require(row["status"] == CONVERGED, f"{where}: {row['status']} on a small problem")
+        where = f"{row.problem} ({row.solver})"
+        _require(row.stop_reason != "error", f"{where} raised {row.status}")
+        check_status_rule(row.status, row.stop_reason, row.kkt, row.feas, TOL, where)
+        _require(row.feas <= FEAS_BOUND, f"{where}: feas {row.feas} above {FEAS_BOUND:g}")
+        if row.problem in SMALL_PROBLEMS:
+            _require(row.status == CONVERGED, f"{where}: {row.status} on a small problem")
 
 
 def check_thread_gate(rows_1, rows_2):
@@ -180,8 +160,8 @@ def check_thread_gate(rows_1, rows_2):
     problem outside :data:`THREAD_DEPENDENT`.  Returns the problems on which
     it differs."""
     outcomes = [
-        {row["problem"]: (row["status"], row["stop_reason"])
-         for row in rows if row["solver"] == "continuation"}
+        {row.problem: (row.status, row.stop_reason)
+         for row in rows if row.solver == "continuation"}
         for rows in (rows_1, rows_2)
     ]
     differ = {
@@ -195,27 +175,30 @@ def check_thread_gate(rows_1, rows_2):
     return differ
 
 
+def check_file(path, problems=CONVEX_PROBLEMS + NONCONVEX_PROBLEMS):
+    """The ``--baseline --format json --trace`` bench file at ``path``: its
+    rows by :func:`check_catalog` over ``problems``, then each row's trace by
+    :func:`check_trace` (an SQP row's trace is empty).  Prints a line and
+    returns the rows."""
+    rows = read_rows(path)
+    _require(rows, f"{path}: no rows")
+    check_catalog(rows, problems)
+    for row in rows:
+        where = f"{path}: {row.problem} ({row.solver})"
+        _require(hasattr(row, "trace"), f"{where}: no trace; run the bench with --trace")
+        check_trace(row, where)
+    records = sum(len(row.trace) for row in rows)
+    max_feas = max(row.feas for row in rows)
+    print(f"{path}: {len(rows)} rows, {records} trace rows, max feas {max_feas:.2e}")
+    return rows
+
+
 def main(paths):
-    """Check the CSVs at ``paths``, one pass on one BLAS thread and one on
-    two, or with ``--trace`` first the traces of the JSON files after it, and
-    print a line per check."""
-    if paths[:1] == ["--trace"] and len(paths) > 1:
-        check_trace_files(paths[1:])
-        return
+    """Check the bench files at ``paths``, one pass on one BLAS thread and
+    one on two, and print a line per check."""
     if len(paths) != 2:
-        raise SystemExit(
-            "usage: contract.py CATALOG_1_THREAD.csv CATALOG_2_THREADS.csv\n"
-            "       contract.py --trace TRACE.json [TRACE.json ...]"
-        )
-    passes = []
-    for path in paths:
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        check_catalog(rows)
-        max_feas = max(float(row["feas"]) for row in rows)
-        print(f"{path}: {len(rows)} rows, max feas {max_feas:.2e}")
-        passes.append(rows)
-    differ = check_thread_gate(*passes)
+        raise SystemExit("usage: contract.py CATALOG_1_THREAD.json CATALOG_2_THREADS.json")
+    differ = check_thread_gate(*(check_file(path) for path in paths))
     print(f"outcomes that depend on the BLAS thread count: {sorted(differ)}")
 
 

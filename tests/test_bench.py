@@ -496,6 +496,19 @@ class TestFailedRuns:
         assert err.count(message) == 2
         assert [r.status for r in failed] == ["DimensionError"] * 2
 
+    @pytest.mark.parametrize(
+        "change", [lambda g: g + 1j, lambda g: np.full(g.shape, "matyas"), lambda g: {"g": g}],
+        ids=["complex", "string", "object"],
+    )
+    def test_gradient_that_is_not_real_is_an_error_row(self, monkeypatch, capsys, change):
+        err, failed = self.error_rows_for_matyas(
+            monkeypatch, capsys,
+            lambda p: dataclasses.replace(p, grad=lambda x: change(p.grad(x))),
+        )
+        message = "error: DimensionError: gradient at the initial point is not a real array"
+        assert err.count(message) == 2
+        assert [r.status for r in failed] == ["DimensionError"] * 2
+
     def test_error_row_in_json_is_null(self, matyas_fails, capsys):
         assert main(["--problem", "matyas", "--format", "json", "--baseline", "--trace"]) == 1
         failed, baseline = json.loads(capsys.readouterr().out)

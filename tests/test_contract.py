@@ -1,12 +1,13 @@
-"""The checkers of tests/contract.py: they pass the bench's own rows and a
-solver's own trace, and fail each kind of broken row or trace."""
+"""The checkers of tests/contract.py: they pass the bench's own rows and
+traces, a solver's own trace and the committed catalog, and fail each kind
+of broken row or trace."""
 
 import ast
-import csv
 import dataclasses
 import json
 import math
 import pathlib
+import types
 
 import numpy as np
 import pytest
@@ -19,26 +20,29 @@ from eqflow.bench import main
 _TWO_DIM = tuple(
     name for name in CONVEX_PROBLEMS + NONCONVEX_PROBLEMS if get_problem(name).n == 2
 )
+_BENCH_SQP = pathlib.Path(__file__).resolve().parents[1] / "BENCH_sqp.json"
 
 
 @pytest.fixture(scope="module")
-def bench_csv(tmp_path_factory):
-    """The ``--baseline`` CSV of the two-dimensional catalog problems."""
-    path = tmp_path_factory.mktemp("catalog") / "two-dim.csv"
-    argv = ["--problem", ",".join(_TWO_DIM), "--baseline", "--format", "csv", "--out", str(path)]
+def bench_json(tmp_path_factory):
+    """The ``--baseline --format json --trace`` file of the two-dimensional
+    catalog problems."""
+    path = tmp_path_factory.mktemp("catalog") / "two-dim.json"
+    argv = ["--problem", ",".join(_TWO_DIM), "--baseline", "--format", "json", "--trace",
+            "--out", str(path)]
     assert main(argv) == 0
     return path
 
 
 @pytest.fixture
-def rows(bench_csv):
-    with open(bench_csv, newline="") as fh:
-        return list(csv.DictReader(fh))
+def rows(bench_json):
+    return contract.read_rows(bench_json)
 
 
 def _row(rows, problem, solver):
-    (row,) = [r for r in rows if (r["problem"], r["solver"]) == (problem, solver)]
-    return row
+    """The fields of the row of ``problem`` and ``solver``, to read or update."""
+    (row,) = [r for r in rows if (r.problem, r.solver) == (problem, solver)]
+    return vars(row)
 
 
 def _relabel_converged(rows):
@@ -50,36 +54,36 @@ def _undocumented_pair(rows):
 
 
 def _converged_above_tol(rows):
-    _row(rows, "beale", "continuation").update(kkt="2e-06")
+    _row(rows, "beale", "continuation").update(kkt=2e-06)
 
 
 def _feasibility_lost_below_tol(rows):
     _row(rows, "beale", "sqp").update(
-        status="StepFailure", stop_reason="feasibility-lost", kkt="2e-06"
+        status="StepFailure", stop_reason="feasibility-lost", kkt=2e-06
     )
 
 
 def _infeasible(rows):
-    _row(rows, "six_hump_camel", "continuation").update(feas="1e-07")
+    _row(rows, "six_hump_camel", "continuation").update(feas=1e-07)
 
 
 def _missing_row(rows):
-    rows.remove(_row(rows, "three_hump_camel", "sqp"))
+    rows[:] = [r for r in rows if (r.problem, r.solver) != ("three_hump_camel", "sqp")]
 
 
 def _duplicate_row(rows):
-    rows.append(dict(_row(rows, "booth", "sqp")))
+    rows.append(types.SimpleNamespace(**_row(rows, "booth", "sqp")))
 
 
 def _raised(rows):
     _row(rows, "matyas", "continuation").update(
-        status="NonFiniteGradient", stop_reason="error", kkt="nan", feas="nan"
+        status="NonFiniteGradient", stop_reason="error", kkt=math.nan, feas=math.nan
     )
 
 
 def _small_problem_short_of_tol(rows):
     _row(rows, "booth", "sqp").update(
-        status="MaxIterations", stop_reason="iteration-cap", kkt="0.001"
+        status="MaxIterations", stop_reason="iteration-cap", kkt=1e-3
     )
 
 
@@ -106,12 +110,12 @@ def test_each_broken_row_fails(rows, mutate, message):
 
 
 def test_thread_gate_allows_only_the_named_problems(rows):
-    again = [dict(row) for row in rows]
+    again = [types.SimpleNamespace(**vars(row)) for row in rows]
     assert contract.check_thread_gate(rows, again) == set()
     # The same difference passes on a problem the gate names.
     for row in rows + again:
-        if row["problem"] == "beale":
-            row["problem"] = "rastrigin"
+        if row.problem == "beale":
+            row.problem = "rastrigin"
     _row(again, "rastrigin", "continuation").update(status="StepFailure", stop_reason="sub-ulp")
     assert contract.check_thread_gate(rows, again) == {"rastrigin"}
     _row(again, "matyas", "continuation").update(status="StepFailure", stop_reason="sub-ulp")
@@ -119,11 +123,15 @@ def test_thread_gate_allows_only_the_named_problems(rows):
         contract.check_thread_gate(rows, again)
 
 
-def test_script_checks_the_whole_catalog(bench_csv):
+def test_script_checks_the_whole_catalog(bench_json):
     with pytest.raises(AssertionError, match=r"10 rows for 40 runs"):
-        contract.main([str(bench_csv), str(bench_csv)])
+        contract.main([str(bench_json), str(bench_json)])
     with pytest.raises(SystemExit, match="usage"):
-        contract.main([str(bench_csv)])
+        contract.main([str(bench_json)])
+
+
+def test_committed_catalog_meets_the_contract():
+    contract.check_catalog(contract.read_rows(_BENCH_SQP))
 
 
 @pytest.fixture(scope="module")
@@ -198,20 +206,10 @@ def test_each_broken_trace_fails(booth_report, mutate, message):
         contract.check_trace(mutate(booth_report), "booth")
 
 
-@pytest.fixture(scope="module")
-def trace_rows(tmp_path_factory):
-    """The ``--format json --trace`` rows of the two-dimensional problems."""
-    path = tmp_path_factory.mktemp("traces") / "two-dim.json"
-    argv = ["--problem", ",".join(_TWO_DIM), "--format", "json", "--trace", "--out", str(path)]
-    assert main(argv) == 0
-    return json.loads(path.read_text())
-
-
-def _trace_file(tmp_path, rows, mutate=None):
-    """A copy of the bench rows ``rows``, changed by ``mutate``, written to a file."""
-    rows = json.loads(json.dumps(rows))
-    if mutate is not None:
-        mutate(rows)
+def _bench_file(tmp_path, bench_json, mutate):
+    """A copy of the bench file ``bench_json``, its rows changed by ``mutate``."""
+    rows = json.loads(bench_json.read_text())
+    mutate(rows)
     path = tmp_path / "trace.json"
     path.write_text(json.dumps(rows))
     return str(path)
@@ -221,15 +219,19 @@ def _first_rejected(rows):
     return next(rec for row in rows for rec in row["trace"] if not rec["accepted"])
 
 
-def test_script_checks_every_trace_of_a_json_file(trace_rows, tmp_path, capsys):
+def test_script_checks_every_trace_of_a_json_file(bench_json, tmp_path, capsys):
     # The bench writes a non-finite float, such as the -inf ratio of a
     # trial with no predicted decrease, as null; it reads back as NaN.
-    path = _trace_file(tmp_path, trace_rows, lambda rows: _first_rejected(rows).update(rho=None))
-    read = contract.read_traces(path)
+    path = _bench_file(tmp_path, bench_json, lambda rows: _first_rejected(rows).update(rho=None))
+    read = contract.read_rows(path)
     assert math.isnan(next(rec for row in read for rec in row.trace if not rec.accepted).rho)
-    contract.main(["--trace", path, path])
-    records = sum(len(row["trace"]) for row in trace_rows)
-    assert capsys.readouterr().out == f"{path}: 5 rows, {records} trace rows\n" * 2
+    contract.check_file(path, _TWO_DIM)
+    records = sum(len(row.trace) for row in read)
+    assert records > 0 and all(row.trace == [] for row in read if row.solver == "sqp")
+    max_feas = max(row.feas for row in read)
+    assert capsys.readouterr().out == (
+        f"{path}: 10 rows, {records} trace rows, max feas {max_feas:.2e}\n"
+    )
 
 
 def _accepted_f_rises(rows):
@@ -238,7 +240,8 @@ def _accepted_f_rises(rows):
 
 
 def _last_feas_moves(rows):
-    rows[-1]["trace"][-1]["feas"] = 2.0 * rows[-1]["feas"] + 1e-300
+    (beale,) = [r for r in rows if (r["problem"], r["solver"]) == ("beale", "continuation")]
+    beale["trace"][-1]["feas"] = 2.0 * beale["feas"] + 1e-300
 
 
 def _untraced(rows):
@@ -252,9 +255,9 @@ def _untraced(rows):
     (_untraced, r"booth \(continuation\): no trace"),
     (lambda rows: rows.clear(), r"trace\.json: no rows"),
 ])
-def test_each_broken_trace_file_fails(trace_rows, tmp_path, mutate, message):
+def test_each_broken_trace_file_fails(bench_json, tmp_path, mutate, message):
     with pytest.raises(AssertionError, match=message):
-        contract.main(["--trace", _trace_file(tmp_path, trace_rows, mutate)])
+        contract.check_file(_bench_file(tmp_path, bench_json, mutate), _TWO_DIM)
 
 
 def _stop_reasons_in_code():

@@ -1206,6 +1206,38 @@ class TestMisshapenCallbacks:
         with pytest.raises(DimensionError, match=f"objective is {kind}, expected a real scalar"):
             method(problem)
 
+    @pytest.mark.parametrize(
+        "change, reason",
+        [
+            (lambda v: v + 1j, "complex128 values"),
+            (lambda v: list(v + 1j), "complex128 values"),
+            (lambda v: np.full(v.shape, "booth"), "could not convert string to float"),
+            (lambda v: {"value": v}, "not 'dict'"),
+        ],
+        ids=["complex", "complex-list", "string", "object"],
+    )
+    @pytest.mark.parametrize(
+        "method, callback, where",
+        [
+            (solve, "grad", "gradient at the initial point"),
+            (baseline_sqp, "grad", "gradient at the initial point"),
+            # baseline_sqp calls no Hessian callback.
+            (solve, "hess", "Hessian callback at the current point"),
+        ],
+        ids=["solve-grad", "sqp-grad", "solve-hess"],
+    )
+    def test_gradient_or_hessian_that_is_not_real_raises(
+        self, method, callback, where, change, reason
+    ):
+        # A cast to float would drop an imaginary part, with a ComplexWarning,
+        # and let a complex gradient converge.
+        base = get_problem("sum_squares", n=30)
+        hess = quadratic_form("sum_squares", 30)[0]
+        true = {"grad": base.grad, "hess": lambda x: hess}[callback]
+        problem = dataclasses.replace(base, **{callback: lambda x: change(true(x))})
+        with pytest.raises(DimensionError, match=f"{where} is not a real array: .*{reason}"):
+            method(problem, SolverConfig(dt0=1e-4))
+
 
 def _wide_zakharov():
     # A start drawn from [-3, 3]^10 (four numbers are drawn first); the

@@ -276,20 +276,28 @@ def _max_abs(v: np.ndarray) -> float:
 _FLOAT = np.dtype(float)
 
 
-def _checked(value: Any, shape: tuple[int, ...], what: str, where: str) -> np.ndarray:
-    """A callback's result as a float array, checked for real values, ``shape``
-    and finiteness.  A complex result is rejected, not cast: the cast would
-    drop its imaginary part.  A float array takes one dtype test."""
+def _real(value: Any, shape: tuple[int, ...], what: str, where: str) -> np.ndarray:
+    """A callback's result as a float array of ``shape``; a float array takes
+    one dtype test.  Only integers and floats (numpy kinds ``i``, ``u``, ``f``)
+    are real: a cast of a bool, a complex value, a string or an object (``None``,
+    a ``Fraction``, an int beyond 64 bits) would invent a number."""
     try:
         result = np.asarray(value)
-        if result.dtype is not _FLOAT:
-            if result.dtype.kind == "c":
-                raise TypeError(f"{result.dtype} values")
-            result = result.astype(float)
-    except (TypeError, ValueError) as exc:
-        raise DimensionError(f"{what} at {where} is not a real array: {exc}") from exc
+    except (TypeError, ValueError) as exc:  # such as ragged nested lists
+        raise DimensionError(f"{what} at {where} is not real: {exc}") from exc
+    if result.dtype is not _FLOAT:
+        if result.dtype.kind not in "iuf":
+            got = f"{type(value).__name__} of {result.dtype} values"
+            raise DimensionError(f"{what} at {where} is not real: {got}")
+        result = result.astype(float)
     if result.shape != shape:
         raise DimensionError(f"{what} at {where} has shape {result.shape}, expected {shape}")
+    return result
+
+
+def _checked(value: Any, shape: tuple[int, ...], what: str, where: str) -> np.ndarray:
+    """A gradient or Hessian as :func:`_real` gives it, checked to be finite."""
+    result = _real(value, shape, what, where)
     # A finite sum of squares has only finite terms: none is negative, so
     # none cancels another.  Only a sum that overflowed needs the entrywise
     # test, which costs a ufunc reduction where the sum costs one BLAS dot.
@@ -306,12 +314,11 @@ class _Run:
     """Set-up and bookkeeping shared by :func:`solve` and the baseline.
 
     Owns the counted callbacks, the constraint factorization, the restored
-    and checked start, the trace rows and the final report.  Every callback
-    result is checked by :meth:`fval` or by :func:`_checked`, which
-    :meth:`gval` and the analytic Hessian call.  ``x``, ``f``,
-    ``g`` and ``pg`` hold the current accepted point, and ``kkt`` (max-norm
-    of ``pg``) and ``pg_norm`` (its 2-norm) its residuals, computed once when
-    the point is set.  ``factor``, ``restore_feasibility`` and
+    and checked start, the trace rows and the final report.  :func:`_real`
+    checks every callback result, through :meth:`fval` or :func:`_checked`.
+    ``x``, ``f``, ``g`` and ``pg`` hold the current accepted point, and
+    ``kkt`` (max-norm of ``pg``) and ``pg_norm`` (its 2-norm) its residuals,
+    computed once when the point is set.  ``factor``, ``restore_feasibility`` and
     ``project_gradient`` are looked up in this module's namespace at call
     time, so wrappers patched onto ``eqflow.solver`` see every call.
 
@@ -341,7 +348,6 @@ class _Run:
         self.points: list[np.ndarray] = []
         self.step_infeas: list[float] = []
         self.point_feas: list[float] = []
-        self.x_has_rows = False
         self.basis = factor(self.cs)
         self.restore_to(np.asarray(problem.x0, dtype=float), "the initial point")
 
@@ -350,17 +356,13 @@ class _Run:
         """The constraints determine the point completely."""
         return self.basis.rank == self.cs.n
 
-    def fval(self, x: np.ndarray) -> float:
-        """``f`` at ``x``, counted; returned even if not finite, raised if not a real scalar."""
+    def fval(self, x: np.ndarray, where: str) -> float:
+        """``f`` at ``x``, named by ``where``, counted; returned even if not finite."""
         self.objective_evals += 1
         value = self.problem.f(x)
-        try:
-            return float(value)
-        except (TypeError, ValueError, OverflowError):
-            shape = np.shape(value)
-        if shape:
-            raise DimensionError(f"objective has shape {shape}, expected ()")
-        raise DimensionError(f"objective is {type(value).__name__}, expected a real scalar")
+        if type(value) is float:
+            return value
+        return float(_real(value, (), "objective", where))
 
     def gval(self, x: np.ndarray, where: str) -> np.ndarray:
         """The gradient at ``x``, counted and checked; ``where`` names ``x``."""
@@ -370,7 +372,7 @@ class _Run:
     def restore_to(self, x: np.ndarray, where: str) -> None:
         """Restore ``x`` onto ``Ax = b``, check ``f`` there and make it the current point."""
         x = restore_feasibility(self.basis, x)
-        f = self.fval(x)
+        f = self.fval(x, where)
         if not math.isfinite(f):
             raise NonFiniteObjective(f"objective at {where} is not finite")
         self.move_to(x, f, where)
@@ -384,9 +386,8 @@ class _Run:
         if g is None:
             g = self.gval(x, where)
         pg = project_gradient(self.basis, g)
-        if self.x_has_rows:
+        if self.rows:  # after the first row, the current point has one
             self.points.append(self.x)
-            self.x_has_rows = False
         self.x, self.f, self.g, self.pg = x, f, g, pg
         self.kkt = _max_abs(pg)
         self.pg_norm = _norm(pg)
@@ -404,7 +405,6 @@ class _Run:
             pg_norm, None, certified,
         ))
         self.steps.append(s)
-        self.x_has_rows = True
         if len(self.steps) >= _RESIDUAL_BLOCK:
             self.flush(self.steps, [])
             self.steps = []
@@ -525,9 +525,9 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
         non-finite.  Probes are not retried: their points do not depend on
         ``dt``.
     DimensionError
-        If ``f`` returns anything but a real scalar, ``grad`` anything but a
-        real array of shape ``(n,)``, or ``hess`` anything but a real array
-        of shape ``(n, n)``.
+        If a callback's result is not real (integers or floats, Python's or
+        numpy's; not bools, complex values, strings or objects) or not of its
+        shape: ``()`` for ``f``, ``(n,)`` for ``grad``, ``(n, n)`` for ``hess``.
     """
     cfg = config if config is not None else SolverConfig()
     run = _Run(problem, cfg)
@@ -603,7 +603,7 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
 
         s = (dt / (1.0 + dt)) * d
         x_trial = run.x + s
-        f_trial = run.fval(x_trial)
+        f_trial = run.fval(x_trial, "a trial point")
         rho, decrease = trial_ratio(run.f, f_trial, run.g, s, dt)
         g_trial = None
         if (
@@ -656,9 +656,9 @@ def baseline_sqp(problem: Any, config: Optional[SolverConfig] = None) -> SolverR
     the trace is empty.  The stop reason is ``"iteration-cap"`` when BFGS
     ran ``max_iter`` iterations, else ``"sqp-stopped"``, and the status
     follows from the returned point by the rule of :class:`SolverReport`.
-    Gradients that are not real, misshapen or non-finite anywhere, an
-    objective that is not a real scalar, and a non-finite objective at the
-    start or the end, raise.
+    It raises as :func:`solve` does for callback results that are not real
+    or misshapen anywhere, a non-finite gradient anywhere, and a non-finite
+    objective at the start or the end.
     """
     # Imported here: scipy.optimize would add about 0.26 s to ``import eqflow``.
     from scipy.optimize import minimize
@@ -671,8 +671,8 @@ def baseline_sqp(problem: Any, config: Optional[SolverConfig] = None) -> SolverR
     # the same steps in each.
     x0, q2 = run.x, tangent_basis(run.basis)
     res = minimize(
-        lambda z: run.fval(x0 + q2.dot(z)), np.zeros(q2.shape[1]), method="BFGS",
-        jac=lambda z: q2.T.dot(run.gval(x0 + q2.dot(z), "an SQP point")),
+        lambda z: run.fval(x0 + q2.dot(z), "an SQP point"), np.zeros(q2.shape[1]),
+        method="BFGS", jac=lambda z: q2.T.dot(run.gval(x0 + q2.dot(z), "an SQP point")),
         options={"gtol": cfg.tol, "maxiter": cfg.max_iter},
     )
     run.restore_to(x0 + q2.dot(res.x), "the SQP point")

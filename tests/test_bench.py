@@ -492,20 +492,29 @@ class TestFailedRuns:
         err, failed = self.error_rows_for_matyas(
             monkeypatch, capsys, lambda p: dataclasses.replace(p, f=lambda x: None)
         )
-        message = "error: DimensionError: objective is NoneType, expected a real scalar"
+        message = (
+            "error: DimensionError: objective at the initial point is not real: "
+            "NoneType of object values"
+        )
         assert err.count(message) == 2
         assert [r.status for r in failed] == ["DimensionError"] * 2
 
+    # An int beyond the float range makes the list an object array, whose
+    # cast to float would raise OverflowError out of the whole pass.
     @pytest.mark.parametrize(
-        "change", [lambda g: g + 1j, lambda g: np.full(g.shape, "matyas"), lambda g: {"g": g}],
-        ids=["complex", "string", "object"],
+        "change",
+        [
+            lambda g: g + 1j, lambda g: np.full(g.shape, "matyas"), lambda g: {"g": g},
+            lambda g: [10**400, *g[1:]],
+        ],
+        ids=["complex", "string", "object", "int-beyond-float"],
     )
     def test_gradient_that_is_not_real_is_an_error_row(self, monkeypatch, capsys, change):
         err, failed = self.error_rows_for_matyas(
             monkeypatch, capsys,
             lambda p: dataclasses.replace(p, grad=lambda x: change(p.grad(x))),
         )
-        message = "error: DimensionError: gradient at the initial point is not a real array"
+        message = "error: DimensionError: gradient at the initial point is not real: "
         assert err.count(message) == 2
         assert [r.status for r in failed] == ["DimensionError"] * 2
 

@@ -70,6 +70,9 @@ class TestConstraintBuilder:
     def test_odd_dimension_rejected(self):
         with pytest.raises(DimensionError):
             build_constraints(7)
+        # One is odd too, and below the smallest system.
+        with pytest.raises(DimensionError, match="need n >= 2, got n=1"):
+            build_constraints(1)
 
     def test_bad_row_count_rejected(self):
         with pytest.raises(DimensionError):
@@ -243,3 +246,6 @@ class TestQuadraticOracle:
         cs = build_constraints(4)
         with pytest.raises(SingularKkt):
             quadratic_oracle(cs, np.zeros((4, 4)), np.ones(4))
+        # lu_factor rejects a matrix holding NaN.
+        with pytest.raises(SingularKkt, match="infs or NaNs"):
+            quadratic_oracle(cs, np.full((4, 4), np.nan), np.ones(4))

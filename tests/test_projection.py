@@ -206,6 +206,13 @@ class TestErrors:
             ConstraintSystem(a=np.ones((4, 3)), b=np.ones(4))  # more rows than cols
         with pytest.raises(DimensionError):
             ConstraintSystem(a=np.array([[np.nan, 1.0]]), b=np.ones(1))
+        with pytest.raises(DimensionError, match="right-hand side must be 1-d"):
+            ConstraintSystem(a=np.ones((1, 3)), b=np.ones((1, 1)))
+        basis = hand_line()
+        with pytest.raises(DimensionError, match="leading dimension 3, basis expects 2"):
+            project_gradient(basis, np.ones(3))
+        with pytest.raises(DimensionError, match=r"shape \(2, 1\), expected \(2,\)"):
+            restore_feasibility(basis, np.ones((2, 1)))
 
 
 @pytest.fixture

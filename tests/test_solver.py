@@ -3,6 +3,8 @@ its trace invariants."""
 
 import dataclasses
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -966,6 +968,38 @@ class TestTraceRecords:
                 current = x_trial
         assert certified > 0
 
+    def test_step_inside_the_ulp_band_earns_no_trust(self):
+        # f = 1e6 + ||x - c||^2 / 2 with its exact Hessian, from 1e-3 off c.
+        # The first trial is scored by f, since nothing is trusted yet, and
+        # decreases f by 6 ulps, which its trapezoid estimate matches within
+        # 0.25.  The second trial decreases f by 12 ulps and meets every
+        # other condition of certification; only the 16-ulp floor on the
+        # trusted step's decrease leaves it to f.
+        c = np.array([0.0, 0.0, 1.0, -1.0])
+        points, values = [], []
+
+        def f(x):
+            points.append(np.array(x))
+            values.append(1e6 + 0.5 * float((x - c) @ (x - c)))
+            return values[-1]
+
+        problem = StubProblem(
+            _one_sum_system(), c + 1e-3 * np.array([1.0, -1.0, 2.0, 1.0]), f, lambda x: x - c
+        )
+        problem.hess = lambda x: np.eye(4)
+        report = solve(problem, SolverConfig(dt0=1e-4, reg_shift=1e-12, max_iter=2))
+        first, second = report.trace
+        assert first.phase == second.phase == ILL_POSED
+        assert first.accepted and not first.certified
+        actual = values[0] - values[1]
+        assert 0.0 < actual <= 16 * math.ulp(values[0])
+        estimate = -0.5 * float((points[0] - c + points[1] - c) @ (points[1] - points[0]))
+        assert abs(estimate - actual) <= 0.25 * actual
+        assert second.decrease > 0.0
+        assert 0.0 <= values[1] - values[2] <= 16 * math.ulp(values[1])
+        assert not second.certified
+        assert second.rho == (values[1] - values[2]) / second.decrease
+
 
 def probe_gradients(report):
     """The gradient calls of curvature probes: all but those at the start,
@@ -1192,29 +1226,57 @@ class TestMisshapenCallbacks:
     def test_objective_that_is_not_a_scalar_raises(self, method):
         booth = get_problem("booth")
         problem = dataclasses.replace(booth, f=lambda x: np.array([booth.f(x)]))
-        with pytest.raises(DimensionError, match=r"objective has shape \(1,\), expected \(\)"):
+        message = r"objective at the initial point has shape \(1,\), expected \(\)"
+        with pytest.raises(DimensionError, match=message):
             method(problem)
 
+    # A cast to float would turn each of these into a number, booth's own
+    # for most, and the run would go on; numpy's complex scalar would also
+    # warn ComplexWarning, a RuntimeWarning.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("method", [solve, baseline_sqp])
     @pytest.mark.parametrize(
-        "value, kind",
-        [(None, "NoneType"), (1j, "complex"), ("booth", "str"), (10**400, "int")],
-        ids=["none", "complex", "string", "int-beyond-float"],
+        "change, got",
+        [
+            (lambda v: None, "NoneType of object"),
+            (lambda v: 1j, "complex of complex128"),
+            (lambda v: "booth", "str of <U5"),
+            (lambda v: 10**400, "int of object"),
+            (str, "str of <U"),
+            (lambda v: str(v).encode(), r"bytes of \|S"),
+            (lambda v: v > 0.0, "bool of bool"),
+            (lambda v: np.bool_(v > 0.0), "bool_? of bool"),
+            (lambda v: np.complex128(v + 1j), "complex128 of complex128"),
+            (Fraction, "Fraction of object"),
+            (Decimal, "Decimal of object"),
+        ],
+        ids=[
+            "none", "complex", "string", "int-beyond-float", "numeric-string", "bytes",
+            "bool", "numpy-bool", "numpy-complex", "fraction", "decimal",
+        ],
     )
-    def test_objective_that_is_not_a_real_scalar_raises(self, method, value, kind):
-        problem = dataclasses.replace(get_problem("booth"), f=lambda x: value)
-        with pytest.raises(DimensionError, match=f"objective is {kind}, expected a real scalar"):
+    def test_objective_that_is_not_a_real_scalar_raises(self, method, change, got):
+        booth = get_problem("booth")
+        problem = dataclasses.replace(booth, f=lambda x: change(booth.f(x)))
+        message = f"objective at the initial point is not real: {got}"
+        with pytest.raises(DimensionError, match=message):
             method(problem)
 
     @pytest.mark.parametrize(
-        "change, reason",
+        "change, got",
         [
-            (lambda v: v + 1j, "complex128 values"),
-            (lambda v: list(v + 1j), "complex128 values"),
-            (lambda v: np.full(v.shape, "booth"), "could not convert string to float"),
-            (lambda v: {"value": v}, "not 'dict'"),
+            (lambda v: v + 1j, "ndarray of complex128 values"),
+            (lambda v: list(v + 1j), "list of complex128 values"),
+            (lambda v: np.full(v.shape, "booth"), "ndarray of <U5 values"),
+            (lambda v: {"value": v}, "dict of object values"),
+            (lambda v: v > 0.0, "ndarray of bool values"),
+            (lambda v: v.astype(str), r"ndarray of <U\d+ values"),
+            (lambda v: [10**400] + list(v.flat[1:]), "list of object values"),
         ],
-        ids=["complex", "complex-list", "string", "object"],
+        ids=[
+            "complex", "complex-list", "string", "object", "bool", "numeric-string",
+            "int-beyond-float",
+        ],
     )
     @pytest.mark.parametrize(
         "method, callback, where",
@@ -1227,16 +1289,42 @@ class TestMisshapenCallbacks:
         ids=["solve-grad", "sqp-grad", "solve-hess"],
     )
     def test_gradient_or_hessian_that_is_not_real_raises(
-        self, method, callback, where, change, reason
+        self, method, callback, where, change, got
     ):
         # A cast to float would drop an imaginary part, with a ComplexWarning,
-        # and let a complex gradient converge.
+        # read a bool as 0 or 1 and a numeric string as its number, and let
+        # the run converge; a list holding an int beyond the float range
+        # would raise OverflowError.
         base = get_problem("sum_squares", n=30)
         hess = quadratic_form("sum_squares", 30)[0]
         true = {"grad": base.grad, "hess": lambda x: hess}[callback]
         problem = dataclasses.replace(base, **{callback: lambda x: change(true(x))})
-        with pytest.raises(DimensionError, match=f"{where} is not a real array: .*{reason}"):
+        with pytest.raises(DimensionError, match=f"{where} is not real: {got}"):
             method(problem, SolverConfig(dt0=1e-4))
+
+    @pytest.mark.parametrize("method", [solve, baseline_sqp])
+    @pytest.mark.parametrize(
+        "change",
+        [lambda v: int(1e6 * v), lambda v: np.float32(v), np.array],
+        ids=["int", "float32", "zero-d-array"],
+    )
+    def test_integer_and_float_objectives_are_read_as_their_value(self, method, change):
+        booth = get_problem("booth")
+        as_given = method(dataclasses.replace(booth, f=lambda x: change(booth.f(x))))
+        as_float = method(dataclasses.replace(booth, f=lambda x: float(change(booth.f(x)))))
+        assert type(as_given.f_star) is float
+        assert_reports_equal(as_given, as_float)
+
+    @pytest.mark.parametrize("method", [solve, baseline_sqp])
+    def test_gradient_of_python_ints_is_read_as_its_value(self, method):
+        booth = get_problem("booth")
+
+        def ints(x):
+            return [int(v) for v in np.rint(1e6 * booth.grad(x))]
+
+        as_given = method(dataclasses.replace(booth, grad=ints))
+        as_float = method(dataclasses.replace(booth, grad=lambda x: np.array(ints(x), float)))
+        assert_reports_equal(as_given, as_float)
 
 
 def _wide_zakharov():

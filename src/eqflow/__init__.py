@@ -16,7 +16,6 @@ from .errors import (
     NonFiniteGradient,
     NonFiniteObjective,
     RankZero,
-    SingularFactor,
     SingularKkt,
     UnknownProblem,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "RankZero",
     "SINGLE_FEASIBLE_POINT",
     "STEP_FAILURE",
-    "SingularFactor",
     "SingularKkt",
     "SolverConfig",
     "SolverReport",

@@ -25,13 +25,6 @@ class NonFiniteObjective(EqflowError, FloatingPointError):
     """An objective evaluation returned NaN or infinity where a finite value is required."""
 
 
-class SingularFactor(EqflowError):
-    """The regularized curvature matrix is numerically singular and cannot be factored.
-
-    Raised by the shifted factorization; ``solve`` does not let it escape,
-    but halves ``dt`` and factors again."""
-
-
 class SingularKkt(EqflowError):
     """The dense stationarity system is singular or its solution fails the residual check."""
 

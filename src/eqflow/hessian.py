@@ -9,8 +9,14 @@ of ``G`` is the forward difference ``(g(x + eps q_j) - g(x)) / eps`` along
 column j of ``Q2``: n - r gradient evaluations.  One eigendecomposition
 ``Hr = V diag(lam) V^T`` serves every shift (Golub, Nash & Van Loan, IEEE
 TAC 1979): with ``W = Q2 V`` the shifted solve is
-``d = W (W^T rhs / (shift/dt + lam))``, which lies in null(A) by
+``d = W (W^T rhs / (shift/dt + max(lam, 0)))``, which lies in null(A) by
 construction, and a new shift costs O(n - r).
+
+The eigenvalues are clipped at zero before the shift, the eigenvalue
+modification of Nocedal & Wright, §3.4: the shifted matrix is then positive
+definite on null(A), with every eigenvalue at least ``shift/dt``, so every
+ill-posed step predicts a decrease and none moves up ``f`` along a direction
+of negative curvature.
 """
 
 from __future__ import annotations
@@ -19,15 +25,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SingularFactor
 # Not called here; perfbench/tracing.py patches this name.
 from .projection import project_gradient  # noqa: F401
 
 __all__ = ["fd_projected_hessian", "build_and_factor", "solve_shifted"]
-
-#: Shifted eigenvalues whose smallest magnitude is at most this fraction of
-#: their 2-norm flag the shifted matrix as numerically singular.
-_SINGULAR_RTOL = 1e-14
 
 #: Length of each forward-difference probe along a tangent basis vector.
 _FD_EPS = 1e-6
@@ -59,25 +60,16 @@ def fd_projected_hessian(
 def build_and_factor(
     curvature: tuple[np.ndarray, np.ndarray], shift: float, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Shift the eigenvalues of the curvature ``(W, lam)``: returns
-    ``(W, shift/dt + lam)``, the pair :func:`solve_shifted` reads.
-
-    Raises :class:`SingularFactor` if the smallest ``|shift/dt + lam|`` is at
-    most ``1e-14`` times the 2-norm of ``shift/dt + lam`` (an exact zero
-    included); the solver then halves ``dt`` and shifts again.
-    """
+    """Shift the clipped eigenvalues of the curvature ``(W, lam)``: returns
+    ``(W, shift/dt + max(lam, 0))``, the pair :func:`solve_shifted` reads,
+    whose every value is at least ``shift/dt > 0``."""
     w, lam = curvature
-    shifted = shift / dt + lam
-    if float(np.min(np.abs(shifted))) <= _SINGULAR_RTOL * float(np.linalg.norm(shifted)):
-        raise SingularFactor(
-            f"shifted curvature matrix is numerically singular at dt={dt:.3e}"
-        )
-    return w, shifted
+    return w, shift / dt + np.maximum(lam, 0.0)
 
 
 def solve_shifted(factor: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
     """Solve the shifted system on the tangent space with the pair
-    ``(W, shift/dt + lam)`` of :func:`build_and_factor`:
-    ``W (W^T rhs / (shift/dt + lam))``."""
+    ``(W, shift/dt + max(lam, 0))`` of :func:`build_and_factor`:
+    ``W (W^T rhs / (shift/dt + max(lam, 0)))``."""
     w, shifted = factor
     return w.dot(w.T.dot(rhs) / shifted)

@@ -25,9 +25,11 @@ The preconditioner runs in two one-way phases:
   projection of the Hessian ``(shift/dt) I + P H P``, held as the
   eigendecomposition of the reduced Hessian ``Q2^T H Q2`` (from the
   problem's ``hess`` if it has one, else finite-differenced along ``Q2``)
-  and cached under a rebuild policy driven by step acceptance and ratio
-  quality.  A trial whose decrease ``f`` cannot resolve may be scored by
-  the gradient instead (see :func:`solve`).
+  whose negative eigenvalues are clipped to zero, so that ``B`` is positive
+  definite on null(A) and every step predicts a decrease, and cached under
+  a rebuild policy driven by step acceptance and ratio quality.  A trial
+  whose decrease ``f`` cannot resolve may be scored by the gradient instead
+  (see :func:`solve`).
 
 Every direction lies in the null space of the constraint matrix by
 construction, so feasibility established once by an initial orthogonal
@@ -65,7 +67,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteGradient, NonFiniteObjective, SingularFactor
+from .errors import DimensionError, NonFiniteGradient, NonFiniteObjective
 from .hessian import build_and_factor, fd_projected_hessian, solve_shifted
 from .lbfgs import apply_inverse, make_pair, zero_pair
 from .projection import factor, project_gradient, restore_feasibility, tangent_basis
@@ -216,11 +218,13 @@ class SolverReport:
     * otherwise ``MaxIterations`` for ``"iteration-cap"`` and ``StepFailure``
       for any other reason.
 
-    ``hessian_evals`` counts every curvature evaluation, the probe of a
-    stopping iteration included, though that iteration writes no trace row:
-    a run that stops at the ``dt`` floor while halving to factor a singular
-    shifted matrix counts one more evaluation than its rows with
-    ``hessian_rebuilt``.
+    ``hessian_evals`` counts the curvature evaluations, one per trace row
+    with ``hessian_rebuilt``.  ``min_curvature`` is the smallest eigenvalue,
+    before clipping, of the last reduced Hessian ``Q2^T H Q2`` the run built,
+    at the point where it built it; NaN when it built none, as every run
+    that stays in the well-posed phase and :func:`baseline_sqp` do.  When
+    that point is the final one, a positive value tells a minimum from a
+    saddle.
     """
 
     status: str
@@ -234,6 +238,7 @@ class SolverReport:
     objective_evals: int
     gradient_evals: int
     hessian_evals: int
+    min_curvature: float
     wall_time: float
     trace: list[IterationRecord] = field(default_factory=list)
 
@@ -280,7 +285,9 @@ def _real(value: Any, shape: tuple[int, ...], what: str, where: str) -> np.ndarr
     """A callback's result as a float array of ``shape``; a float array takes
     one dtype test.  Only integers and floats (numpy kinds ``i``, ``u``, ``f``)
     are real: a cast of a bool, a complex value, a string or an object (``None``,
-    a ``Fraction``, an int beyond 64 bits) would invent a number."""
+    a ``Fraction``, an int beyond 64 bits) would invent a number.  A wider float
+    beyond the float64 range casts to an infinity without a warning, for the
+    caller's finiteness rule to judge."""
     try:
         result = np.asarray(value)
     except (TypeError, ValueError) as exc:  # such as ragged nested lists
@@ -289,7 +296,8 @@ def _real(value: Any, shape: tuple[int, ...], what: str, where: str) -> np.ndarr
         if result.dtype.kind not in "iuf":
             got = f"{type(value).__name__} of {result.dtype} values"
             raise DimensionError(f"{what} at {where} is not real: {got}")
-        result = result.astype(float)
+        with np.errstate(over="ignore"):
+            result = result.astype(float)
     if result.shape != shape:
         raise DimensionError(f"{what} at {where} has shape {result.shape}, expected {shape}")
     return result
@@ -343,6 +351,7 @@ class _Run:
         self.cfg = cfg
         self.cs = problem.cs
         self.objective_evals = self.gradient_evals = self.hessian_evals = 0
+        self.min_curvature = math.nan
         self.rows: list[tuple[Any, ...]] = []
         self.steps: list[np.ndarray] = []
         self.points: list[np.ndarray] = []
@@ -462,6 +471,7 @@ class _Run:
             objective_evals=self.objective_evals,
             gradient_evals=self.gradient_evals,
             hessian_evals=self.hessian_evals,
+            min_curvature=self.min_curvature,
             wall_time=time.perf_counter() - self.t_start,
             trace=trace,
         )
@@ -505,11 +515,6 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
     ``iterations``.  A trial point that rounds to the current point is
     rejected like any other, and ``dt`` halves towards its floor.
 
-    A shifted matrix that :func:`build_and_factor` finds singular halves
-    ``dt`` until it is not, without probing again.  If ``dt`` falls below
-    its floor first, the run stops (``"dt-floor"``) without counting the
-    stopping iteration or writing its row.
-
     Each cache is dropped by the event that makes it stale: an accepted step
     whose ratio left the inner band drops the curvature and its shifted
     eigenvalues; a rejected step drops only the shifted eigenvalues.  The
@@ -537,7 +542,8 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
     hess_cb = getattr(problem, "hess", None)
 
     def eval_curvature() -> tuple[np.ndarray, np.ndarray]:
-        """``(Q2 V, lam)`` of the reduced Hessian ``V diag(lam) V^T`` at x."""
+        """``(Q2 V, lam)`` of the reduced Hessian ``V diag(lam) V^T`` at x,
+        whose smallest ``lam`` the report gives as ``min_curvature``."""
         run.hessian_evals += 1
         q2 = tangent_basis(basis)
         if hess_cb is not None:
@@ -549,6 +555,7 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
                 lambda p: run.gval(p, "a curvature probe"), q2, run.x, run.g
             )
         lam, v = np.linalg.eigh(reduced)
+        run.min_curvature = float(lam[0])
         return q2 @ v, lam
 
     # The last accepted step scored by f: (x, f, g) before and after it.
@@ -592,13 +599,8 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
             hessian_rebuilt = curvature is None
             if hessian_rebuilt:
                 curvature = eval_curvature()
-            while shifted is None:
-                try:
-                    shifted = build_and_factor(curvature, cfg.reg_shift, dt)
-                except SingularFactor:
-                    dt = _DT_SHRINK * dt
-                    if dt < _DT_MIN:
-                        return run.report("dt-floor", k - 1, accepted_steps)
+            if shifted is None:
+                shifted = build_and_factor(curvature, cfg.reg_shift, dt)
             d = solve_shifted(shifted, -run.pg)
 
         s = (dt / (1.0 + dt)) * d

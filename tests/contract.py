@@ -21,7 +21,7 @@ import re
 import sys
 import types
 
-from eqflow import CONVERGED, SINGLE_FEASIBLE_POINT
+from eqflow import CONVERGED, ILL_POSED, SINGLE_FEASIBLE_POINT
 from eqflow.problems import CONVEX_PROBLEMS, NONCONVEX_PROBLEMS
 
 #: The solver names of the bench's ``--baseline`` rows, one row each per problem.
@@ -93,6 +93,8 @@ def check_trace(report, where="run"):
       ``rho * decrease``;
     * every step stays in null(A): ``step_infeas <= STEP_INFEAS_BOUND *
       max(1, step_norm)``;
+    * every ill-posed row predicts a decrease, ``decrease > 0``: its shifted
+      curvature is positive definite on null(A);
     * the last row's ``feas`` is the report's, bit for bit."""
     previous = None
     for rec in report.trace:
@@ -100,6 +102,10 @@ def check_trace(report, where="run"):
         bound = STEP_INFEAS_BOUND * max(1.0, rec.step_norm)
         _require(
             rec.step_infeas <= bound, f"{at}: step_infeas {rec.step_infeas:.3e} above {bound:.3e}"
+        )
+        _require(
+            rec.phase != ILL_POSED or rec.decrease > 0.0,
+            f"{at}: ill-posed predicted decrease {rec.decrease!r} is not positive",
         )
         if not rec.accepted:
             continue

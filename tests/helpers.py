@@ -200,8 +200,8 @@ def traces_equal(t1, t2, ignore=()):
 
 
 def assert_reports_equal(r1, r2, ignore_rows=()):
-    """Every field of two reports bit for bit, except the wall times and the
-    trace row fields named in ``ignore_rows``."""
+    """Every field of two reports bit for bit, a NaN equal to a NaN, except
+    the wall times and the trace row fields named in ``ignore_rows``."""
     for f in dataclasses.fields(r1):
         v1, v2 = getattr(r1, f.name), getattr(r2, f.name)
         if f.name == "trace":
@@ -209,7 +209,7 @@ def assert_reports_equal(r1, r2, ignore_rows=()):
         elif f.name == "x_star":
             assert np.array_equal(v1, v2)
         elif f.name != "wall_time":
-            assert v1 == v2, f.name
+            assert v1 == v2 or (v1 != v1 and v2 != v2), f.name  # NaN-safe
 
 
 def assert_status_rule(report, tol):

@@ -24,8 +24,7 @@ DOCUMENTED = {
     "factor", "project_gradient", "restore_feasibility",
     # Errors.
     "EqflowError", "DimensionError", "RankZero", "InconsistentConstraints",
-    "NonFiniteGradient", "NonFiniteObjective", "SingularFactor", "SingularKkt",
-    "UnknownProblem",
+    "NonFiniteGradient", "NonFiniteObjective", "SingularKkt", "UnknownProblem",
 }
 
 

@@ -282,19 +282,33 @@ class TestOutputFormats:
         for key in ("k", "f", "kkt", "feas", "dt", "rho", "accepted", "phase"):
             assert key in first
 
-    def test_json_is_strict_with_non_finite_trace_values(self, tmp_path):
-        # Rejected trials carry the rho = -inf sentinel; strict JSON has no
-        # spelling for it, so it is written as null.
+    def test_json_is_strict_with_non_finite_trace_values(self, tmp_path, monkeypatch):
+        # A trial whose f is NaN is rejected with rho = NaN; strict JSON has
+        # no spelling for it, so it is written as null.
+        import eqflow.bench as bench_mod
+
+        calls = []
+
+        def nan_at_first_trial(name, n=None):
+            problem = get_problem(name, n=n)
+
+            def f(x):
+                calls.append(None)
+                return float("nan") if len(calls) == 2 else problem.f(x)
+
+            return dataclasses.replace(problem, f=f)
+
+        monkeypatch.setattr(bench_mod, "get_problem", nan_at_first_trial)
         out = tmp_path / "rows.json"
-        main(["--problem", "ackley", "--n", "20", "--format", "json", "--trace",
-              "--out", str(out)])
+        main(["--problem", "booth", "--format", "json", "--trace", "--out", str(out)])
 
         def reject(token):
             raise ValueError(f"non-standard JSON constant {token}")
 
         entry = json.loads(out.read_text(), parse_constant=reject)[0]
+        assert entry["status"] == CONVERGED
         rhos = [rec["rho"] for rec in entry["trace"]]
-        assert None in rhos
+        assert rhos[0] is None and not entry["trace"][0]["accepted"]
         assert all(rho is None or np.isfinite(rho) for rho in rhos)
 
     def test_json_with_baseline_and_trace_is_strict(self, tmp_path):

@@ -14,7 +14,7 @@ import pytest
 
 import contract
 import eqflow.solver
-from eqflow import CONVEX_PROBLEMS, NONCONVEX_PROBLEMS, get_problem, solve
+from eqflow import CONVEX_PROBLEMS, ILL_POSED, NONCONVEX_PROBLEMS, get_problem, solve
 from eqflow.bench import main
 
 _TWO_DIM = tuple(
@@ -188,6 +188,12 @@ def _step_leaves_null_space(report):
     return _with_row(report, rec.k, step_infeas=2e-8 * max(1.0, rec.step_norm))
 
 
+def _ill_posed_without_decrease(report):
+    # A row whose shifted curvature was not positive definite on null(A).
+    rec = report.trace[len(report.trace) // 2]
+    return _with_row(report, rec.k, phase=ILL_POSED, decrease=-1e-3)
+
+
 def _last_feas_differs(report):
     last = report.trace[-1]
     return _with_row(report, last.k, feas=float(np.nextafter(report.feas, 1.0)))
@@ -199,6 +205,7 @@ def _last_feas_differs(report):
     (_certified_f_rises, r"booth at k=\d+: certified f"),
     (_certified_without_decrease, r"booth at k=\d+: certified f .* rho \* decrease -"),
     (_step_leaves_null_space, r"booth at k=\d+: step_infeas 2\.\d+e-08 above"),
+    (_ill_posed_without_decrease, r"booth at k=\d+: ill-posed predicted decrease -0\.001 is"),
     (_last_feas_differs, r"booth: last row's feas .* is not the report's"),
 ])
 def test_each_broken_trace_fails(booth_report, mutate, message):

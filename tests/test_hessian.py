@@ -12,7 +12,6 @@ import eqflow.hessian
 import eqflow.solver as solver_module
 from eqflow import (
     ConstraintSystem,
-    SingularFactor,
     SolverConfig,
     baseline_sqp,
     factor,
@@ -273,6 +272,8 @@ class TestShiftedFactorization:
         assert np.array_equal(solve_shifted(shifted, rhs), rhs / 10.0)
 
     def test_residuals_small_over_random_instances(self):
+        # The system solved is (shift/dt) I + V max(lam, 0) V^T, positive
+        # definite for every symmetric curvature, indefinite ones included.
         rng = np.random.default_rng(8)
         for _ in range(100):
             n = int(rng.integers(2, 25))
@@ -280,47 +281,58 @@ class TestShiftedFactorization:
             mat = raw + raw.T
             shift = float(rng.uniform(1e-6, 1.0))
             dt = float(rng.uniform(1e-6, 1.0))
-            b = mat + (shift / dt) * np.eye(n)
-            if np.min(np.abs(np.linalg.eigvalsh(b))) < 1e-8:
-                continue  # skip accidentally singular draws
+            w, lam = eigen(mat)
+            b = (w * np.maximum(lam, 0.0)) @ w.T + (shift / dt) * np.eye(n)
             rhs = rng.standard_normal(n)
-            d = solve_shifted(build_and_factor(eigen(mat), shift=shift, dt=dt), rhs)
+            d = solve_shifted(build_and_factor((w, lam), shift=shift, dt=dt), rhs)
             res = np.linalg.norm(b @ d - rhs)
             assert res <= 1e-8 * max(1.0, np.linalg.norm(rhs), np.linalg.norm(d))
 
-    def test_indefinite_curvature_is_factorizable(self):
+    def test_shifted_values_are_the_clipped_eigenvalues_plus_the_shift(self):
+        rng = np.random.default_rng(10)
+        w = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+        lam = np.array([-7.0, -1e-300, -0.0, 0.0, 0.5, 3.0])
+        out_w, shifted = build_and_factor((w, lam), shift=1e-4, dt=1e-3)
+        assert out_w is w
+        assert np.array_equal(shifted, 1e-4 / 1e-3 + np.maximum(lam, 0.0))
+        assert np.all(shifted >= 1e-4 / 1e-3)
+
+    def test_indefinite_curvature_is_clipped(self):
         shifted = build_and_factor(eigen(np.diag([-5.0, 0.0, 3.0])), shift=1.0, dt=1.0)
-        d = solve_shifted(shifted, np.array([4.0, 1.0, 4.0]))  # B = diag(-4, 1, 4)
-        assert np.allclose(d, [-1.0, 1.0, 1.0], atol=1e-12)
+        d = solve_shifted(shifted, np.array([4.0, 1.0, 4.0]))  # B = diag(1, 1, 4)
+        assert np.allclose(d, [4.0, 1.0, 1.0], atol=1e-12)
 
-    def test_singular_shift_raises(self):
-        with pytest.raises(SingularFactor):
-            build_and_factor(eigen(-np.eye(3)), shift=1.0, dt=1.0)  # B = 0
-        # One shifted eigenvalue of 1e-15 against a norm of about 1.
-        with pytest.raises(SingularFactor):
-            build_and_factor((np.eye(2), np.array([-1.0 + 1e-15, 0.0])), shift=1.0, dt=1.0)
-        # Above the 1e-14 rule the same matrix is solved.
-        build_and_factor((np.eye(2), np.array([-1.0 + 1e-13, 0.0])), shift=1.0, dt=1.0)
+    def test_shift_that_cancels_the_curvature_is_solved(self):
+        # -I + (shift/dt) I is zero, and diag(-1 + 1e-15, 0) nearly so; with
+        # the clip both are the identity, and the solve returns rhs.
+        rhs = np.array([2.0, -3.0, 5.0])
+        assert np.array_equal(
+            solve_shifted(build_and_factor((np.eye(3), -np.ones(3)), 1.0, 1.0), rhs), rhs
+        )
+        shifted = build_and_factor((np.eye(2), np.array([-1.0 + 1e-15, 0.0])), 1.0, 1.0)
+        assert np.array_equal(shifted[1], [1.0, 1.0])
 
-    def test_exact_zero_pivot_raises(self):
-        # B = diag(0, 1): an exactly zero shifted eigenvalue, the pivot of
-        # the diagonal factor, although ||B|| is not zero.
-        with pytest.raises(SingularFactor):
-            build_and_factor((np.eye(2), np.array([-1.0, 0.0])), shift=1.0, dt=1.0)
+    def test_zero_and_negative_eigenvalues_are_solved(self):
+        # B = diag(0, 1) before the clip: its zero pivot and the negative
+        # eigenvalue under it both become the shift.
+        shifted = build_and_factor((np.eye(2), np.array([-1.0, 0.0])), shift=0.5, dt=1.0)
+        assert np.array_equal(shifted[1], [0.5, 0.5])
+        assert np.array_equal(solve_shifted(shifted, np.array([1.0, -2.0])), [2.0, -4.0])
 
     def test_zero_rhs_gives_zero_direction(self):
         shifted = build_and_factor(eigen(np.array([[2.0, 1.0], [1.0, 2.0]])), 1e-4, 1e-2)
         assert np.array_equal(solve_shifted(shifted, np.zeros(2)), np.zeros(2))
 
-    def test_descent_direction_under_strong_shift(self):
-        # With shift/dt exceeding the curvature norm, B is positive definite
-        # and the solved direction makes an obtuse angle with the gradient.
+    def test_descent_direction_under_any_shift(self):
+        # The clipped B is positive definite for every dt, so the solved
+        # direction makes an obtuse angle with the gradient, also where the
+        # shift is far below the largest negative eigenvalue.
         rng = np.random.default_rng(9)
         for _ in range(20):
             n = int(rng.integers(2, 15))
             raw = rng.standard_normal((n, n))
             mat = raw + raw.T
-            dt = 0.4 / max(1.0, float(np.linalg.norm(mat, 2)))
+            dt = float(10.0 ** rng.uniform(-3.0, 3.0))
             pg = rng.standard_normal(n)
             d = solve_shifted(build_and_factor(eigen(mat), shift=1.0, dt=dt), -pg)
             assert float(pg @ d) < 0.0

@@ -21,7 +21,6 @@ from eqflow import (
     IterationRecord,
     NonFiniteGradient,
     NonFiniteObjective,
-    SingularFactor,
     SolverConfig,
     baseline_sqp,
     factor,
@@ -33,7 +32,9 @@ from eqflow import (
     solve,
 )
 import eqflow.solver as solver_module
+from eqflow.hessian import fd_projected_hessian
 from eqflow.problems import CONVEX_PROBLEMS, NONCONVEX_PROBLEMS, build_constraints
+from eqflow.projection import tangent_basis
 from eqflow.solver import trial_ratio, update_timestep
 from contract import check_trace
 from helpers import (
@@ -164,10 +165,6 @@ def _curvature_phase_sub_ulp_stub():
         lambda x: 1e8 + float(np.sum(np.logaddexp(10.0 * (x - c), -10.0 * (x - c)))) / 10.0,
         lambda x: np.tanh(10.0 * (x - c)),
     )
-
-
-def _always_singular(hess, shift, dt):
-    raise SingularFactor("forced")
 
 
 class TestTrialRatio:
@@ -467,6 +464,25 @@ class TestTerminalStatuses:
         problem = StubProblem(cs, np.zeros(2), lambda x: float("nan"), lambda x: 2 * x)
         with pytest.raises(NonFiniteObjective):
             solve(problem)
+
+    # A long double wider than float64 holds 1e400; its cast to float64 is an
+    # infinity, which the finiteness rules judge, not numpy's overflow warning.
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).maxexp <= np.finfo(float).maxexp,
+        reason="np.longdouble is no wider than float64",
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("method", [solve, baseline_sqp])
+    @pytest.mark.parametrize(
+        "callback, error", [("f", NonFiniteObjective), ("grad", NonFiniteGradient)]
+    )
+    def test_wide_float_beyond_float64_is_not_finite(self, method, callback, error):
+        booth = get_problem("booth")
+        huge = np.longdouble("1e400")
+        change = {"f": lambda x: huge, "grad": lambda x: booth.grad(x) * huge}[callback]
+        problem = dataclasses.replace(booth, **{callback: change})
+        with pytest.raises(error, match="at the initial point is not finite"):
+            method(problem)
 
 
 class TestSubUlpStop:
@@ -1024,6 +1040,7 @@ class TestEvaluationAccounting:
         report = solve(problem, SolverConfig(dt0=1e-4))
         assert report.status == CONVERGED
         assert report.hessian_evals >= 1
+        assert report.hessian_evals == sum(rec.hessian_rebuilt for rec in report.trace)
         assert probe_gradients(report) == report.hessian_evals * (n - factor(problem.cs).rank)
 
     def test_exact_hessian_skips_probing(self):
@@ -1032,6 +1049,7 @@ class TestEvaluationAccounting:
         report = solve(with_exact_hessian(get_problem("sum_squares", n=n)), cfg)
         assert report.status == CONVERGED
         assert report.hessian_evals >= 1
+        assert report.hessian_evals == sum(rec.hessian_rebuilt for rec in report.trace)
         assert report.gradient_evals == report.accepted_steps + 1
         fd = solve(get_problem("sum_squares", n=n), SolverConfig(dt0=1e-4))
         assert abs(report.f_star - fd.f_star) <= 1e-9 * max(1.0, abs(fd.f_star))
@@ -1056,44 +1074,6 @@ class TestCurvatureCachePolicy:
     def test_identity_phase_never_probes(self):
         report = solve(get_problem("booth"))
         assert all(not rec.hessian_rebuilt for rec in report.trace)
-
-    def test_singular_factor_retry_does_not_reprobe(self, monkeypatch):
-        # The first two factorizations fail: dt is halved until the cached
-        # curvature factors, without a second probe at the same point.
-        original = solver_module.build_and_factor
-        tried = []
-
-        def singular_twice(hess, shift, dt):
-            tried.append(dt)
-            if len(tried) <= 2:
-                raise SingularFactor("forced")
-            return original(hess, shift, dt)
-
-        monkeypatch.setattr(solver_module, "build_and_factor", singular_twice)
-        n = 30
-        report = solve(get_problem("sum_squares", n=n), SolverConfig(dt0=1e-4))
-        assert tried[:3] == [1e-4, 5e-5, 2.5e-5]
-        assert report.status == CONVERGED
-        assert report.trace[0].dt == 2.5e-5
-        assert report.hessian_evals == sum(rec.hessian_rebuilt for rec in report.trace)
-        assert probe_gradients(report) == report.hessian_evals * (n - n // 2)
-
-    def test_factor_that_stays_singular_ends_at_the_dt_floor(self, monkeypatch):
-        tried = []
-
-        def singular(hess, shift, dt):
-            tried.append(dt)
-            raise SingularFactor("forced")
-
-        monkeypatch.setattr(solver_module, "build_and_factor", singular)
-        report = solve(get_problem("sum_squares", n=30), SolverConfig(dt0=1e-4))
-        assert (report.status, report.stop_reason) == (STEP_FAILURE, "dt-floor")
-        # The stopping iteration is not counted and writes no row.
-        assert report.iterations == report.accepted_steps == 0
-        assert report.trace == []
-        assert report.hessian_evals == 1
-        assert len(tried) == 40
-        assert tried[-1] >= solver_module._DT_MIN > solver_module._DT_SHRINK * tried[-1]
 
     def test_non_finite_probe_is_evaluated_once(self):
         # The gradient is NaN everywhere but at the (restored) start; the
@@ -1126,8 +1106,8 @@ class TestCurvatureCachePolicy:
 
     @pytest.mark.parametrize("shape", [(30,), (30, 29), (29, 30)])
     def test_misshapen_analytic_hessian_raises(self, shape):
-        # A vector used to end in SingularFactor and the two near-square
-        # shapes in the projection's message about a vector.
+        # Each shape is refused where the Hessian is read, with its own
+        # message, before any product with the tangent basis.
         problem = dataclasses.replace(
             get_problem("sum_squares", n=30), hess=lambda x: np.ones(shape)
         )
@@ -1136,14 +1116,56 @@ class TestCurvatureCachePolicy:
             solve(problem, cfg)
 
 
+class TestFinalCurvature:
+    """A run that probes curvature ends at a minimum on null(A), not at a
+    saddle, and its report says what curvature it saw last."""
+
+    # Unclipped, both runs end Converged at a saddle: dixon_price at f 900.27
+    # with one negative reduced eigenvalue, and styblinski_tang at f -5,868.67
+    # with 296 of 300 on one BLAS thread (it hits the cap on two).  At
+    # n <= 300, styblinski_tang reaches its saddle before the ill-posed phase.
+    @pytest.mark.parametrize("name, n", [("dixon_price", 100), ("styblinski_tang", 600)])
+    def test_probed_run_ends_at_a_minimum(self, name, n):
+        problem = get_problem(name, n=n)
+        report = solve(problem)
+        assert report.status == CONVERGED
+        check_trace(report, name)
+        assert report.hessian_evals >= 1
+        assert report.hessian_evals == sum(rec.hessian_rebuilt for rec in report.trace)
+        assert report.min_curvature > 0.0
+        # Forward differences along the tangent basis, each of length 1e-6,
+        # resolve the spectrum to about sqrt(u) of its largest magnitude.
+        x = report.x_star
+        q2 = tangent_basis(factor(problem.cs))
+        lam = np.linalg.eigvalsh(fd_projected_hessian(problem.grad, q2, x, problem.grad(x)))
+        assert lam[0] >= -math.sqrt(np.finfo(float).eps / 2) * np.max(np.abs(lam))
+
+    def test_min_curvature_is_the_last_reduced_hessians_smallest_eigenvalue(self):
+        # sum_squares has the constant Hessian diag(2, 4, ..., 2n), so every
+        # build reduces the same matrix.
+        n = 30
+        problem = with_exact_hessian(get_problem("sum_squares", n=n))
+        report = solve(problem, SolverConfig(dt0=1e-4))
+        assert report.hessian_evals >= 1
+        q2 = tangent_basis(factor(problem.cs))
+        reduced = q2.T @ quadratic_form("sum_squares", n)[0] @ q2
+        assert report.min_curvature == pytest.approx(np.linalg.eigvalsh(reduced)[0], rel=1e-12)
+
+    @pytest.mark.parametrize("method", [solve, baseline_sqp])
+    def test_min_curvature_is_nan_without_a_build(self, method):
+        report = method(get_problem("booth"))
+        assert report.hessian_evals == 0
+        assert math.isnan(report.min_curvature)
+
+
 class TestStatusRule:
     def test_status_follows_the_final_point(self, monkeypatch):
         # Outside pinned points, Converged exactly when kkt and feas both meet
         # tol, whichever rule stopped the run, for both methods: on the
         # two-dimensional catalog, the feasibility-lost and iteration-cap
-        # instances above, the stops at the dt floor (below it at once, on a
-        # singular shifted matrix, and on trials that round away), the
-        # sub-ulp stub, a pinned point, and generated systems.
+        # instances above, the stops at the dt floor (below it at once and on
+        # trials that round away), the sub-ulp stub, a pinned point, and
+        # generated systems.
         default = SolverConfig()
         two_dim = [
             name for name in CONVEX_PROBLEMS + NONCONVEX_PROBLEMS
@@ -1162,11 +1184,6 @@ class TestStatusRule:
             (_sub_ulp_stub(), default, None),
             (_pinned_stub(), default, None),
             (_rounds_away_stub(), SolverConfig(dt0=1e-4, tol=1e-9), None),
-            (
-                get_problem("sum_squares", n=30),
-                SolverConfig(dt0=1e-4),
-                ("build_and_factor", _always_singular),
-            ),
         ]
         rng = np.random.default_rng(25)
         runs += [

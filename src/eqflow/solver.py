@@ -27,9 +27,10 @@ The preconditioner runs in two one-way phases:
   problem's ``hess`` if it has one, else finite-differenced along ``Q2``)
   whose negative eigenvalues are clipped to zero, so that ``B`` is positive
   definite on null(A) and every step predicts a decrease, and cached under
-  a rebuild policy driven by step acceptance and ratio quality.  A trial
-  whose decrease ``f`` cannot resolve may be scored by the gradient instead
-  (see :func:`solve`).
+  a rebuild policy driven by step acceptance and ratio quality.
+
+In either phase, a trial whose decrease ``f`` cannot resolve may be scored by
+the gradient instead (see :func:`solve`).
 
 Every direction lies in the null space of the constraint matrix by
 construction, so feasibility established once by an initial orthogonal
@@ -169,8 +170,8 @@ class IterationRecord:
     rejection); ``dt`` and ``rho`` belong to the trial evaluated in this
     iteration.  The 2-norm diagnostics (``decrease``, ``step_norm``,
     ``pg_norm``, ``step_infeas``) feed the conservation and model-decrease
-    property tests.  ``certified`` marks an ill-posed trial scored by the
-    gradient rather than by ``f`` (see :func:`solve`).
+    property tests.  ``certified`` marks a trial scored by the gradient
+    rather than by ``f`` (see :func:`solve`).
 
     ``feas`` (max-norm of ``Ax - b``) and ``step_infeas`` (max-norm of ``As``)
     come from one matrix product with ``A`` per block of 128 steps or of 128
@@ -494,7 +495,7 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
     acceptance requires both the ratio and the model-decrease floors; ``dt``
     is updated by :func:`update_timestep`.
 
-    An ill-posed trial is *certified* when the run is trusted, the predicted
+    A trial is *certified* when the run is trusted, the predicted
     decrease is positive, ``0 <= f - f_trial <= 16 ulp(f)`` and
     ``x_trial != x``: its ratio is then the trapezoid estimate of its
     decrease on the realized move, ``-(g + g_trial)^T (x_trial - x) / 2``,
@@ -609,8 +610,7 @@ def solve(problem: Any, config: Optional[SolverConfig] = None) -> SolverReport:
         rho, decrease = trial_ratio(run.f, f_trial, run.g, s, dt)
         g_trial = None
         if (
-            phase == ILL_POSED
-            and decrease > 0.0
+            decrease > 0.0
             and 0.0 <= run.f - f_trial <= _ULP_BAND * math.ulp(run.f)
             and not np.array_equal(x_trial, run.x)
             and trusted()

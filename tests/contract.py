@@ -38,12 +38,6 @@ STEP_INFEAS_BOUND = 1e-8
 SMALL_PROBLEMS = frozenset(
     {"booth", "matyas", "beale", "three_hump_camel", "six_hump_camel", "zakharov"}
 )
-#: The problems on which eqflow's (status, stop_reason) may differ between
-#: one and two BLAS threads.  quartic_noise stops ``sub-ulp`` on one thread,
-#: at kkt 1.18e-6, and converges on two; rastrigin converges on one and stops
-#: ``sub-ulp`` on two, at kkt 1.08e-6.  Whether a phase switch comes on a
-#: decrease below 16 ulps of f is decided by rounding.
-THREAD_DEPENDENT = frozenset({"quartic_noise", "rastrigin"})
 
 _README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 _TABLE_HEADER = "| `stop_reason` | status | the run stopped because |"
@@ -163,8 +157,7 @@ def check_catalog(rows, problems=CONVEX_PROBLEMS + NONCONVEX_PROBLEMS):
 
 def check_thread_gate(rows_1, rows_2):
     """eqflow's (status, stop_reason) is the same in both passes on every
-    problem outside :data:`THREAD_DEPENDENT`.  Returns the problems on which
-    it differs."""
+    problem."""
     outcomes = [
         {row.problem: (row.status, row.stop_reason)
          for row in rows if row.solver == "continuation"}
@@ -174,11 +167,7 @@ def check_thread_gate(rows_1, rows_2):
         name for name in outcomes[0].keys() | outcomes[1].keys()
         if outcomes[0].get(name) != outcomes[1].get(name)
     }
-    _require(
-        differ <= THREAD_DEPENDENT,
-        f"outcome depends on the BLAS thread count: {sorted(differ - THREAD_DEPENDENT)}",
-    )
-    return differ
+    _require(not differ, f"outcome depends on the BLAS thread count: {sorted(differ)}")
 
 
 def check_file(path, problems=CONVEX_PROBLEMS + NONCONVEX_PROBLEMS):
@@ -204,8 +193,8 @@ def main(paths):
     one on two, and print a line per check."""
     if len(paths) != 2:
         raise SystemExit("usage: contract.py CATALOG_1_THREAD.json CATALOG_2_THREADS.json")
-    differ = check_thread_gate(*(check_file(path) for path in paths))
-    print(f"outcomes that depend on the BLAS thread count: {sorted(differ)}")
+    check_thread_gate(*(check_file(path) for path in paths))
+    print("eqflow's outcomes are the same on both thread counts")
 
 
 if __name__ == "__main__":

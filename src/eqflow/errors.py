@@ -10,7 +10,7 @@ class DimensionError(EqflowError, ValueError):
 
 
 class RankZero(EqflowError):
-    """The constraint matrix has numerical rank zero; there is nothing to project onto."""
+    """The constraint matrix is zero; there is nothing to project onto."""
 
 
 class InconsistentConstraints(EqflowError):

@@ -53,7 +53,9 @@ class ConstraintSystem:
 
     ``a`` and ``b`` are read-only copies of the arrays passed in, so the
     :class:`ProjectorBasis` that :func:`factor` keeps on the system stays
-    valid for as long as the system lives.  With r the rank of ``A``, the
+    valid for as long as the system lives.  The basis comes from the rows
+    equilibrated by powers of two, so no bit of it depends on a row's
+    power-of-two units (see :func:`factor`).  With r the rank of ``A``, the
     basis holds n * min(r, n - r) floats and n more for ``x_p``; when
     r < n/2, a tangent basis asked of it keeps n * (n - r) floats more.  Its
     anchor ``b_r`` comes from a triangular solve when ``A`` has full row
@@ -143,9 +145,6 @@ class ProjectorBasis:
 _CONSISTENCY_RTOL = 1e-8
 #: Relative size at or below which a diagonal entry of R counts as zero.
 _RANK_TOL = 1e-10
-#: Ratio of the largest to the smallest row scale above which :func:`factor`
-#: equilibrates the rows.  Catalog rows differ by about a factor of 2.
-_ROW_SCALE_RATIO = 1e3
 
 
 def _lapack(routine, *args, **kwargs):
@@ -161,15 +160,16 @@ def _lapack(routine, *args, **kwargs):
 def factor(cs: ConstraintSystem) -> ProjectorBasis:
     """Factor the constraint system once, for reuse by every later projection.
 
-    Computes the column-pivoted QR factorization ``A^T[:, perm] = Q R`` with
-    LAPACK's ``dgeqp3``, detects the numerical rank ``r`` as the number of
-    diagonal entries of ``R`` above ``_RANK_TOL`` relative to the largest
-    one, and anchors the feasible set by ``b_r``.  When the rows' largest
-    entries differ by more than ``_ROW_SCALE_RATIO``, it first divides each
-    row of ``A`` and ``b`` by the smallest power of two above that row's
-    largest |entry|, so that the scale of a row cannot make it look
-    dependent; the feasible set and ``P`` stay the same, and the anchor and
-    the consistency check below work on the scaled rows.  The anchor:
+    Divides each row of ``A`` and ``b`` by the smallest power of two above
+    that row's largest |entry|, writes the scaled ``A^T`` into the one copy
+    that LAPACK's ``dgeqp3`` overwrites, and factors it with column
+    pivoting, ``A^T[:, perm] = Q R``.  The rank ``r`` is the number of
+    diagonal entries of ``R`` above ``_RANK_TOL`` relative to the largest.
+    Every row is scaled, and exactly, so rescaling a row of ``(A, b)`` by a
+    power of two changes no bit of the basis (unless the rescaled row leaves
+    the normal range), no row looks dependent for its scale alone, and no
+    uniform scale overflows or underflows the normal equations.  The feasible set and ``P`` stay the same; the anchor ``b_r``
+    and the consistency check work on the scaled rows.  The anchor:
 
     * full row rank (r = m) and ``2r != n``: ``R11^T b_r = b[perm]``, one
       ``dtrtrs`` that reads the leading r-by-r triangle of the ``dgeqp3``
@@ -179,9 +179,9 @@ def factor(cs: ConstraintSystem) -> ProjectorBasis:
       with ``R1`` the first r rows of ``R``, which fits the rows the rank
       dropped as well as the r it kept;
     * the tie ``2r = n``: the same normal equations.  With ``dtrtrs`` there,
-      criterion 3's sum_squares at n = 100 ends ``sub-ulp`` at kkt 2.1e-6,
-      above its 1e-6 tolerance, on one and on two BLAS threads: the
-      predicted decrease before its phase switch is 0.38 ulp of f.
+      criterion 3's sum_squares at n = 1000 caps at 2,000 iterations on two
+      BLAS threads, rebuilding its curvature after certified trials at
+      ratios that measure noise, and rosenbrock at n = 20 stops ``sub-ulp``.
 
     Of ``Q`` it forms only the block that projection reads, beside
     ``x_p = Q1 b_r``, by one ``dormqr``: ``[Q1 | x_p]`` from
@@ -195,7 +195,7 @@ def factor(cs: ConstraintSystem) -> ProjectorBasis:
     Raises
     ------
     RankZero
-        If the constraint matrix is numerically zero.
+        If the constraint matrix is zero.
     InconsistentConstraints
         If the rank is deficient and the right-hand side is not in the range
         of ``A`` (checked by measuring ``Ax - b`` at ``x_p``).
@@ -205,21 +205,17 @@ def factor(cs: ConstraintSystem) -> ProjectorBasis:
     cached = getattr(cs, "_basis", None)
     if cached is not None:
         return cached
-    n = cs.n
-    a, b = cs.a, cs.b
-    # Each row's largest |entry|, without an m-by-n temporary.
-    scale = np.maximum(a.max(axis=1), -a.min(axis=1))
-    nonzero = scale[scale > 0.0]
-    if nonzero.size and float(nonzero.max()) / _ROW_SCALE_RATIO > float(nonzero.min()):
-        # Exact powers of two, so the rows keep every bit; zero rows keep 2^0.
-        exponent = np.frexp(scale)[1]
-        a, b = np.ldexp(a, -exponent[:, None]), np.ldexp(b, -exponent)
-    qr, jpvt, tau = _lapack(scipy.linalg.lapack.dgeqp3, a.T)
-    # Rank 0 when R's largest diagonal entry is zero or overflowed to inf.
+    n, a = cs.n, cs.a
+    # Exponent of the smallest power of two above each row's largest |entry|
+    # (2^0 for a zero row): exact, so the equilibrated rows keep every bit.
+    exponent = np.frexp(np.maximum(a.max(axis=1), -a.min(axis=1)))[1]
+    b = np.ldexp(cs.b, -exponent)
+    at = np.ldexp(a.T, -exponent, out=np.empty((n, cs.m), order="F"))
+    qr, jpvt, tau = _lapack(scipy.linalg.lapack.dgeqp3, at, overwrite_a=True)
     diag = np.abs(np.diag(qr))
     rank = int(np.count_nonzero(diag > _RANK_TOL * diag[0]))
     if rank == 0:
-        raise RankZero("constraint matrix is numerically zero")
+        raise RankZero("the constraint matrix is zero")
 
     rhs = b[jpvt - 1]
     if rank == cs.m and 2 * rank != n:
@@ -250,8 +246,8 @@ def factor(cs: ConstraintSystem) -> ProjectorBasis:
     if rank < cs.m:
         # Deficient rank: b may have a component outside range(A).  x_p is
         # the least-squares feasible point; if it misses b, no point
-        # satisfies the system.
-        gap = float(np.max(np.abs(a.dot(x_p) - b)))
+        # satisfies the system.  The residual is the equilibrated rows'.
+        gap = float(np.max(np.abs(np.ldexp(a.dot(x_p) - cs.b, -exponent))))
         if gap > _CONSISTENCY_RTOL * max(1.0, float(np.max(np.abs(b)))):
             raise InconsistentConstraints(
                 f"rank-deficient system has no solution (residual {gap:.3e})"

@@ -170,6 +170,27 @@ def check_thread_gate(rows_1, rows_2):
     _require(not differ, f"outcome depends on the BLAS thread count: {sorted(differ)}")
 
 
+def check_committed(rows, committed):
+    """A pass's rows have the same (problem, solver) keys as the committed
+    rows ``committed``, both as :func:`read_rows` reads them, and the same
+    (status, stop_reason) for each.  ``steps``, ``f_star``, ``kkt`` and
+    ``time_s`` are not compared, because OpenBLAS's kernels differ by CPU."""
+    outcomes, wanted = (
+        {(row.problem, row.solver): (row.status, row.stop_reason) for row in rs}
+        for rs in (rows, committed)
+    )
+    _require(
+        outcomes.keys() == wanted.keys(),
+        f"rows differ from the committed file: missing {sorted(wanted.keys() - outcomes.keys())}, "
+        f"unexpected {sorted(outcomes.keys() - wanted.keys())}",
+    )
+    differ = [
+        f"{problem} ({solver}): {outcomes[problem, solver]} for {wanted[problem, solver]}"
+        for problem, solver in sorted(wanted) if outcomes[problem, solver] != wanted[problem, solver]
+    ]
+    _require(not differ, f"outcomes differ from the committed file: {'; '.join(differ)}")
+
+
 def check_file(path, problems=CONVEX_PROBLEMS + NONCONVEX_PROBLEMS):
     """The ``--baseline --format json --trace`` bench file at ``path``: its
     rows by :func:`check_catalog` over ``problems``, then each row's trace by
@@ -189,12 +210,17 @@ def check_file(path, problems=CONVEX_PROBLEMS + NONCONVEX_PROBLEMS):
 
 
 def main(paths):
-    """Check the bench files at ``paths``, one pass on one BLAS thread and
-    one on two, and print a line per check."""
-    if len(paths) != 2:
-        raise SystemExit("usage: contract.py CATALOG_1_THREAD.json CATALOG_2_THREADS.json")
-    check_thread_gate(*(check_file(path) for path in paths))
+    """Check the bench files at ``paths``, one pass on one BLAS thread, one
+    on two and the committed catalog, and print a line per check."""
+    if len(paths) != 3:
+        raise SystemExit(
+            "usage: contract.py CATALOG_1_THREAD.json CATALOG_2_THREADS.json BENCH_sqp.json"
+        )
+    rows_1, rows_2 = (check_file(path) for path in paths[:2])
+    check_thread_gate(rows_1, rows_2)
     print("eqflow's outcomes are the same on both thread counts")
+    check_committed(rows_1, read_rows(paths[2]))
+    print(f"the one-thread outcomes match {paths[2]}")
 
 
 if __name__ == "__main__":

@@ -65,6 +65,25 @@ def planted_rank_system(rng, n, m, r):
     return ConstraintSystem(a=a, b=a @ rng.standard_normal(n))
 
 
+#: Systems at n = 20 whose rows the row-unit tests rescale: the tie 2r = n
+#: from ``build_constraints`` and a random one, a full-rank system on each
+#: side of n/2 and a planted rank-deficient one.
+ROW_UNIT_SYSTEMS = {
+    "tie": lambda: build_constraints(20),
+    "random-tie": lambda: planted_rank_system(np.random.default_rng(64), 20, 10, 10),
+    "2r<n": lambda: planted_rank_system(np.random.default_rng(63), 20, 6, 6),
+    "2r>n": lambda: planted_rank_system(np.random.default_rng(61), 20, 14, 14),
+    "deficient": lambda: planted_rank_system(np.random.default_rng(62), 20, 12, 7),
+}
+
+
+def rows_rescaled(cs, seed, k_max=600):
+    """``cs`` with row i of ``A`` and ``b`` multiplied by 2^k_i, each k_i
+    drawn from [-k_max, k_max]: exact, so the feasible set is the same."""
+    k = np.random.default_rng(seed).integers(-k_max, k_max + 1, size=cs.m)
+    return ConstraintSystem(a=np.ldexp(cs.a, k[:, None]), b=np.ldexp(cs.b, k))
+
+
 def problem_on(cs, name, seed):
     """The catalog objective ``name`` (which must take any n) under ``cs``,
     started from a point drawn uniformly from [-2, 2]^n."""

@@ -124,13 +124,28 @@ def test_thread_gate_requires_equal_outcomes(rows, problem):
 
 def test_script_checks_the_whole_catalog(bench_json):
     with pytest.raises(AssertionError, match=r"10 rows for 40 runs"):
-        contract.main([str(bench_json), str(bench_json)])
-    with pytest.raises(SystemExit, match="usage"):
-        contract.main([str(bench_json)])
+        contract.main([str(bench_json), str(bench_json), str(_BENCH_SQP)])
+    for paths in ([bench_json], [bench_json, bench_json]):
+        with pytest.raises(SystemExit, match="usage"):
+            contract.main([str(path) for path in paths])
 
 
 def test_committed_catalog_meets_the_contract():
     contract.check_catalog(contract.read_rows(_BENCH_SQP))
+
+
+def test_outcomes_match_the_committed_catalog(rows):
+    committed = [row for row in contract.read_rows(_BENCH_SQP) if row.problem in _TWO_DIM]
+    contract.check_committed(rows, committed)
+    _row(rows, "booth", "continuation").update(status="StepFailure", stop_reason="dt-floor")
+    with pytest.raises(AssertionError, match=(
+        r"committed file: booth \(continuation\): \('StepFailure', 'dt-floor'\) for "
+        r"\('Converged', 'tolerance'\)$"
+    )):
+        contract.check_committed(rows, committed)
+    _missing_row(rows)
+    with pytest.raises(AssertionError, match=r"missing \[\('three_hump_camel', 'sqp'\)\]"):
+        contract.check_committed(rows, committed)
 
 
 @pytest.fixture(scope="module")

@@ -28,7 +28,9 @@ from helpers import (
     planted_rank_system,
     random_constraints,
     rank_deficient_constraints,
+    rows_rescaled,
     svd_rank,
+    ROW_UNIT_SYSTEMS,
 )
 
 
@@ -185,12 +187,16 @@ class TestRestoration:
 
 class TestErrors:
     def test_rank_zero(self):
-        with pytest.raises(RankZero):
+        with pytest.raises(RankZero, match="the constraint matrix is zero"):
             factor(ConstraintSystem(a=np.zeros((2, 4)), b=np.zeros(2)))
-        # Finite entries whose row norm overflows: R's diagonal starts with
-        # inf, and no entry is above inf times the rank tolerance.
-        with pytest.raises(RankZero):
-            factor(ConstraintSystem(a=np.full((1, 2), 1.7e308), b=np.ones(1)))
+
+    def test_row_whose_norm_overflows_has_rank_one(self):
+        # The row's norm, 2.4e308, is not a float, but its equilibrated
+        # entries are 0.5 each.  x_p, about 2.94e-309 per entry, is subnormal.
+        a = np.full((1, 2), 1.7e308)
+        basis = factor(ConstraintSystem(a=a, b=np.ones(1)))
+        assert basis.rank == 1
+        assert abs(float(a[0] @ basis.x_p) - 1.0) <= 1e-14
 
     def test_inconsistent_right_hand_side(self):
         a = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])
@@ -280,6 +286,13 @@ REGIMES = {
 }
 
 
+def equilibrated(cs):
+    """``A`` and ``b`` with each row divided by the smallest power of two
+    above its largest |entry|."""
+    exponent = np.frexp(np.abs(cs.a).max(axis=1))[1]
+    return np.ldexp(cs.a, -exponent[:, None]), np.ldexp(cs.b, -exponent)
+
+
 def regime_system(regime):
     n, m, r = REGIMES[regime]
     cs = planted_rank_system(np.random.default_rng([44, n, m, r]), n, m, r)
@@ -334,21 +347,23 @@ class TestRegimes:
         assert held_floats(basis) <= n * min(r, n - r) + n + r
 
     def test_anchor_per_regime(self):
-        # Full-rank systems off the tie solve R11^T b_r = b[perm] with the
-        # triangle dgeqp3 left; ties and rank-deficient systems keep the
-        # least-squares normal equations, bit for bit.
+        # factor works on the equilibrated rows.  Full-rank systems off the
+        # tie solve R11^T b_r = b[perm] with the triangle dgeqp3 left; ties
+        # and rank-deficient systems keep the least-squares normal equations,
+        # bit for bit.
         for regime in REGIMES:
             cs = regime_system(regime)
             basis = factor(cs)
-            _, r_full, perm = scipy.linalg.qr(cs.a.T, pivoting=True)
+            a, b = equilibrated(cs)
+            _, r_full, perm = scipy.linalg.qr(a.T, pivoting=True)
             r = basis.rank
             r1 = r_full[:r]
-            want = scipy.linalg.solve(r1 @ r1.T, r1 @ cs.b[perm], assume_a="pos")
+            want = scipy.linalg.solve(r1 @ r1.T, r1 @ b[perm], assume_a="pos")
             if r < cs.m or 2 * r == cs.n:
                 assert np.array_equal(basis.b_r, want), regime
                 continue
             assert np.linalg.norm(basis.b_r - want) <= 1e-12 * np.linalg.norm(want), regime
-            triangular, info = scipy.linalg.lapack.dtrtrs(r1, cs.b[perm], trans=1)
+            triangular, info = scipy.linalg.lapack.dtrtrs(r1, b[perm], trans=1)
             assert info == 0
             assert np.array_equal(basis.b_r, triangular), regime
 
@@ -370,6 +385,21 @@ class TestRegimes:
             tracemalloc.stop()
         assert r == m
         assert peak < 1.25 * (n * m + n * (n - r + 1)) * 8
+
+
+class TestRowUnits:
+    """factor works on the equilibrated rows, so the units of a row, a power
+    of two, change no bit of the basis."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("system", ROW_UNIT_SYSTEMS)
+    def test_rescaled_rows_give_the_same_basis(self, system, seed):
+        cs = ROW_UNIT_SYSTEMS[system]()
+        basis, rescaled = factor(cs), factor(rows_rescaled(cs, seed))
+        assert rescaled.rank == basis.rank
+        for name in ("q1", "q2", "b_r", "x_p"):
+            held, again = getattr(basis, name), getattr(rescaled, name)
+            assert (held is None and again is None) or np.array_equal(held, again), name
 
 
 class TestImmutability:

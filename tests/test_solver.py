@@ -42,7 +42,9 @@ from helpers import (
     assert_status_rule,
     problem_on,
     random_constraints,
+    rows_rescaled,
     scaled_dependent_row_sphere,
+    ROW_UNIT_SYSTEMS,
     traces_equal,
     with_exact_hessian,
 )
@@ -1392,6 +1394,33 @@ def test_rank_deficient_scaled_constraints_stay_feasible():
     report = solve(scaled_dependent_row_sphere())
     assert report.status == CONVERGED
     assert report.feas <= 1e-8
+
+
+@pytest.mark.parametrize("name", ["sphere", "rosenbrock"])
+@pytest.mark.parametrize("system", ROW_UNIT_SYSTEMS)
+def test_row_units_change_no_iterate(system, name):
+    # Rows multiplied by 2^k, |k| <= 600, leave the basis as it was, so the
+    # run too.  The status is not compared: feas is absolute, so it reads
+    # the rescaled rows' units.
+    problem = problem_on(ROW_UNIT_SYSTEMS[system](), name, 0)
+    report = solve(problem)
+    rescaled = solve(dataclasses.replace(problem, cs=rows_rescaled(problem.cs, 3)))
+    assert np.array_equal(rescaled.x_star, report.x_star)
+    assert rescaled.iterations == report.iterations
+    assert (rescaled.f_star, rescaled.kkt) == (report.f_star, report.kkt)
+
+
+@pytest.mark.parametrize("s", [1e160, 1e200, 1e-160, 1e-200, 1e-300])
+def test_uniformly_scaled_constraints_factor_and_solve(s):
+    # Under the suite's error filters: no overflow in the normal equations,
+    # and no singular or ill-conditioned Gram matrix from underflow.
+    shared = build_constraints(20)
+    cs = ConstraintSystem(a=s * shared.a, b=s * shared.b)
+    assert factor(cs).rank == 10
+    report = solve(dataclasses.replace(get_problem("sphere", n=20), cs=cs))
+    residual = np.abs(cs.a @ report.x_star - cs.b) / np.abs(cs.a).max(axis=1)
+    assert residual.max() <= 1e-13
+    assert np.allclose(report.x_star, solve(get_problem("sphere", n=20)).x_star, atol=1e-13)
 
 
 def test_row_scale_does_not_drop_a_constraint():
